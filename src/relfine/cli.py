@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
@@ -72,19 +72,20 @@ def _parallel_map(fn: Callable[[T], U], items: Sequence[T], jobs: int) -> list[U
 # ---------------------------------------------------------------------------
 
 _CONFIG_SECTIONS = {"output_dir", "scenes", "calibration", "refine", "loss"}
-_REFINE_KEYS = {"alpha", "steps", "learning_rate", "adam_beta1", "adam_beta2", "adam_eps", "seed"}
-_LOSS_KEYS = {"epsilon", "log_clamp", "sigmoid_bias", "sigmoid_scale", "reduction"}
-_CALIBRATION_KEYS = {"drop_background", "background_name"}
 
 
-def _section(doc: dict, name: str, allowed: set[str], path: str) -> dict:
+def _section(doc: dict, name: str, cls: type[T], path: str) -> T:
+    """Build the dataclass `cls` from a config section whose keys are its fields."""
     section = doc.get(name, {})
     if not isinstance(section, dict):
         raise FormatError(f"{path}: section {name!r} must be an object")
-    unknown = set(section) - allowed
+    unknown = set(section) - {f.name for f in fields(cls)}
     if unknown:
         raise FormatError(f"{path}: section {name!r} has unknown keys {sorted(unknown)}")
-    return section
+    try:
+        return cls(**section)
+    except FormatError as exc:
+        raise FormatError(f"{path}: section {name!r}: {exc}") from None
 
 
 class RunConfig:
@@ -114,11 +115,9 @@ class RunConfig:
         if len(set(names)) != len(names):
             raise FormatError(f"{path}: duplicate scene names")
 
-        self.refine_cfg = RefineConfig(**_section(doc, "refine", _REFINE_KEYS, str(path)))
-        self.loss_cfg = SpatialLossConfig(**_section(doc, "loss", _LOSS_KEYS, str(path)))
-        self.calibration = CalibrationOptions(
-            **_section(doc, "calibration", _CALIBRATION_KEYS, str(path))
-        )
+        self.refine_cfg = _section(doc, "refine", RefineConfig, str(path))
+        self.loss_cfg = _section(doc, "loss", SpatialLossConfig, str(path))
+        self.calibration = _section(doc, "calibration", CalibrationOptions, str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +294,10 @@ def _evaluate_prediction(scene_name: str, scene: Scene, pred_dir: Path, threshol
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.csv and not args.baseline:
+        raise FormatError("--csv needs --baseline: the CSV holds baseline-vs-refined buckets")
+    if not 0.0 <= args.threshold <= 1.0:
+        raise FormatError(f"--threshold must lie in [0, 1], got {args.threshold}")
     scene_pairs = _scene_set(Path(args.scenes))
     if not scene_pairs:
         raise FormatError(f"{args.scenes}: scene set is empty")
@@ -435,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="prediction directory (refine output)")
     p.add_argument("--baseline", help="second prediction directory for bucketed deltas")
     p.add_argument("--group-by", choices=["categories", "constraints", "ratio"], default="categories")
-    p.add_argument("--threshold", type=float, default=0.95)
+    p.add_argument("--threshold", type=float, default=0.95, help="satisfaction threshold in [0, 1]")
     p.add_argument("--out", help="write the report JSON here")
     p.add_argument("--csv", help="write the bucket CSV here (needs --baseline)")
     p.set_defaults(fn=cmd_eval)

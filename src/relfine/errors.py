@@ -1,10 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the field type checks
+that raise them.
 
 The CLI maps these onto its documented exit codes, so raising the right
 class matters more than the message wording.
 """
 
 from __future__ import annotations
+
+import math
+from numbers import Integral, Real
 
 
 class RelfineError(Exception):
@@ -25,3 +29,17 @@ class UnknownCategoryError(RelfineError, LookupError):
 
 class SceneSetMismatchError(RelfineError, ValueError):
     """Two runs being compared do not cover the same scenes (CLI exit code 4)."""
+
+
+def require_int(value: object, field: str, error: type[RelfineError] = FormatError) -> int:
+    """`value` as an int; anything but an integer (bools and floats included) raises `error`."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise error(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
+def require_real(value: object, field: str, error: type[RelfineError] = FormatError) -> float:
+    """`value` as a float; anything but a finite int or float (bools included) raises `error`."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise error(f"{field} must be a finite number, got {value!r}")
+    return float(value)

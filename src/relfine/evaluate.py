@@ -23,46 +23,45 @@ GroupBy = Literal["categories", "constraints", "ratio"]
 DEFAULT_SATISFACTION_THRESHOLD = 0.95
 
 
-def _check_shapes(pred: LabelMap, gt: LabelMap) -> None:
+def _confusion(pred: LabelMap, gt: LabelMap, num_categories: int) -> np.ndarray:
+    """Pixel counts indexed [ground truth, prediction], sized to hold every
+    label either map may carry so that no pixel is left out of the totals."""
     if pred.shape != gt.shape:
         raise FormatError(f"prediction shape {pred.shape} != ground truth shape {gt.shape}")
+    size = max(num_categories, pred.num_categories, gt.num_categories)
+    flat = gt.labels.ravel() * size + pred.labels.ravel()
+    return np.bincount(flat, minlength=size * size).reshape(size, size)
+
+
+def _mean(values: list[float]) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
+def _scores(counts: np.ndarray, num_categories: int) -> tuple[dict[int, float], float, float]:
+    """IoU of each category with a nonempty union, their mean, and the mean
+    recall of the categories present in the ground truth."""
+    hits = np.diagonal(counts)
+    support = counts.sum(axis=1)
+    unions = support + counts.sum(axis=0) - hits
+    categories = range(num_categories)
+    ious = {c: float(hits[c]) / int(unions[c]) for c in categories if unions[c]}
+    recalls = [float(hits[c]) / int(support[c]) for c in categories if support[c]]
+    return ious, _mean(list(ious.values())), _mean(recalls)
 
 
 def iou_per_class(pred: LabelMap, gt: LabelMap, num_categories: int) -> dict[int, float]:
     """IoU per category index; categories with an empty union are skipped."""
-    _check_shapes(pred, gt)
-    out: dict[int, float] = {}
-    for c in range(num_categories):
-        in_pred = pred.labels == c
-        in_gt = gt.labels == c
-        union = int((in_pred | in_gt).sum())
-        if union == 0:
-            continue
-        out[c] = float((in_pred & in_gt).sum()) / union
-    return out
+    return _scores(_confusion(pred, gt, num_categories), num_categories)[0]
 
 
 def miou(pred: LabelMap, gt: LabelMap, num_categories: int) -> float:
     """Mean IoU over categories present in the prediction or the ground truth."""
-    ious = iou_per_class(pred, gt, num_categories)
-    if not ious:
-        return 0.0
-    return sum(ious.values()) / len(ious)
+    return _scores(_confusion(pred, gt, num_categories), num_categories)[1]
 
 
 def macc(pred: LabelMap, gt: LabelMap, num_categories: int) -> float:
     """Mean per-class recall over categories present in the ground truth."""
-    _check_shapes(pred, gt)
-    recalls = []
-    for c in range(num_categories):
-        in_gt = gt.labels == c
-        support = int(in_gt.sum())
-        if support == 0:
-            continue
-        recalls.append(float(((pred.labels == c) & in_gt).sum()) / support)
-    if not recalls:
-        return 0.0
-    return sum(recalls) / len(recalls)
+    return _scores(_confusion(pred, gt, num_categories), num_categories)[2]
 
 
 def triplet_satisfied(
@@ -151,16 +150,15 @@ def evaluate_scene(
     """
     active = triplets if triplets is not None else scene.gt_triplets
     roster = scene.categories
-    present = np.unique(scene.gt_labels.labels)
-    category_count = int((present != 0).sum())
-    ious = iou_per_class(pred, scene.gt_labels, len(roster))
+    counts = _confusion(pred, scene.gt_labels, len(roster))
+    ious, mean_iou, mean_recall = _scores(counts, len(roster))
     return EvalReport(
         scene=name if name is not None else "",
-        miou=miou(pred, scene.gt_labels, len(roster)),
-        macc=macc(pred, scene.gt_labels, len(roster)),
+        miou=mean_iou,
+        macc=mean_recall,
         constraint_satisfaction=constraint_satisfaction(pred, roster, active, threshold),
         per_class_iou={roster[c]: value for c, value in ious.items()},
-        category_count=category_count,
+        category_count=int((counts[1:].sum(axis=1) > 0).sum()),
         constraint_count=len(active),
     )
 

@@ -225,7 +225,10 @@ def read_labels_pgm(path: str | Path, num_categories: int) -> LabelMap:
         while pos < len(raw) and raw[pos : pos + 1].isspace():
             pos += 1
         if raw[pos : pos + 1] == b"#":  # comment line
-            pos = raw.index(b"\n", pos) + 1
+            newline = raw.find(b"\n", pos)
+            if newline < 0:
+                raise FormatError(f"{path}: PGM header comment has no end of line")
+            pos = newline + 1
             continue
         end = pos
         while end < len(raw) and not raw[end : end + 1].isspace():

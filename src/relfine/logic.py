@@ -20,7 +20,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, require_real
 from .grid import DEFAULT_EPSILON, ProbabilityMap, coordinate_maps, weighted_mean_coordinate
 from .relations import Relation, SpatialTriplet, TripletSet
 from .state import SegmentationState
@@ -45,6 +45,8 @@ class SpatialLossConfig:
     reduction: Reduction = "sum"
 
     def __post_init__(self) -> None:
+        for name in ("epsilon", "log_clamp", "sigmoid_bias", "sigmoid_scale"):
+            require_real(getattr(self, name), name)
         if self.epsilon <= 0 or self.log_clamp <= 0 or self.sigmoid_scale <= 0:
             raise FormatError("epsilon, log_clamp and sigmoid_scale must be positive")
         if not 0.0 < self.sigmoid_bias < 1.0:

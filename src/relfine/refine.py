@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, require_int, require_real
 from .grid import ProbabilityMap
 from .logic import (
     ConstraintTerm,
@@ -34,9 +34,11 @@ class RefineConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self) -> None:
+        require_int(self.steps, "steps")
+        for name in ("alpha", "learning_rate", "adam_beta1", "adam_beta2", "adam_eps"):
+            require_real(getattr(self, name), name)
         if self.alpha < 0:
             raise FormatError(f"alpha must be nonnegative, got {self.alpha}")
         if self.steps < 0:

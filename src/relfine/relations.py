@@ -206,21 +206,25 @@ class ContradictionPair:
 
 
 def detect_contradictions(triplets: TripletSet) -> list[ContradictionPair]:
-    """Scan all unordered pairs for the two contradiction patterns."""
+    """Every contradictory pair, ordered by the first then the second index.
+
+    A triplet has at most one cyclic partner <o,r,s> and one directional
+    partner <s,opp(r),o>, so each is a key lookup rather than a pair scan.
+    """
     items = triplets.triplets
-    pairs: list[ContradictionPair] = []
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            a, b = items[i], items[j]
-            if a.subject == b.object and a.object == b.subject and a.relation == b.relation:
-                pairs.append(ContradictionPair(a, b, "cyclic"))
-            elif (
-                a.subject == b.subject
-                and a.object == b.object
-                and a.relation == opposite(b.relation)
-            ):
-                pairs.append(ContradictionPair(a, b, "directional"))
-    return pairs
+    index = {t.key: i for i, t in enumerate(items)}
+    found: list[tuple[int, int, ContradictionKind]] = []
+    for i, t in enumerate(items):
+        partners = (
+            ((t.object, t.relation, t.subject), "cyclic"),
+            ((t.subject, opposite(t.relation), t.object), "directional"),
+        )
+        for key, kind in partners:
+            j = index.get(key, -1)
+            if j > i:
+                found.append((i, j, kind))
+    found.sort()
+    return [ContradictionPair(items[i], items[j], kind) for i, j, kind in found]
 
 
 def resolve_contradictions(
@@ -235,6 +239,10 @@ def resolve_contradictions(
     the second triplet's claim). "first" keeps the first and drops the second,
     "second" the converse, "neither" discards both. A triplet dropped while
     settling one pair stays dropped even if another pair would keep it.
+
+    Precondition: `pairs` is `detect_contradictions(triplets)`. Then the
+    result is contradiction-free: every pair loses at least one member, and
+    removing triplets cannot form a new pair.
     """
     dropped: set[TripletKey] = set()
     chosen: set[TripletKey] = set()
@@ -257,16 +265,7 @@ def resolve_contradictions(
         for t in triplets
         if t.key not in dropped
     ]
-    result = triplets.with_triplets(kept)
-
-    # Every detected pair loses at least one member, so this scan comes back
-    # empty; dropping both members of anything left keeps the guarantee even
-    # if the pair list was stale.
-    leftover = detect_contradictions(result)
-    if leftover:
-        stale = {p.first.key for p in leftover} | {p.second.key for p in leftover}
-        result = result.with_triplets([t for t in result if t.key not in stale])
-    return result
+    return triplets.with_triplets(kept)
 
 
 @dataclass(frozen=True)

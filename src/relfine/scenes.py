@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FormatError, SceneSpecError
+from .errors import FormatError, SceneSpecError, require_int, require_real
 from .grid import LabelMap, ProbabilityMap, read_labels, read_rsgf, write_labels_pgm, write_rsgf
 from .relations import (
     BACKGROUND,
@@ -287,34 +287,35 @@ def _require_keys(doc: dict, required: set[str], optional: set[str], where: str)
 
 def spec_from_dict(doc: dict, where: str = "scene spec") -> SceneSpec:
     _require_keys(doc, {"height", "width", "placements"}, {"noise_sigma", "confusion", "seed"}, where)
+    if not isinstance(doc["placements"], list):
+        raise SceneSpecError(f"{where}: placements must be a list, got {doc['placements']!r}")
     placements = []
     for index, entry in enumerate(doc["placements"]):
         entry_where = f"{where}: placements[{index}]"
         if not isinstance(entry, dict):
             raise SceneSpecError(f"{entry_where}: expected an object")
         _require_keys(entry, {"category", "row0", "col0", "row1", "col1"}, set(), entry_where)
-        placements.append(
-            Placement(
-                category=str(entry["category"]),
-                row0=int(entry["row0"]),
-                col0=int(entry["col0"]),
-                row1=int(entry["row1"]),
-                col1=int(entry["col1"]),
-            )
-        )
+        bounds = {
+            key: require_int(entry[key], f"{entry_where}: {key}", SceneSpecError)
+            for key in ("row0", "col0", "row1", "col1")
+        }
+        placements.append(Placement(category=str(entry["category"]), **bounds))
     confusion = None
     if doc.get("confusion") is not None:
         centry = doc["confusion"]
+        if not isinstance(centry, dict):
+            raise SceneSpecError(f"{where}: confusion must be an object, got {centry!r}")
         _require_keys(centry, {"first", "second", "strength"}, set(), f"{where}: confusion")
-        confusion = Confusion(str(centry["first"]), str(centry["second"]), float(centry["strength"]))
+        strength = require_real(centry["strength"], f"{where}: confusion: strength", SceneSpecError)
+        confusion = Confusion(str(centry["first"]), str(centry["second"]), strength)
     try:
         return SceneSpec(
-            height=int(doc["height"]),
-            width=int(doc["width"]),
+            height=require_int(doc["height"], "height", SceneSpecError),
+            width=require_int(doc["width"], "width", SceneSpecError),
             placements=tuple(placements),
-            noise_sigma=float(doc.get("noise_sigma", 0.0)),
+            noise_sigma=require_real(doc.get("noise_sigma", 0.0), "noise_sigma", SceneSpecError),
             confusion=confusion,
-            seed=int(doc.get("seed", 0)),
+            seed=require_int(doc.get("seed", 0), "seed", SceneSpecError),
         )
     except SceneSpecError as exc:
         raise SceneSpecError(f"{where}: {exc}") from None

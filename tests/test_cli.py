@@ -323,3 +323,108 @@ def test_fixture_config_round_trip_under_a_minute(tmp_path):
     assert time.monotonic() - start < 60.0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["aggregate"]["miou"] > report["baseline_aggregate"]["miou"]
+
+
+# --------------------------------------------------------------------------
+# malformed input ends in exit 2 with a message, never a traceback
+
+
+def _gt_predictions(tmp_path, scenes: Path) -> Path:
+    pred = tmp_path / "pred"
+    for name in ("scene_000", "scene_001"):
+        (pred / name).mkdir(parents=True)
+        shutil.copy(scenes / name / "gt_labels.pgm", pred / name / "labels.pgm")
+    return pred
+
+
+def test_eval_unterminated_pgm_comment_exit_code(tmp_path, capsys):
+    scenes = _generated_scene_set(tmp_path)
+    pred = _gt_predictions(tmp_path, scenes)
+    (pred / "scene_000" / "labels.pgm").write_bytes(b"P5\n# no newline")
+    assert main(["eval", "--scenes", str(scenes), "--pred", str(pred)]) == 2
+    err = capsys.readouterr().err
+    assert "labels.pgm" in err and "comment" in err
+    assert "Traceback" not in err
+
+
+def test_eval_csv_needs_baseline(tmp_path, capsys):
+    scenes = _generated_scene_set(tmp_path)
+    pred = _gt_predictions(tmp_path, scenes)
+    csv_path = tmp_path / "buckets.csv"
+    assert main(["eval", "--scenes", str(scenes), "--pred", str(pred), "--csv", str(csv_path)]) == 2
+    assert "--csv needs --baseline" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
+def test_eval_threshold_outside_unit_interval(tmp_path, capsys):
+    scenes = _generated_scene_set(tmp_path)
+    pred = _gt_predictions(tmp_path, scenes)
+    for threshold in ("1.5", "-0.1", "nan"):
+        assert main(["eval", "--scenes", str(scenes), "--pred", str(pred),
+                     "--threshold", threshold]) == 2
+        assert "--threshold must lie in [0, 1]" in capsys.readouterr().err
+    assert main(["eval", "--scenes", str(scenes), "--pred", str(pred), "--threshold", "1"]) == 0
+
+
+def test_refine_config_seed_key_is_unknown(tmp_path, capsys):
+    config = write_config(tmp_path / "config.json", [small_scene()], refine={"alpha": 0.1, "seed": 0})
+    code = main(["refine", "--scene", str(tmp_path), "--out", str(tmp_path / "out"),
+                 "--use-gt-triplets", "--config", str(config)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config.json" in err and "unknown keys ['seed']" in err
+
+
+def _with(doc: dict, path: tuple, value) -> dict:
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+WRONG_TYPES = [
+    (("height",), "x", "height"),
+    (("width",), 16.5, "width"),
+    (("seed",), "1", "seed"),
+    (("seed",), True, "seed"),
+    (("placements", 0, "row0"), 2.5, "row0"),
+    (("placements", 1, "col1"), "14", "col1"),
+    (("noise_sigma",), "x", "noise_sigma"),
+    (("noise_sigma",), float("nan"), "noise_sigma"),
+    (("confusion", "strength"), [0.5], "strength"),
+    (("confusion",), 3, "confusion"),
+    (("placements",), 5, "placements"),
+]
+
+
+def test_scene_fields_of_wrong_type_exit_code(tmp_path, capsys):
+    for path, value, field in WRONG_TYPES:
+        scene = _with(small_scene(), path, value)
+        config = write_config(tmp_path / "config.json", [scene])
+        assert main(["gen-scenes", str(config)]) == 2, (path, value)
+        err = capsys.readouterr().err
+        assert "config.json" in err and field in err and repr(value) in err, err
+
+
+WRONG_SECTION_TYPES = [
+    ("refine", "alpha", "x"),
+    ("refine", "alpha", True),
+    ("refine", "alpha", float("inf")),
+    ("refine", "steps", 2.5),
+    ("refine", "steps", False),
+    ("refine", "learning_rate", None),
+    ("refine", "adam_beta1", "0.9"),
+    ("loss", "epsilon", "x"),
+    ("loss", "sigmoid_scale", True),
+    ("loss", "log_clamp", [1e-7]),
+]
+
+
+def test_config_section_fields_of_wrong_type_exit_code(tmp_path, capsys):
+    for section, field, value in WRONG_SECTION_TYPES:
+        config = write_config(tmp_path / "config.json", [small_scene()], **{section: {field: value}})
+        assert main(["gen-scenes", str(config)]) == 2, (section, field, value)
+        err = capsys.readouterr().err
+        assert "config.json" in err and f"section {section!r}" in err and field in err, err

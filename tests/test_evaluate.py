@@ -17,7 +17,7 @@ from relfine.evaluate import (
 )
 from relfine.grid import LabelMap
 from relfine.relations import Relation, SpatialTriplet, TripletSet, empty_triplet_set
-from relfine.scenes import Placement, SceneSpec, generate_scene
+from relfine.scenes import Placement, Scene, SceneSpec, generate_scene
 
 
 def labels(rows, n):
@@ -230,3 +230,63 @@ def test_evaluate_scene_on_ground_truth():
     assert result.category_count == 2
     assert result.constraint_count == len(scene.gt_triplets)
     assert result.scene == "toy"
+
+
+# --------------------------------------------------------------------------
+# confusion-matrix metrics against per-class loops
+
+
+def loop_ious(pred, gt, n):
+    out = {}
+    for c in range(n):
+        in_pred, in_gt = pred.labels == c, gt.labels == c
+        union = int((in_pred | in_gt).sum())
+        if union:
+            out[c] = float((in_pred & in_gt).sum()) / union
+    return out
+
+
+def loop_macc(pred, gt, n):
+    recalls = []
+    for c in range(n):
+        in_gt = gt.labels == c
+        support = int(in_gt.sum())
+        if support:
+            recalls.append(float(((pred.labels == c) & in_gt).sum()) / support)
+    return sum(recalls) / len(recalls) if recalls else 0.0
+
+
+def test_metrics_bit_equal_to_per_class_loops():
+    rng = np.random.default_rng(23)
+    for case in range(200):
+        maps = int(rng.integers(1, 7))  # C = 1 included
+        height, width = (int(v) for v in rng.integers(1, 9, size=2))
+        gt_arr = rng.integers(0, maps, size=(height, width))
+        pred_arr = rng.integers(0, maps, size=(height, width))
+        if maps > 1 and case % 2:
+            # Take one class out of both maps.
+            absent = int(rng.integers(0, maps))
+            gt_arr[gt_arr == absent] = (absent + 1) % maps
+            pred_arr[pred_arr == absent] = (absent + 1) % maps
+        gt, pred = labels(gt_arr, maps), labels(pred_arr, maps)
+        # Fewer, as many, or more categories than the maps declare.
+        n = int(rng.integers(1, maps + 2))
+        ious = loop_ious(pred, gt, n)
+        assert iou_per_class(pred, gt, n) == ious
+        assert miou(pred, gt, n) == (sum(ious.values()) / len(ious) if ious else 0.0)
+        assert macc(pred, gt, n) == loop_macc(pred, gt, n)
+
+        roster = ("background",) + tuple(f"k{c}" for c in range(1, maps))
+        scene = Scene(
+            spec=None,
+            gt_labels=gt,
+            categories=roster,
+            init_probs={},
+            gt_triplets=empty_triplet_set(roster),
+        )
+        result = evaluate_scene(pred, scene)
+        scene_ious = loop_ious(pred, gt, maps)
+        assert result.category_count == len({int(v) for v in np.unique(gt_arr)} - {0})
+        assert result.miou == sum(scene_ious.values()) / len(scene_ious)
+        assert result.macc == loop_macc(pred, gt, maps)
+        assert result.per_class_iou == {roster[c]: v for c, v in scene_ious.items()}

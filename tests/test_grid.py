@@ -183,6 +183,13 @@ def test_pgm_header_comments_are_skipped(tmp_path):
     assert loaded.labels.tolist() == [[0, 1], [2, 1]]
 
 
+def test_pgm_unterminated_header_comment(tmp_path):
+    path = tmp_path / "unterminated.pgm"
+    path.write_bytes(b"P5\n# no newline")
+    with pytest.raises(FormatError, match="unterminated.pgm: PGM header comment"):
+        read_labels_pgm(path, 3)
+
+
 def test_grid_json_missing_key(tmp_path):
     path = tmp_path / "grid.json"
     path.write_text('{"height": 1, "width": 2}')

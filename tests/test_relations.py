@@ -10,6 +10,7 @@ from relfine.errors import FormatError, UnknownCategoryError
 from relfine.grid import LabelMap
 from relfine.relations import (
     CalibrationOptions,
+    ContradictionPair,
     Relation,
     ScriptedOracle,
     SpatialTriplet,
@@ -201,6 +202,53 @@ def test_complementary_pair_is_not_a_contradiction():
         tset(triplet("cat", Relation.RIGHT, "person"), triplet("person", Relation.LEFT, "cat"))
     )
     assert pairs == []
+
+
+def all_pairs_scan(triplets):
+    """Reference: test every unordered pair against both patterns."""
+    items = triplets.triplets
+    pairs = []
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            a, b = items[i], items[j]
+            if (a.subject, a.relation, a.object) == (b.object, b.relation, b.subject):
+                pairs.append(ContradictionPair(a, b, "cyclic"))
+            elif (a.subject, a.relation, a.object) == (b.subject, opposite(b.relation), b.object):
+                pairs.append(ContradictionPair(a, b, "directional"))
+    return pairs
+
+
+def test_detect_matches_all_pairs_scan():
+    rng = np.random.default_rng(7)
+    relations = list(Relation)
+    sets_with_both_partners = 0
+    for _ in range(300):
+        names = [f"c{i}" for i in range(int(rng.integers(2, 25)))]
+        keys: dict = {}
+        for _ in range(int(rng.integers(0, 40))):
+            s, o = rng.choice(len(names), size=2, replace=False)
+            keys[(names[s], relations[int(rng.integers(4))], names[o])] = None
+        # Give some triplets their cyclic and/or directional partner, so small
+        # and large rosters alike hold contradictions of both kinds.
+        for s, r, o in list(keys):
+            if rng.random() < 0.3:
+                keys[(o, r, s)] = None
+            if rng.random() < 0.3:
+                keys[(s, opposite(r), o)] = None
+        order = rng.permutation(len(keys))
+        listed = list(keys)
+        triplets = tset(*(triplet(*listed[k]) for k in order), roster=names)
+
+        expected = all_pairs_scan(triplets)
+        assert detect_contradictions(triplets) == expected
+        present = triplets.keys()
+        if any(
+            (t.object, t.relation, t.subject) in present
+            and (t.subject, opposite(t.relation), t.object) in present
+            for t in triplets
+        ):
+            sets_with_both_partners += 1
+    assert sets_with_both_partners > 0
 
 
 # --------------------------------------------------------------------------
