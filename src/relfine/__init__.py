@@ -28,10 +28,8 @@ from .evaluate import (
 )
 from .gradcheck import GradCheckResult, check_instance, finite_difference_gradient, run_gradcheck
 from .grid import (
-    CoordinateMaps,
     LabelMap,
     ProbabilityMap,
-    coordinate_maps,
     make_probability_map,
     read_grid,
     read_labels,
@@ -53,7 +51,6 @@ from .logic import (
     half_plane_mask,
     pseudo_mask,
     spatial_loss,
-    spatial_loss_logit_gradient,
 )
 from .refine import (
     AdamState,

@@ -109,7 +109,7 @@ def check_instance(
 
     _, fid_grad = fidelity_loss(state, targets, reduction=loss_cfg.reduction)
     _, terms = compiled_spatial_loss(state, compiled, loss_cfg)
-    analytic = fid_grad + alpha * logit_gradient_from_terms(state, terms)
+    analytic = fid_grad + alpha * logit_gradient_from_terms(state, terms, loss_cfg)
     if corrupt:
         analytic = analytic.copy()
         analytic.reshape(-1)[0] += 1e-2

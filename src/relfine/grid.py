@@ -97,14 +97,6 @@ class LabelMap:
         return self.labels.shape
 
 
-@dataclass(frozen=True, eq=False)
-class CoordinateMaps:
-    """Integer grids with col_map[i][j] = j and row_map[i][j] = i (0-based)."""
-
-    row_map: np.ndarray
-    col_map: np.ndarray
-
-
 def make_probability_map(height: int, width: int, values: Sequence[float]) -> ProbabilityMap:
     """Build a validated map from a flat row-major sequence of values."""
     flat = np.asarray(values, dtype=np.float64)
@@ -116,13 +108,6 @@ def make_probability_map(height: int, width: int, values: Sequence[float]) -> Pr
     return ProbabilityMap(flat.reshape(height, width))
 
 
-def coordinate_maps(height: int, width: int) -> CoordinateMaps:
-    if height < 1 or width < 1:
-        raise FormatError(f"grid dimensions must be positive, got {height}x{width}")
-    rows, cols = np.indices((height, width))
-    return CoordinateMaps(row_map=_as_readonly(rows), col_map=_as_readonly(cols))
-
-
 def weighted_mean_coordinate(pmap: ProbabilityMap, axis: Axis, epsilon: float = DEFAULT_EPSILON) -> float:
     """Mass-weighted mean row or column of a map: (sum coord*M) / (sum M + eps).
 
@@ -131,12 +116,11 @@ def weighted_mean_coordinate(pmap: ProbabilityMap, axis: Axis, epsilon: float = 
     """
     if epsilon < 0:
         raise FormatError(f"epsilon must be nonnegative, got {epsilon}")
-    coords = coordinate_maps(pmap.height, pmap.width)
-    grid = coords.row_map if axis == "row" else coords.col_map
-    mass = float(pmap.values.sum())
+    marginal = pmap.values.sum(axis=1 if axis == "row" else 0)
+    mass = float(marginal.sum())
     if mass == 0.0:
         return 0.0
-    return float((grid * pmap.values).sum() / (mass + epsilon))
+    return float(marginal @ np.arange(marginal.size) / (mass + epsilon))
 
 
 # ---------------------------------------------------------------------------

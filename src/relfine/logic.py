@@ -11,6 +11,10 @@ The half-plane masks and the per-constraint weights are treated as constants
 of the current maps: the mask is piecewise constant in the anchor map (its
 derivative is zero almost everywhere), so gradients flow only through the
 subject map.
+
+A half plane depends on one coordinate only, so the compiled form is a 1-D
+band along the relation's axis; PseudoMask and constraint_loss are the
+per-triplet H x W reference.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import FormatError, require_real
-from .grid import DEFAULT_EPSILON, ProbabilityMap, coordinate_maps, weighted_mean_coordinate
+from .grid import DEFAULT_EPSILON, ProbabilityMap, weighted_mean_coordinate
 from .relations import Relation, SpatialTriplet, TripletSet
 from .state import SegmentationState
 
@@ -70,15 +74,20 @@ class PseudoMask:
     mean_coord: float
 
 
+def outside_band(length: int, relation: Relation, mean_coord: float) -> np.ndarray:
+    """1 at each row or column the subject must avoid. Right/below keep
+    coords >= mean and left/above coords <= mean, so a tie is on both sides."""
+    coords = np.arange(length)
+    if relation in (Relation.RIGHT, Relation.BELOW):
+        return (coords < mean_coord).astype(np.float64)
+    return (coords > mean_coord).astype(np.float64)
+
+
 def half_plane_mask(height: int, width: int, relation: Relation, mean_coord: float) -> np.ndarray:
     """Binary grid selecting the relation's side of a mean coordinate."""
-    coords = coordinate_maps(height, width)
-    grid = coords.row_map if relation.axis == "row" else coords.col_map
-    if relation in (Relation.RIGHT, Relation.BELOW):
-        mask = grid >= mean_coord
-    else:
-        mask = grid <= mean_coord
-    return mask.astype(np.float64)
+    rows = relation.axis == "row"
+    inside = 1.0 - outside_band(height if rows else width, relation, mean_coord)
+    return np.broadcast_to(inside[:, None] if rows else inside, (height, width))
 
 
 def pseudo_mask(
@@ -145,20 +154,21 @@ def constraint_weight(anchor_map: ProbabilityMap, cfg: SpatialLossConfig | None 
 
 @dataclass(frozen=True, eq=False)
 class ConstraintTerm:
-    """Diagnostics for one compiled triplet: loss, weight, subject-map gradient."""
+    """Diagnostics for one compiled triplet: loss, weight and outside band."""
 
     triplet: SpatialTriplet
     loss: float
     weight: float
-    per_pixel_grad: np.ndarray
+    outside: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class CompiledConstraint:
-    """A triplet with its half-plane mask and weight frozen at compile time."""
+    """A triplet with its outside band (along the relation's axis) and weight
+    frozen at compile time."""
 
     triplet: SpatialTriplet
-    pseudo: PseudoMask
+    outside: np.ndarray
     weight: float
 
 
@@ -167,18 +177,21 @@ def compile_constraints(
     triplets: TripletSet | Sequence[SpatialTriplet],
     cfg: SpatialLossConfig | None = None,
 ) -> tuple[CompiledConstraint, ...]:
-    """Freeze each triplet's mask and weight against the current object maps."""
+    """Freeze each triplet's band and weight against the current object maps,
+    reading and reducing each object's map once however many triplets name it."""
     cfg = cfg or SpatialLossConfig()
+    lengths = {"row": state.height, "col": state.width}
+    anchors: dict[str, tuple[dict[str, float], float]] = {}
     compiled = []
     for t in triplets:
-        anchor_map = state.prob_map(t.object)
-        compiled.append(
-            CompiledConstraint(
-                triplet=t,
-                pseudo=pseudo_mask(anchor_map, t.relation, cfg, anchor=t.object),
-                weight=constraint_weight(anchor_map, cfg),
-            )
-        )
+        if t.object not in anchors:
+            anchor_map = state.prob_map(t.object)
+            means = {axis: weighted_mean_coordinate(anchor_map, axis, cfg.epsilon) for axis in lengths}
+            anchors[t.object] = (means, constraint_weight(anchor_map, cfg))
+        means, weight = anchors[t.object]
+        axis = t.relation.axis
+        outside = outside_band(lengths[axis], t.relation, means[axis])
+        compiled.append(CompiledConstraint(triplet=t, outside=outside, weight=weight))
     return tuple(compiled)
 
 
@@ -187,17 +200,22 @@ def compiled_spatial_loss(
     compiled: Sequence[CompiledConstraint],
     cfg: SpatialLossConfig | None = None,
 ) -> tuple[float, list[ConstraintTerm]]:
-    """Evaluate frozen constraints against the state's current subject maps."""
+    """Evaluate frozen constraints against the state's current subject maps.
+
+    Inside pixels cost log 1 = 0, so each loss is the band dotted with the
+    subject's row or column sums of -log max(1 - P, clamp).
+    """
     cfg = cfg or SpatialLossConfig()
+    penalty = -np.log(np.maximum(1.0 - state.probs, cfg.log_clamp))
+    sums = {"row": penalty.sum(axis=2), "col": penalty.sum(axis=1)}
+    pixels = state.height * state.width if cfg.reduction == "mean" else 1
     total = 0.0
     terms: list[ConstraintTerm] = []
     for item in compiled:
-        subject_map = state.prob_map(item.triplet.subject)
-        loss, grad = constraint_loss(subject_map, item.pseudo, cfg)
+        t = item.triplet
+        loss = float(item.outside @ sums[t.relation.axis][state.index(t.subject)]) / pixels
         total += item.weight * loss
-        terms.append(
-            ConstraintTerm(triplet=item.triplet, loss=loss, weight=item.weight, per_pixel_grad=grad)
-        )
+        terms.append(ConstraintTerm(triplet=t, loss=loss, weight=item.weight, outside=item.outside))
     return total, terms
 
 
@@ -217,29 +235,25 @@ def spatial_loss(
 
 
 def logit_gradient_from_terms(
-    state: SegmentationState, terms: Sequence[ConstraintTerm]
+    state: SegmentationState,
+    terms: Sequence[ConstraintTerm],
+    cfg: SpatialLossConfig | None = None,
 ) -> np.ndarray:
     """Chain the weighted per-map gradients through the pixelwise softmax.
 
-    With g_c the summed weighted gradient of all terms whose subject is c,
-    d(total)/d(z_k) = p_k * (g_k - sum_c g_c * p_c) at every pixel.
+    With R, K the weighted bands summed per subject along rows and columns,
+    the map gradient is g = (R + K) / (1 - P), 0 where the clamp saturates,
+    and d(total)/d(z_k) = p_k * (g_k - sum_c g_c * p_c) at every pixel.
     """
-    g = np.zeros_like(state.probs)
+    cfg = cfg or SpatialLossConfig()
+    n, height, width = state.probs.shape
+    bands = {"row": np.zeros((n, height)), "col": np.zeros((n, width))}
     for term in terms:
-        g[state.index(term.triplet.subject)] += term.weight * term.per_pixel_grad
+        bands[term.triplet.relation.axis][state.index(term.triplet.subject)] += term.weight * term.outside
+    inner = np.maximum(1.0 - state.probs, cfg.log_clamp)
+    g = (bands["row"][:, :, None] + bands["col"][:, None, :]) / inner
+    g[inner == cfg.log_clamp] = 0.0
+    if cfg.reduction == "mean":
+        g /= height * width
     dot = (g * state.probs).sum(axis=0, keepdims=True)
     return state.probs * (g - dot)
-
-
-def spatial_loss_logit_gradient(
-    state: SegmentationState,
-    triplets: TripletSet | Sequence[SpatialTriplet],
-    cfg: SpatialLossConfig | None = None,
-) -> np.ndarray:
-    """Analytic gradient of spatial_loss with respect to the state's logits.
-
-    Pseudo masks and constraint weights are held constant: the mask is a
-    hard threshold whose derivative vanishes almost everywhere.
-    """
-    _, terms = spatial_loss(state, triplets, cfg)
-    return logit_gradient_from_terms(state, terms)

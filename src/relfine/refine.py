@@ -8,6 +8,7 @@ and every quantity is recomputed from the current maps at each step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -139,6 +140,9 @@ class RefineTrace:
         ]
 
 
+_DIVERGED = "lower alpha or learning_rate"
+
+
 def _constraint_key(term: ConstraintTerm) -> str:
     t = term.triplet
     return f"{t.subject} {t.relation.value} {t.object}"
@@ -169,7 +173,9 @@ def refine(
     Masks and weights are recompiled from the current maps every step. With
     alpha=0 the spatial loss is still traced but never touches the update,
     so the run reproduces the unconstrained baseline exactly. Deterministic:
-    same inputs and config give bit-identical traces and states.
+    same inputs and config give bit-identical traces and states. Raises
+    FormatError when a step's objective or updated logits are not finite,
+    which an alpha or learning_rate too large for float64 brings about.
     """
     cfg = cfg or RefineConfig()
     loss_cfg = loss_cfg or SpatialLossConfig()
@@ -183,19 +189,24 @@ def refine(
         fid_loss, fid_grad = fidelity_loss(state, targets, reduction=loss_cfg.reduction)
         compiled = compile_constraints(state, triplets, loss_cfg)
         spa_loss, terms = compiled_spatial_loss(state, compiled, loss_cfg)
+        total = fid_loss + cfg.alpha * spa_loss
+        if not math.isfinite(total):
+            raise FormatError(f"refinement diverged at step {step}: objective {total}; {_DIVERGED}")
         records.append(
             StepRecord(
                 step=step,
                 fidelity=fid_loss,
                 spatial=spa_loss,
-                total=fid_loss + cfg.alpha * spa_loss,
+                total=total,
                 weights={_constraint_key(t): t.weight for t in terms},
             )
         )
         grad = fid_grad
         if cfg.alpha != 0.0:
-            grad = grad + cfg.alpha * logit_gradient_from_terms(state, terms)
+            grad = grad + cfg.alpha * logit_gradient_from_terms(state, terms, loss_cfg)
         logits, moments = adam_step(state.logits, grad, moments, step, cfg)
+        if not np.isfinite(logits).all():
+            raise FormatError(f"refinement diverged at step {step}: non-finite logits; {_DIVERGED}")
         state = state.with_logits(logits)
 
     return state, RefineTrace(tuple(records))

@@ -433,6 +433,20 @@ def _load_json_doc(path: str | Path) -> dict:
     return doc
 
 
+def _require_names(entry: dict, keys: Sequence[str], where: str) -> None:
+    """Category names must be strings: they key dicts and sets downstream."""
+    for key in keys:
+        if not isinstance(entry[key], str):
+            raise FormatError(f"{where}: {key!r} must be a string, got {entry[key]!r}")
+
+
+def _table(doc: dict, name: str, path: str | Path) -> list:
+    entries = doc.get(name, [])
+    if not isinstance(entries, list):
+        raise FormatError(f"{path}: {name!r} must be a list")
+    return entries
+
+
 def load_triplets(path: str | Path, swap_args: bool = False) -> TripletSet:
     """Load a triplet set; swap_args flips subject and object on every entry.
 
@@ -447,12 +461,9 @@ def load_triplets(path: str | Path, swap_args: bool = False) -> TripletSet:
     categories = doc.get("categories")
     if not isinstance(categories, list) or not all(isinstance(c, str) for c in categories):
         raise FormatError(f"{path}: 'categories' must be a list of strings")
-    entries = doc.get("triplets", [])
-    if not isinstance(entries, list):
-        raise FormatError(f"{path}: 'triplets' must be a list")
 
     triplets = []
-    for index, entry in enumerate(entries):
+    for index, entry in enumerate(_table(doc, "triplets", path)):
         where = f"{path}: triplets[{index}]"
         if not isinstance(entry, dict):
             raise FormatError(f"{where}: expected an object")
@@ -467,6 +478,7 @@ def load_triplets(path: str | Path, swap_args: bool = False) -> TripletSet:
             raise FormatError(f"{where}: missing key {exc.args[0]!r}") from None
         except FormatError as exc:
             raise FormatError(f"{where}: {exc}") from None
+        _require_names(entry, ("subject", "object"), where)
         stage = entry.get("stage", "initial")
         if stage not in STAGES:
             raise FormatError(f"{where}: unknown stage {stage!r}")
@@ -507,10 +519,11 @@ def load_scripted_oracle(path: str | Path) -> ScriptedOracle:
         raise FormatError(f"{path}: unknown keys {sorted(unknown)}")
 
     holds: dict[tuple[str, Relation, str], HoldsAnswer] = {}
-    for index, entry in enumerate(doc.get("holds", [])):
+    for index, entry in enumerate(_table(doc, "holds", path)):
         where = f"{path}: holds[{index}]"
         if not isinstance(entry, dict) or set(entry) != {"s", "r", "o", "a"}:
             raise FormatError(f"{where}: expected keys s, r, o, a")
+        _require_names(entry, ("s", "o"), where)
         if entry["a"] not in ("yes", "no", "unknown"):
             raise FormatError(f"{where}: answer must be yes/no/unknown, got {entry['a']!r}")
         try:
@@ -520,10 +533,11 @@ def load_scripted_oracle(path: str | Path) -> ScriptedOracle:
         holds[key] = entry["a"]
 
     choose: dict[tuple[str, Relation, Relation, str], ChooseAnswer] = {}
-    for index, entry in enumerate(doc.get("choose", [])):
+    for index, entry in enumerate(_table(doc, "choose", path)):
         where = f"{path}: choose[{index}]"
         if not isinstance(entry, dict) or set(entry) != {"s", "r1", "r2", "o", "a"}:
             raise FormatError(f"{where}: expected keys s, r1, r2, o, a")
+        _require_names(entry, ("s", "o"), where)
         if entry["a"] not in ("first", "second", "neither"):
             raise FormatError(f"{where}: answer must be first/second/neither, got {entry['a']!r}")
         try:

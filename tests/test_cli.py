@@ -165,6 +165,44 @@ def test_calibrate_geometric_oracle(tmp_path):
     assert calibrated_keys == original_keys
 
 
+def _calibrate_args(tmp_path, triplets_doc=None, oracle_doc=None) -> list[str]:
+    triplets = tmp_path / "triplets.json"
+    triplets.write_text(json.dumps(triplets_doc or {
+        "categories": ["a", "b"],
+        "triplets": [{"subject": "a", "relation": "left", "object": "b"}],
+    }))
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(json.dumps(oracle_doc or {"holds": [], "choose": []}))
+    return ["calibrate", "--triplets", str(triplets), "--oracle", str(oracle)]
+
+
+def test_calibrate_oracle_table_not_a_list_exit_code(tmp_path, capsys):
+    for table, value in (("choose", 3), ("holds", 7)):
+        assert main(_calibrate_args(tmp_path, oracle_doc={table: value})) == 2, table
+        err = capsys.readouterr().err
+        assert "oracle.json" in err and f"'{table}' must be a list" in err, err
+
+
+def test_calibrate_oracle_name_not_a_string_exit_code(tmp_path, capsys):
+    entries = {
+        "holds": {"s": ["a"], "r": "left", "o": "b", "a": "yes"},
+        "choose": {"s": "a", "r1": "left", "r2": "right", "o": {"b": 1}, "a": "first"},
+    }
+    for table, entry in entries.items():
+        assert main(_calibrate_args(tmp_path, oracle_doc={table: [entry]})) == 2, table
+        err = capsys.readouterr().err
+        assert "oracle.json" in err and f"{table}[0]" in err and "must be a string" in err, err
+
+
+def test_calibrate_triplet_name_not_a_string_exit_code(tmp_path, capsys):
+    for key in ("subject", "object"):
+        entry = {"subject": "a", "relation": "left", "object": "b", key: ["a"]}
+        doc = {"categories": ["a", "b"], "triplets": [entry]}
+        assert main(_calibrate_args(tmp_path, triplets_doc=doc)) == 2, key
+        err = capsys.readouterr().err
+        assert "triplets.json" in err and "triplets[0]" in err and f"'{key}' must be a string" in err, err
+
+
 # --------------------------------------------------------------------------
 # refine
 
@@ -240,6 +278,20 @@ def test_refine_unknown_category_exit_code(tmp_path, capsys):
 def test_refine_requires_a_triplet_source(tmp_path):
     scenes = _generated_scene_set(tmp_path)
     assert main(["refine", "--scene", str(scenes / "scene_000"), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_refine_divergence_exit_code_and_no_report(tmp_path, capsys):
+    # An alpha or a learning rate this large overflows float64: the objective
+    # or the logits stop being finite, and report.json would not be JSON.
+    scenes = _generated_scene_set(tmp_path)
+    for flag in ("--alpha", "--learning-rate"):
+        out = tmp_path / flag.strip("-")
+        code = main(["refine", "--scene", str(scenes / "scene_000"), "--out", str(out),
+                     "--use-gt-triplets", flag, "1e308"])
+        assert code == 2, flag
+        err = capsys.readouterr().err
+        assert "diverged at step" in err and "alpha or learning_rate" in err, err
+        assert not (out / "report.json").exists()
 
 
 # --------------------------------------------------------------------------

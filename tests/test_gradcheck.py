@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 
 from relfine.gradcheck import check_instance, finite_difference_gradient, run_gradcheck
+from relfine.logic import SpatialLossConfig
 from relfine.relations import Relation, SpatialTriplet, TripletSet
 from relfine.state import SegmentationState
 
@@ -28,6 +29,14 @@ def test_default_run_passes():
 def test_corrupted_gradient_is_caught():
     results = run_gradcheck(seed=0, instances=4, corrupt=True)
     assert all(not r.passed for r in results)
+
+
+def test_mean_reduction_run_passes_and_corruption_is_caught():
+    cfg = SpatialLossConfig(reduction="mean")
+    results = run_gradcheck(seed=0, instances=8, loss_cfg=cfg)
+    assert all(r.passed for r in results)
+    corrupted = run_gradcheck(seed=0, instances=4, loss_cfg=cfg, corrupt=True)
+    assert all(not r.passed for r in corrupted)
 
 
 def test_degenerate_single_pixel_grid():

@@ -10,7 +10,6 @@ from relfine.errors import FormatError
 from relfine.grid import (
     LabelMap,
     ProbabilityMap,
-    coordinate_maps,
     make_probability_map,
     read_grid,
     read_labels,
@@ -45,16 +44,6 @@ def test_probability_map_values_are_read_only():
     pmap = make_probability_map(1, 2, [0.1, 0.2])
     with pytest.raises(ValueError):
         pmap.values[0, 0] = 0.5
-
-
-def test_coordinate_maps_definition():
-    coords = coordinate_maps(1, 3)
-    assert coords.col_map.tolist() == [[0, 1, 2]]
-    coords = coordinate_maps(2, 1)
-    assert coords.row_map.tolist() == [[0], [1]]
-    coords = coordinate_maps(2, 2)
-    assert coords.col_map.tolist() == [[0, 1], [0, 1]]
-    assert coords.row_map.tolist() == [[0, 0], [1, 1]]
 
 
 def test_weighted_mean_single_unit_mass():
@@ -94,7 +83,7 @@ def test_weighted_mean_shift_invariance_of_comparisons():
     for _ in range(20):
         values = rng.random((4, 5))
         pmap = ProbabilityMap(values)
-        cols = coordinate_maps(4, 5).col_map
+        cols = np.indices((4, 5))[1]
         mean0 = weighted_mean_coordinate(pmap, "col", 0.0)
         mean1 = float(((cols + 1) * values).sum() / values.sum())
         assert (cols >= mean0).tolist() == ((cols + 1) >= mean1).tolist()
@@ -108,7 +97,7 @@ def test_weighted_mean_shift_invariance_with_epsilon_guard():
     for _ in range(50):
         values = rng.random((4, 5))
         pmap = ProbabilityMap(values)
-        cols = coordinate_maps(4, 5).col_map
+        cols = np.indices((4, 5))[1]
         mean0 = weighted_mean_coordinate(pmap, "col", 1e-6)
         mean1 = float(((cols + 1) * values).sum() / (values.sum() + 1e-6))
         if np.abs(cols - mean0).min() <= 1e-4:

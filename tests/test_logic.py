@@ -18,7 +18,6 @@ from relfine.logic import (
     logit_gradient_from_terms,
     pseudo_mask,
     spatial_loss,
-    spatial_loss_logit_gradient,
 )
 from relfine.relations import Relation, SpatialTriplet, TripletSet
 from relfine.state import SegmentationState
@@ -240,7 +239,7 @@ def test_spatial_loss_zero_subject():
     triplets = TripletSet((SpatialTriplet("cat", Relation.RIGHT, "person"),), ("cat", "person"))
     compiled = compile_constraints(state, triplets)
     zeros = make_probability_map(1, 4, [0.0] * 4)
-    loss, _ = constraint_loss(zeros, compiled[0].pseudo)
+    loss, _ = constraint_loss(zeros, mask_of([1.0 - compiled[0].outside]))
     assert loss == 0.0
 
 
@@ -297,7 +296,8 @@ def _random_state(rng, categories, height, width):
 
 def test_logit_gradient_no_constraints_is_zero():
     state = _two_category_state([[0.5, 0.5]], [[0.5, 0.5]])
-    grad = spatial_loss_logit_gradient(state, TripletSet((), ("cat", "person")))
+    _, terms = spatial_loss(state, TripletSet((), ("cat", "person")))
+    grad = logit_gradient_from_terms(state, terms)
     assert not grad.any()
 
 
@@ -365,7 +365,7 @@ def test_logit_gradient_orthogonal_to_ones_at_uniform_probs():
         (SpatialTriplet("a", Relation.RIGHT, "b"), SpatialTriplet("b", Relation.ABOVE, "c")),
         ("a", "b", "c"),
     )
-    grad = spatial_loss_logit_gradient(state, triplets)
+    grad = logit_gradient_from_terms(state, spatial_loss(state, triplets)[1])
     assert np.abs(grad.sum(axis=0)).max() < 1e-12
 
 
@@ -380,3 +380,59 @@ def test_total_invariant_to_per_pixel_logit_shift():
     shift = rng.normal(0.0, 3.0, (1, 4, 4))
     shifted_total, _ = spatial_loss(state.with_logits(state.logits + shift), triplets)
     assert shifted_total == pytest.approx(total, abs=1e-9)
+
+
+# --------------------------------------------------------------------------
+# separable kernel against the per-triplet reference
+
+
+def _dense_reference(state, triplets, cfg):
+    """Total and logit gradient built term by term from H x W pseudo masks."""
+    total = 0.0
+    g = np.zeros_like(state.probs)
+    for t in triplets:
+        anchor = state.prob_map(t.object)
+        weight = constraint_weight(anchor, cfg)
+        loss, grad = constraint_loss(state.prob_map(t.subject), pseudo_mask(anchor, t.relation, cfg), cfg)
+        total += weight * loss
+        g[state.index(t.subject)] += weight * grad
+    dot = (g * state.probs).sum(axis=0, keepdims=True)
+    return total, state.probs * (g - dot)
+
+
+def test_separable_kernel_matches_dense_reference():
+    rng = np.random.default_rng(41)
+    relations = list(Relation)
+    for instance in range(300):
+        n = int(rng.integers(2, 6))
+        categories = tuple(f"c{i}" for i in range(n))
+        height, width = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        logits = rng.normal(0.0, 2.0, (n, height, width))
+        # Push some pixels to probability ~1 so the log clamp saturates there.
+        saturated = rng.random((height, width)) < 0.2
+        logits[rng.integers(0, n), saturated] += 40.0
+        state = SegmentationState.from_logits(categories, logits)
+        keys = {
+            (categories[s], relations[r], categories[o])
+            for s, r, o in zip(rng.integers(0, n, 8), rng.integers(0, 4, 8), rng.integers(0, n, 8))
+            if s != o
+        }
+        triplets = [SpatialTriplet(*k) for k in sorted(keys)]
+        cfg = SpatialLossConfig(reduction="mean" if instance % 2 else "sum")
+
+        compiled = compile_constraints(state, triplets, cfg)
+        for item in compiled:
+            t = item.triplet
+            anchor = state.prob_map(t.object)
+            mask = pseudo_mask(anchor, t.relation, cfg).mask
+            band = mask[:, 0] if t.relation.axis == "row" else mask[0, :]
+            assert np.array_equal(item.outside, 1.0 - band)
+            assert item.weight == constraint_weight(anchor, cfg)
+
+        total, terms = compiled_spatial_loss(state, compiled, cfg)
+        grad = logit_gradient_from_terms(state, terms, cfg)
+        ref_total, ref_grad = _dense_reference(state, triplets, cfg)
+        assert abs(total - ref_total) <= 1e-12 * abs(ref_total)
+        scale = max(float(np.abs(ref_grad).max()), 1e-300)
+        assert float(np.abs(grad - ref_grad).max()) <= 1e-12 * scale
+
