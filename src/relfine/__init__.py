@@ -40,8 +40,7 @@ from .grid import (
     write_rsgf,
 )
 from .logic import (
-    CompiledConstraint,
-    ConstraintTerm,
+    ConstraintTerms,
     PseudoMask,
     SpatialLossConfig,
     compile_constraints,

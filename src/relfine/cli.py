@@ -16,7 +16,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
-from .errors import FormatError, SceneSetMismatchError, SceneSpecError, UnknownCategoryError
+from .errors import FormatError, SceneSetMismatchError, SceneSpecError, UnknownCategoryError, load_json_object
 from .evaluate import (
     EvalReport,
     compare_runs,
@@ -47,18 +47,6 @@ def _write_json(path: str | Path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _load_json(path: str | Path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise FormatError(f"{path}: no such file") from None
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: expected a JSON object at top level")
-    return doc
-
-
 def _parallel_map(fn: Callable[[T], U], items: Sequence[T], jobs: int) -> list[U]:
     """Map in input order; results do not depend on the job count."""
     if jobs <= 1 or len(items) <= 1:
@@ -71,7 +59,7 @@ def _parallel_map(fn: Callable[[T], U], items: Sequence[T], jobs: int) -> list[U
 # Run configuration
 # ---------------------------------------------------------------------------
 
-_CONFIG_SECTIONS = {"output_dir", "scenes", "calibration", "refine", "loss"}
+_CONFIG_SECTIONS = {"output_dir", "scenes", "refine", "loss"}
 
 
 def _section(doc: dict, name: str, cls: type[T], path: str) -> T:
@@ -93,7 +81,7 @@ class RunConfig:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        doc = _load_json(path)
+        doc = load_json_object(path)
         unknown = set(doc) - _CONFIG_SECTIONS
         if unknown:
             raise FormatError(f"{path}: unknown keys {sorted(unknown)}")
@@ -117,7 +105,6 @@ class RunConfig:
 
         self.refine_cfg = _section(doc, "refine", RefineConfig, str(path))
         self.loss_cfg = _section(doc, "loss", SpatialLossConfig, str(path))
-        self.calibration = _section(doc, "calibration", CalibrationOptions, str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +184,14 @@ def _refine_one(task: tuple[str, str, str, str | None, RefineConfig, SpatialLoss
     _, terms = spatial_loss(final_state, triplets, loss_cfg)
     constraints = [
         {
-            "subject": term.triplet.subject,
-            "relation": term.triplet.relation.value,
-            "object": term.triplet.object,
-            "loss": term.loss,
-            "weight": term.weight,
-            "satisfied": triplet_satisfied(labels, scene.categories, term.triplet),
+            "subject": t.subject,
+            "relation": t.relation.value,
+            "object": t.object,
+            "loss": loss,
+            "weight": weight,
+            "satisfied": triplet_satisfied(labels, scene.categories, t),
         }
-        for term in terms
+        for t, loss, weight in zip(terms.triplets, terms.losses.tolist(), terms.weights.tolist())
     ]
     report = evaluate_scene(labels, scene, triplets, name=name)
     doc = {
@@ -227,7 +214,7 @@ def _scene_set(path: Path) -> list[tuple[str, Path]]:
     manifest = path / "manifest.json"
     if not manifest.exists():
         raise FormatError(f"{path}: neither a scene bundle (spec.json) nor a scene set (manifest.json)")
-    doc = _load_json(manifest)
+    doc = load_json_object(manifest)
     entries = doc.get("scenes")
     if not isinstance(entries, list):
         raise FormatError(f"{manifest}: 'scenes' must be a list")

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the field type checks
-that raise them.
+"""Exception types shared across the package, the field type checks that
+raise them, and the JSON-object loader every file reader shares.
 
 The CLI maps these onto its documented exit codes, so raising the right
 class matters more than the message wording.
@@ -7,8 +7,10 @@ class matters more than the message wording.
 
 from __future__ import annotations
 
+import json
 import math
 from numbers import Integral, Real
+from pathlib import Path
 
 
 class RelfineError(Exception):
@@ -43,3 +45,22 @@ def require_real(value: object, field: str, error: type[RelfineError] = FormatEr
     if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
         raise error(f"{field} must be a finite number, got {value!r}")
     return float(value)
+
+
+def load_json_object(path: str | Path) -> dict:
+    """The JSON object stored in `path`. A file that is missing or unreadable,
+    not UTF-8, not valid JSON (or nested too deeply to parse), or not an object
+    at top level raises FormatError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise FormatError(f"{path}: JSON nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: expected a JSON object at top level")
+    return doc

@@ -16,7 +16,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, load_json_object, require_int
 
 Axis = Literal["row", "col"]
 
@@ -163,18 +163,22 @@ def write_grid_json(path: str | Path, values: np.ndarray) -> None:
 
 
 def read_grid_json(path: str | Path) -> np.ndarray:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    doc = load_json_object(path)
     for key in ("height", "width", "values"):
         if key not in doc:
             raise FormatError(f"{path}: grid JSON missing key {key!r}")
     unknown = set(doc) - {"height", "width", "values"}
     if unknown:
         raise FormatError(f"{path}: grid JSON has unknown keys {sorted(unknown)}")
-    height, width = int(doc["height"]), int(doc["width"])
-    flat = np.asarray(doc["values"], dtype=np.float64)
+    height, width = (require_int(doc[key], f"{path}: {key!r}") for key in ("height", "width"))
+    if height < 1 or width < 1:
+        raise FormatError(f"{path}: 'height' and 'width' must be positive, got {height}x{width}")
+    if not isinstance(doc["values"], list) or not {type(v) for v in doc["values"]} <= {int, float}:
+        raise FormatError(f"{path}: 'values' must be a list of numbers")
+    try:
+        flat = np.asarray(doc["values"], dtype=np.float64)
+    except OverflowError:
+        raise FormatError(f"{path}: 'values' holds an integer too large for float64") from None
     if flat.size != height * width:
         raise FormatError(
             f"{path}: dimension mismatch: expected {height * width} values, got {flat.size}"
@@ -182,11 +186,18 @@ def read_grid_json(path: str | Path) -> np.ndarray:
     return flat.reshape(height, width)
 
 
+def _magic(path: str | Path) -> bytes:
+    """The first five bytes of a grid file, which tell its format."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read(5)
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read: {exc.strerror}") from None
+
+
 def read_grid(path: str | Path) -> np.ndarray:
     """Load a grid from either format, sniffing the RSGF1 magic bytes."""
-    with open(path, "rb") as handle:
-        head = handle.read(5)
-    if head == RSGF_MAGIC:
+    if _magic(path) == RSGF_MAGIC:
         return read_rsgf(path)
     return read_grid_json(path)
 
@@ -234,9 +245,7 @@ def read_labels_pgm(path: str | Path, num_categories: int) -> LabelMap:
 
 def read_labels(path: str | Path, num_categories: int) -> LabelMap:
     """Load a label map from PGM P5 or from an RSGF1/JSON grid of integer floats."""
-    with open(path, "rb") as handle:
-        head = handle.read(5)
-    if head.startswith(b"P5"):
+    if _magic(path).startswith(b"P5"):
         return read_labels_pgm(path, num_categories)
     values = read_grid(path)
     rounded = np.rint(values)

@@ -19,7 +19,7 @@ per-triplet H x W reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ from .relations import Relation, SpatialTriplet, TripletSet
 from .state import SegmentationState
 
 Reduction = Literal["sum", "mean"]
+_RELATIONS = tuple(Relation)
 
 
 @dataclass(frozen=True)
@@ -153,81 +154,86 @@ def constraint_weight(anchor_map: ProbabilityMap, cfg: SpatialLossConfig | None 
 
 
 @dataclass(frozen=True, eq=False)
-class ConstraintTerm:
-    """Diagnostics for one compiled triplet: loss, weight and outside band."""
+class ConstraintTerms:
+    """Triplets compiled against the current maps, one row per triplet.
 
-    triplet: SpatialTriplet
-    loss: float
-    weight: float
-    outside: np.ndarray
+    `rows` (T, H) and `cols` (T, W) are the outside bands, 1 where the subject
+    must not be and all 0 on the axis the relation does not use. `subjects`
+    index the state's categories; `losses` is None until the loss has run.
+    """
 
+    triplets: tuple[SpatialTriplet, ...]
+    subjects: np.ndarray
+    weights: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    losses: np.ndarray | None = None
 
-@dataclass(frozen=True, eq=False)
-class CompiledConstraint:
-    """A triplet with its outside band (along the relation's axis) and weight
-    frozen at compile time."""
-
-    triplet: SpatialTriplet
-    outside: np.ndarray
-    weight: float
+    def __len__(self) -> int:
+        return len(self.triplets)
 
 
 def compile_constraints(
     state: SegmentationState,
     triplets: TripletSet | Sequence[SpatialTriplet],
     cfg: SpatialLossConfig | None = None,
-) -> tuple[CompiledConstraint, ...]:
+) -> ConstraintTerms:
     """Freeze each triplet's band and weight against the current object maps,
-    reading and reducing each object's map once however many triplets name it."""
+    reducing every category's map at once by the arithmetic of
+    constraint_weight and weighted_mean_coordinate."""
     cfg = cfg or SpatialLossConfig()
-    lengths = {"row": state.height, "col": state.width}
-    anchors: dict[str, tuple[dict[str, float], float]] = {}
-    compiled = []
-    for t in triplets:
-        if t.object not in anchors:
-            anchor_map = state.prob_map(t.object)
-            means = {axis: weighted_mean_coordinate(anchor_map, axis, cfg.epsilon) for axis in lengths}
-            anchors[t.object] = (means, constraint_weight(anchor_map, cfg))
-        means, weight = anchors[t.object]
-        axis = t.relation.axis
-        outside = outside_band(lengths[axis], t.relation, means[axis])
-        compiled.append(CompiledConstraint(triplet=t, outside=outside, weight=weight))
-    return tuple(compiled)
+    triplets = tuple(triplets)
+    probs = state.probs
+    keys = [
+        (state.index(t.subject), _RELATIONS.index(t.relation), state.index(t.object)) for t in triplets
+    ]
+    subjects, relations, objects = np.array(keys, dtype=np.intp).reshape(-1, 3).T
+    with np.errstate(over="ignore"):  # an overflowing exp saturates the gate to 0, as intended
+        gate = 1.0 / (1.0 + np.exp(-cfg.sigmoid_scale * (probs - cfg.sigmoid_bias)))
+    weights = (probs * gate).sum(axis=(1, 2)) / (gate.sum(axis=(1, 2)) + cfg.epsilon)
+    means, bands = {}, {}
+    for axis, marginals in (("row", probs.sum(axis=2)), ("col", probs.sum(axis=1))):
+        mass = marginals.sum(axis=1)
+        means[axis] = marginals @ np.arange(marginals.shape[1]) / (mass + cfg.epsilon)
+        means[axis][mass == 0.0] = 0.0
+        bands[axis] = np.zeros((len(triplets), marginals.shape[1]))
+    for code, relation in enumerate(_RELATIONS):
+        picked = relations == code
+        band = bands[relation.axis]
+        band[picked] = outside_band(band.shape[1], relation, means[relation.axis][objects[picked], None])
+    return ConstraintTerms(triplets, subjects, weights[objects], bands["row"], bands["col"])
 
 
 def compiled_spatial_loss(
     state: SegmentationState,
-    compiled: Sequence[CompiledConstraint],
+    compiled: ConstraintTerms,
     cfg: SpatialLossConfig | None = None,
-) -> tuple[float, list[ConstraintTerm]]:
+) -> tuple[float, ConstraintTerms]:
     """Evaluate frozen constraints against the state's current subject maps.
 
-    Inside pixels cost log 1 = 0, so each loss is the band dotted with the
-    subject's row or column sums of -log max(1 - P, clamp).
+    Inside pixels cost log 1 = 0, so each loss is its bands dotted with the
+    subject's row and column sums of -log max(1 - P, clamp). Returns the
+    weighted total and `compiled` with its losses filled in.
     """
     cfg = cfg or SpatialLossConfig()
     penalty = -np.log(np.maximum(1.0 - state.probs, cfg.log_clamp))
-    sums = {"row": penalty.sum(axis=2), "col": penalty.sum(axis=1)}
-    pixels = state.height * state.width if cfg.reduction == "mean" else 1
-    total = 0.0
-    terms: list[ConstraintTerm] = []
-    for item in compiled:
-        t = item.triplet
-        loss = float(item.outside @ sums[t.relation.axis][state.index(t.subject)]) / pixels
-        total += item.weight * loss
-        terms.append(ConstraintTerm(triplet=t, loss=loss, weight=item.weight, outside=item.outside))
-    return total, terms
+    row_sums = penalty.sum(axis=2)[compiled.subjects]
+    col_sums = penalty.sum(axis=1)[compiled.subjects]
+    losses = (compiled.rows * row_sums).sum(axis=1) + (compiled.cols * col_sums).sum(axis=1)
+    if cfg.reduction == "mean":
+        losses /= state.height * state.width
+    return float(compiled.weights @ losses), replace(compiled, losses=losses)
 
 
 def spatial_loss(
     state: SegmentationState,
     triplets: TripletSet | Sequence[SpatialTriplet],
     cfg: SpatialLossConfig | None = None,
-) -> tuple[float, list[ConstraintTerm]]:
+) -> tuple[float, ConstraintTerms]:
     """Weighted sum of per-triplet losses: masks from each object's current
     map, loss from the subject's map, weight from the object's map.
 
-    The sum is unnormalized and accumulated in triplet order, so results are
+    The sum is unnormalized and follows triplet order, so results are
     bit-reproducible.
     """
     cfg = cfg or SpatialLossConfig()
@@ -236,7 +242,7 @@ def spatial_loss(
 
 def logit_gradient_from_terms(
     state: SegmentationState,
-    terms: Sequence[ConstraintTerm],
+    terms: ConstraintTerms,
     cfg: SpatialLossConfig | None = None,
 ) -> np.ndarray:
     """Chain the weighted per-map gradients through the pixelwise softmax.
@@ -247,11 +253,10 @@ def logit_gradient_from_terms(
     """
     cfg = cfg or SpatialLossConfig()
     n, height, width = state.probs.shape
-    bands = {"row": np.zeros((n, height)), "col": np.zeros((n, width))}
-    for term in terms:
-        bands[term.triplet.relation.axis][state.index(term.triplet.subject)] += term.weight * term.outside
+    scatter = np.zeros((n, len(terms)))
+    scatter[terms.subjects, np.arange(len(terms))] = terms.weights
     inner = np.maximum(1.0 - state.probs, cfg.log_clamp)
-    g = (bands["row"][:, :, None] + bands["col"][:, None, :]) / inner
+    g = ((scatter @ terms.rows)[:, :, None] + (scatter @ terms.cols)[:, None, :]) / inner
     g[inner == cfg.log_clamp] = 0.0
     if cfg.reduction == "mean":
         g /= height * width

@@ -17,13 +17,13 @@ import numpy as np
 from .errors import FormatError, require_int, require_real
 from .grid import ProbabilityMap
 from .logic import (
-    ConstraintTerm,
+    ConstraintTerms,
     SpatialLossConfig,
     compile_constraints,
     compiled_spatial_loss,
     logit_gradient_from_terms,
 )
-from .relations import TripletSet
+from .relations import SpatialTriplet, TripletSet
 from .state import SegmentationState, init_state, log_softmax
 
 
@@ -85,7 +85,7 @@ def adam_step(
 
 def fidelity_loss(
     state: SegmentationState,
-    init_probs: Mapping[str, ProbabilityMap] | np.ndarray,
+    init_probs: np.ndarray,
     reduction: str = "sum",
 ) -> tuple[float, np.ndarray]:
     """Pixelwise cross-entropy to the initial maps, with its logit gradient.
@@ -95,10 +95,7 @@ def fidelity_loss(
     exactly zero, so Adam cannot amplify normalization roundoff into drift
     and the alpha=0 run stays bit-identical to its initial state.
     """
-    if isinstance(init_probs, np.ndarray):
-        q = np.asarray(init_probs, dtype=np.float64)
-    else:
-        q = np.stack([init_probs[c].values for c in state.categories], axis=0)
+    q = np.asarray(init_probs, dtype=np.float64)
     if q.shape != state.probs.shape:
         raise FormatError(f"target shape {q.shape} != state shape {state.probs.shape}")
     loss = float(-(q * log_softmax(state.logits, axis=0)).sum())
@@ -143,8 +140,7 @@ class RefineTrace:
 _DIVERGED = "lower alpha or learning_rate"
 
 
-def _constraint_key(term: ConstraintTerm) -> str:
-    t = term.triplet
+def _constraint_key(t: SpatialTriplet) -> str:
     return f"{t.subject} {t.relation.value} {t.object}"
 
 
@@ -154,7 +150,7 @@ def evaluate_objective(
     triplets: TripletSet,
     alpha: float,
     loss_cfg: SpatialLossConfig,
-) -> tuple[float, float, float, list[ConstraintTerm]]:
+) -> tuple[float, float, float, ConstraintTerms]:
     """Current (fidelity, spatial, total) with per-constraint terms."""
     fid, _ = fidelity_loss(state, targets, reduction=loss_cfg.reduction)
     compiled = compile_constraints(state, triplets, loss_cfg)
@@ -174,8 +170,8 @@ def refine(
     alpha=0 the spatial loss is still traced but never touches the update,
     so the run reproduces the unconstrained baseline exactly. Deterministic:
     same inputs and config give bit-identical traces and states. Raises
-    FormatError when a step's objective or updated logits are not finite,
-    which an alpha or learning_rate too large for float64 brings about.
+    FormatError when a step's arithmetic overflows or its objective is not
+    finite, which an alpha or learning_rate too large for float64 brings about.
     """
     cfg = cfg or RefineConfig()
     loss_cfg = loss_cfg or SpatialLossConfig()
@@ -186,27 +182,22 @@ def refine(
     records: list[StepRecord] = []
 
     for step in range(1, cfg.steps + 1):
-        fid_loss, fid_grad = fidelity_loss(state, targets, reduction=loss_cfg.reduction)
-        compiled = compile_constraints(state, triplets, loss_cfg)
-        spa_loss, terms = compiled_spatial_loss(state, compiled, loss_cfg)
-        total = fid_loss + cfg.alpha * spa_loss
-        if not math.isfinite(total):
-            raise FormatError(f"refinement diverged at step {step}: objective {total}; {_DIVERGED}")
-        records.append(
-            StepRecord(
-                step=step,
-                fidelity=fid_loss,
-                spatial=spa_loss,
-                total=total,
-                weights={_constraint_key(t): t.weight for t in terms},
-            )
-        )
-        grad = fid_grad
-        if cfg.alpha != 0.0:
-            grad = grad + cfg.alpha * logit_gradient_from_terms(state, terms, loss_cfg)
-        logits, moments = adam_step(state.logits, grad, moments, step, cfg)
-        if not np.isfinite(logits).all():
-            raise FormatError(f"refinement diverged at step {step}: non-finite logits; {_DIVERGED}")
-        state = state.with_logits(logits)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                fid_loss, fid_grad = fidelity_loss(state, targets, reduction=loss_cfg.reduction)
+                compiled = compile_constraints(state, triplets, loss_cfg)
+                spa_loss, terms = compiled_spatial_loss(state, compiled, loss_cfg)
+                total = fid_loss + cfg.alpha * spa_loss
+                if not math.isfinite(total):  # Python floats overflow to inf without raising
+                    raise FloatingPointError(f"objective {total}")
+                weights = {_constraint_key(t): w for t, w in zip(terms.triplets, terms.weights.tolist())}
+                records.append(StepRecord(step, fid_loss, spa_loss, total, weights))
+                grad = fid_grad
+                if cfg.alpha != 0.0:
+                    grad = grad + cfg.alpha * logit_gradient_from_terms(state, terms, loss_cfg)
+                logits, moments = adam_step(state.logits, grad, moments, step, cfg)
+                state = state.with_logits(logits)
+        except FloatingPointError as exc:
+            raise FormatError(f"refinement diverged at step {step}: {exc}; {_DIVERGED}") from None
 
     return state, RefineTrace(tuple(records))

@@ -19,7 +19,7 @@ from typing import Iterator, Literal, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .errors import FormatError, UnknownCategoryError
+from .errors import FormatError, UnknownCategoryError, load_json_object
 from .grid import LabelMap
 
 Stage = Literal["initial", "bidirectional", "validated", "resolved"]
@@ -423,16 +423,6 @@ def scripted_oracle(holds: HoldsTable, choose: ChooseTable | None = None) -> Scr
 #                             "a": "first"}]}
 
 
-def _load_json_doc(path: str | Path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: expected a JSON object at top level")
-    return doc
-
-
 def _require_names(entry: dict, keys: Sequence[str], where: str) -> None:
     """Category names must be strings: they key dicts and sets downstream."""
     for key in keys:
@@ -454,7 +444,7 @@ def load_triplets(path: str | Path, swap_args: bool = False) -> TripletSet:
     relative to the convention used here. Exact duplicates (same subject,
     relation, object) collapse to one entry keeping the earliest stage tag.
     """
-    doc = _load_json_doc(path)
+    doc = load_json_object(path)
     unknown = set(doc) - {"categories", "triplets"}
     if unknown:
         raise FormatError(f"{path}: unknown keys {sorted(unknown)}")
@@ -513,7 +503,7 @@ def save_triplets(path: str | Path, triplets: TripletSet) -> None:
 
 
 def load_scripted_oracle(path: str | Path) -> ScriptedOracle:
-    doc = _load_json_doc(path)
+    doc = load_json_object(path)
     unknown = set(doc) - {"holds", "choose"}
     if unknown:
         raise FormatError(f"{path}: unknown keys {sorted(unknown)}")

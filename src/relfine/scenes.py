@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FormatError, SceneSpecError, require_int, require_real
+from .errors import FormatError, SceneSpecError, load_json_object, require_int, require_real
 from .grid import LabelMap, ProbabilityMap, read_labels, read_rsgf, write_labels_pgm, write_rsgf
 from .relations import (
     BACKGROUND,
@@ -341,11 +341,7 @@ def load_scene_bundle(path: str | Path) -> Scene:
     for required in ("spec.json", "gt_labels.pgm", "triplets.json"):
         if not (root / required).exists():
             raise FormatError(f"scene bundle {root} is missing {required}")
-    try:
-        spec_doc = json.loads((root / "spec.json").read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{root / 'spec.json'}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    spec = spec_from_dict(spec_doc, where=str(root / "spec.json"))
+    spec = spec_from_dict(load_json_object(root / "spec.json"), where=str(root / "spec.json"))
     triplets = load_triplets(root / "triplets.json")
     roster = triplets.categories
     gt_labels = read_labels(root / "gt_labels.pgm", len(roster))

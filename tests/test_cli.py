@@ -3,7 +3,10 @@ from __future__ import annotations
 import json
 import shutil
 import time
+import warnings
 from pathlib import Path
+
+import pytest
 
 from relfine.cli import main
 
@@ -82,6 +85,13 @@ def test_gen_scenes_jobs_parallel_matches_serial(tmp_path):
         if path.is_file():
             twin = tmp_path / "parallel" / path.relative_to(tmp_path / "serial")
             assert twin.read_bytes() == path.read_bytes()
+
+
+def test_config_calibration_section_is_unknown(tmp_path, capsys):
+    config = write_config(tmp_path / "config.json", [small_scene()], calibration={"drop_background": "no"})
+    assert main(["gen-scenes", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "config.json" in err and "unknown keys ['calibration']" in err
 
 
 # --------------------------------------------------------------------------
@@ -283,14 +293,20 @@ def test_refine_requires_a_triplet_source(tmp_path):
 def test_refine_divergence_exit_code_and_no_report(tmp_path, capsys):
     # An alpha or a learning rate this large overflows float64: the objective
     # or the logits stop being finite, and report.json would not be JSON.
+    # After one step at learning rate 1e308 the logits are still finite, but
+    # their softmax overflows.
     scenes = _generated_scene_set(tmp_path)
-    for flag in ("--alpha", "--learning-rate"):
-        out = tmp_path / flag.strip("-")
-        code = main(["refine", "--scene", str(scenes / "scene_000"), "--out", str(out),
-                     "--use-gt-triplets", flag, "1e308"])
-        assert code == 2, flag
+    cases = (["--alpha", "1e308"], ["--learning-rate", "1e308"], ["--learning-rate", "1e308", "--steps", "1"])
+    for index, flags in enumerate(cases):
+        out = tmp_path / f"out_{index}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["refine", "--scene", str(scenes / "scene_000"), "--out", str(out),
+                         "--use-gt-triplets", *flags])
+        assert code == 2, flags
         err = capsys.readouterr().err
         assert "diverged at step" in err and "alpha or learning_rate" in err, err
+        assert "RuntimeWarning" not in err and not caught, (err, [str(w.message) for w in caught])
         assert not (out / "report.json").exists()
 
 
@@ -480,3 +496,70 @@ def test_config_section_fields_of_wrong_type_exit_code(tmp_path, capsys):
         assert main(["gen-scenes", str(config)]) == 2, (section, field, value)
         err = capsys.readouterr().err
         assert "config.json" in err and f"section {section!r}" in err and field in err, err
+
+
+# --------------------------------------------------------------------------
+# JSON and grid files a user hands the CLI
+
+
+def test_missing_json_file_exit_code(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    args = _calibrate_args(tmp_path)
+    scenes = _generated_scene_set(tmp_path)
+    commands = [
+        ["calibrate", "--triplets", missing, *args[3:]],
+        [*args[:3], "--oracle", missing],
+        ["refine", "--scene", str(scenes / "scene_000"), "--out", str(tmp_path / "out"), "--triplets", missing],
+    ]
+    for command in commands:
+        assert main(command) == 2, command
+        err = capsys.readouterr().err
+        assert "missing.json" in err and "cannot read" in err, err
+
+
+def test_json_file_not_utf8_exit_code(tmp_path, capsys):
+    args = _calibrate_args(tmp_path)
+    labels = tmp_path / "labels.json"
+    labels.write_bytes(b'{"height": 1, "width": 1, "values": [\xff]}')
+    assert main([*args[:3], "--geometric", "--labels", str(labels)]) == 2
+    err = capsys.readouterr().err
+    assert "labels.json" in err and "not UTF-8" in err, err
+
+
+def test_json_file_invalid_exit_code(tmp_path, capsys):
+    args = _calibrate_args(tmp_path)
+    oracle = tmp_path / "oracle.json"
+    for text, message in (('{"holds": [', "invalid JSON"), ("[" * 100000 + "]" * 100000, "nested too deeply")):
+        oracle.write_text(text)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "oracle.json" in err and message in err, err
+
+
+def test_json_file_not_an_object_exit_code(tmp_path, capsys):
+    scenes = _generated_scene_set(tmp_path)
+    (scenes / "scene_000" / "spec.json").write_text("5")
+    assert main(["refine", "--scene", str(scenes / "scene_000"), "--out", str(tmp_path / "out"),
+                 "--use-gt-triplets"]) == 2
+    err = capsys.readouterr().err
+    assert "spec.json" in err and "expected a JSON object" in err, err
+
+
+@pytest.mark.parametrize(
+    "labels_doc, message",
+    [
+        (None, "cannot read"),
+        ({"height": "x", "width": 1, "values": [0]}, "'height' must be an integer"),
+        ({"height": 1, "width": 2, "values": ["0", "1"]}, "'values' must be a list of numbers"),
+        ({"height": 1, "width": 1, "values": [10**400]}, "too large for float64"),
+    ],
+    ids=["missing", "height", "values", "huge"],
+)
+def test_calibrate_geometric_grid_json_fields_exit_code(tmp_path, capsys, labels_doc, message):
+    labels = tmp_path / "labels.json"
+    if labels_doc is not None:
+        labels.write_text(json.dumps(labels_doc))
+    args = _calibrate_args(tmp_path)
+    assert main([*args[:3], "--geometric", "--labels", str(labels)]) == 2
+    err = capsys.readouterr().err
+    assert "labels.json" in err and message in err, err

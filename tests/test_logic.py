@@ -229,7 +229,7 @@ def _two_category_state(cat_values, person_values):
 def test_spatial_loss_empty_set():
     state = _two_category_state([[0.5, 0.5]], [[0.5, 0.5]])
     total, terms = spatial_loss(state, TripletSet((), ("cat", "person")))
-    assert total == 0.0 and terms == []
+    assert total == 0.0 and len(terms) == 0 and terms.losses.shape == (0,)
 
 
 def test_spatial_loss_zero_subject():
@@ -239,7 +239,7 @@ def test_spatial_loss_zero_subject():
     triplets = TripletSet((SpatialTriplet("cat", Relation.RIGHT, "person"),), ("cat", "person"))
     compiled = compile_constraints(state, triplets)
     zeros = make_probability_map(1, 4, [0.0] * 4)
-    loss, _ = constraint_loss(zeros, mask_of([1.0 - compiled[0].outside]))
+    loss, _ = constraint_loss(zeros, mask_of([1.0 - compiled.cols[0]]))
     assert loss == 0.0
 
 
@@ -254,8 +254,8 @@ def test_spatial_loss_composition_hand_example():
     pm = pseudo_mask(person, Relation.RIGHT)
     expected_loss, _ = constraint_loss(state.prob_map("cat"), pm)
     assert len(terms) == 1
-    assert terms[0].weight == pytest.approx(expected_weight)
-    assert terms[0].loss == pytest.approx(expected_loss)
+    assert terms.weights[0] == pytest.approx(expected_weight)
+    assert terms.losses[0] == pytest.approx(expected_loss)
     assert total == pytest.approx(expected_weight * expected_loss)
 
 
@@ -421,15 +421,18 @@ def test_separable_kernel_matches_dense_reference():
         cfg = SpatialLossConfig(reduction="mean" if instance % 2 else "sum")
 
         compiled = compile_constraints(state, triplets, cfg)
-        for item in compiled:
-            t = item.triplet
-            anchor = state.prob_map(t.object)
-            mask = pseudo_mask(anchor, t.relation, cfg).mask
-            band = mask[:, 0] if t.relation.axis == "row" else mask[0, :]
-            assert np.array_equal(item.outside, 1.0 - band)
-            assert item.weight == constraint_weight(anchor, cfg)
-
         total, terms = compiled_spatial_loss(state, compiled, cfg)
+        for i, t in enumerate(triplets):
+            anchor = state.prob_map(t.object)
+            pm = pseudo_mask(anchor, t.relation, cfg)
+            rows = t.relation.axis == "row"
+            band = pm.mask[:, 0] if rows else pm.mask[0, :]
+            assert np.array_equal(compiled.rows[i] if rows else compiled.cols[i], 1.0 - band)
+            assert not (compiled.cols[i] if rows else compiled.rows[i]).any()
+            assert compiled.weights[i] == constraint_weight(anchor, cfg)
+            ref_loss, _ = constraint_loss(state.prob_map(t.subject), pm, cfg)
+            assert abs(terms.losses[i] - ref_loss) <= 1e-12 * abs(ref_loss)
+
         grad = logit_gradient_from_terms(state, terms, cfg)
         ref_total, ref_grad = _dense_reference(state, triplets, cfg)
         assert abs(total - ref_total) <= 1e-12 * abs(ref_total)

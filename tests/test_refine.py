@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -262,3 +263,14 @@ def test_refine_fixture_scene_reproduces_golden_miou():
     state, _ = refine(scene.init_probs, scene.gt_triplets)
     value = miou(argmax_labels(state), scene.gt_labels, len(scene.categories))
     assert value == 0.7080482241772564
+
+
+def test_refine_steep_weight_gate_is_not_divergence():
+    # A steep sigmoid gate overflows exp() on pixels far below the bias; the
+    # gate saturates to 0 there, which is no divergence and warns of nothing.
+    scene = fixture_scene()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, trace = refine(scene.init_probs, scene.gt_triplets, loss_cfg=SpatialLossConfig(sigmoid_scale=1e4))
+    assert len(trace) == RefineConfig().steps
+    assert all(math.isfinite(r.total) for r in trace.records)
