@@ -23,6 +23,7 @@ from .evaluate import (
     iou_per_class,
     macc,
     miou,
+    satisfied_flags,
     triplet_satisfied,
     write_bucket_csv,
 )
@@ -47,7 +48,6 @@ from .logic import (
     constraint_loss,
     constraint_weight,
     fuzzy_implication,
-    half_plane_mask,
     pseudo_mask,
     spatial_loss,
 )

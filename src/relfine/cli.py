@@ -9,19 +9,25 @@ constraint or query names an unknown category, 4 mismatched scene sets,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
-from .errors import FormatError, SceneSetMismatchError, SceneSpecError, UnknownCategoryError, load_json_object
+from .errors import (
+    FormatError,
+    SceneSetMismatchError,
+    SceneSpecError,
+    UnknownCategoryError,
+    load_json_object,
+    write_json_object,
+)
 from .evaluate import (
     EvalReport,
     compare_runs,
     evaluate_scene,
-    triplet_satisfied,
+    satisfied_flags,
     write_bucket_csv,
 )
 from .gradcheck import DEFAULT_SIZES, run_gradcheck
@@ -41,10 +47,6 @@ from .state import argmax_labels
 
 T = TypeVar("T")
 U = TypeVar("U")
-
-
-def _write_json(path: str | Path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _parallel_map(fn: Callable[[T], U], items: Sequence[T], jobs: int) -> list[U]:
@@ -128,7 +130,7 @@ def cmd_gen_scenes(args: argparse.Namespace) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
     tasks = [(name, spec, str(out_root)) for name, spec in config.scene_specs]
     entries = _parallel_map(_generate_one, tasks, args.jobs)
-    _write_json(out_root / "manifest.json", {"scenes": entries})
+    write_json_object(out_root / "manifest.json", {"scenes": entries})
     print(f"generated {len(entries)} scene bundle(s) under {out_root}")
     return 0
 
@@ -155,7 +157,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if args.out_triplets:
         save_triplets(args.out_triplets, result.triplets)
     if args.out_audit:
-        _write_json(args.out_audit, result.audit.to_dict())
+        write_json_object(args.out_audit, result.audit.to_dict())
     return 0
 
 
@@ -182,6 +184,7 @@ def _refine_one(task: tuple[str, str, str, str | None, RefineConfig, SpatialLoss
         write_rsgf(out / "probs" / f"{category}.rsgf", final_state.probs[index])
 
     _, terms = spatial_loss(final_state, triplets, loss_cfg)
+    flags = satisfied_flags(labels, scene.categories, terms.triplets).tolist()
     constraints = [
         {
             "subject": t.subject,
@@ -189,9 +192,9 @@ def _refine_one(task: tuple[str, str, str, str | None, RefineConfig, SpatialLoss
             "object": t.object,
             "loss": loss,
             "weight": weight,
-            "satisfied": triplet_satisfied(labels, scene.categories, t),
+            "satisfied": satisfied,
         }
-        for t, loss, weight in zip(terms.triplets, terms.losses.tolist(), terms.weights.tolist())
+        for t, loss, weight, satisfied in zip(terms.triplets, terms.losses.tolist(), terms.weights.tolist(), flags)
     ]
     report = evaluate_scene(labels, scene, triplets, name=name)
     doc = {
@@ -202,7 +205,7 @@ def _refine_one(task: tuple[str, str, str, str | None, RefineConfig, SpatialLoss
         "constraints": constraints,
         "metrics": report.to_dict(),
     }
-    _write_json(out / "report.json", doc)
+    write_json_object(out / "report.json", doc)
     return report.to_dict()
 
 
@@ -260,7 +263,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
     reports = _parallel_map(_refine_one, tasks, args.jobs)
     if not single:
         out_root.mkdir(parents=True, exist_ok=True)
-        _write_json(out_root / "manifest.json", {"scenes": [{"name": n, "path": n} for n, _ in pairs]})
+        write_json_object(out_root / "manifest.json", {"scenes": [{"name": n, "path": n} for n, _ in pairs]})
     tag = "baseline" if cfg.alpha == 0.0 else f"alpha={cfg.alpha}"
     mean_miou = sum(r["miou"] for r in reports) / len(reports)
     print(f"refined {len(reports)} scene(s) [{tag}], mean mIoU {mean_miou:.4f}")
@@ -299,35 +302,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
             reports.append(_evaluate_prediction(name, scene, pred_dir, args.threshold))
         return reports
 
+    def aggregate(reports: list[EvalReport]) -> dict[str, float]:
+        keys = ("miou", "macc", "constraint_satisfaction")
+        return {key: sum(getattr(r, key) for r in reports) / len(reports) for key in keys}
+
     refined = run_reports(pred_root)
-    doc: dict = {
-        "scenes": [r.to_dict() for r in refined],
-        "aggregate": {
-            "miou": sum(r.miou for r in refined) / len(refined),
-            "macc": sum(r.macc for r in refined) / len(refined),
-            "constraint_satisfaction": sum(r.constraint_satisfaction for r in refined) / len(refined),
-        },
-    }
+    doc: dict = {"scenes": [r.to_dict() for r in refined], "aggregate": aggregate(refined)}
 
     if args.baseline:
         baseline = run_reports(Path(args.baseline))
         deltas = compare_runs(baseline, refined, args.group_by)
-        doc["baseline_aggregate"] = {
-            "miou": sum(r.miou for r in baseline) / len(baseline),
-            "macc": sum(r.macc for r in baseline) / len(baseline),
-            "constraint_satisfaction": sum(r.constraint_satisfaction for r in baseline)
-            / len(baseline),
-        }
-        doc["buckets"] = [
-            {
-                "bucket": d.bucket,
-                "scenes": d.scenes,
-                "baseline_miou": d.baseline_miou,
-                "refined_miou": d.refined_miou,
-                "delta": d.delta,
-            }
-            for d in deltas
-        ]
+        doc["baseline_aggregate"] = aggregate(baseline)
+        doc["buckets"] = [{**asdict(d), "delta": d.delta} for d in deltas]
         if args.csv:
             write_bucket_csv(args.csv, deltas)
         for d in deltas:
@@ -338,7 +324,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     print(f"mean mIoU {doc['aggregate']['miou']:.4f} over {len(refined)} scene(s)")
     if args.out:
-        _write_json(args.out, doc)
+        write_json_object(args.out, doc)
     return 0
 
 

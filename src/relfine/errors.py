@@ -1,5 +1,6 @@
 """Exception types shared across the package, the field type checks that
-raise them, and the JSON-object loader every file reader shares.
+raise them, and the JSON-object loader and writer every file reader and
+writer shares.
 
 The CLI maps these onto its documented exit codes, so raising the right
 class matters more than the message wording.
@@ -41,10 +42,20 @@ def require_int(value: object, field: str, error: type[RelfineError] = FormatErr
 
 
 def require_real(value: object, field: str, error: type[RelfineError] = FormatError) -> float:
-    """`value` as a float; anything but a finite int or float (bools included) raises `error`."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+    """`value` as a float; anything but a finite int or float (bools included),
+    or an int too large for a float, raises `error`."""
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise error(f"{field} must be a finite number, got {value!r}")
     return float(value)
+
+
+def write_json_object(path: str | Path, doc: dict) -> None:
+    """Write `doc` to `path` as JSON: indent 2, sorted keys, a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_json_object(path: str | Path) -> dict:

@@ -6,21 +6,22 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Literal, Sequence
 
 import numpy as np
 
 from .errors import FormatError, SceneSetMismatchError, UnknownCategoryError
-from .grid import LabelMap, ProbabilityMap, weighted_mean_coordinate
-from .logic import half_plane_mask
-from .relations import SpatialTriplet, TripletSet
+from .grid import LabelMap
+from .logic import outside_bands
+from .relations import Relation, SpatialTriplet, TripletSet
 from .scenes import Scene
 
 GroupBy = Literal["categories", "constraints", "ratio"]
 
 DEFAULT_SATISFACTION_THRESHOLD = 0.95
+_RELATIONS = tuple(Relation)
 
 
 def _confusion(pred: LabelMap, gt: LabelMap, num_categories: int) -> np.ndarray:
@@ -64,6 +65,35 @@ def macc(pred: LabelMap, gt: LabelMap, num_categories: int) -> float:
     return _scores(_confusion(pred, gt, num_categories), num_categories)[2]
 
 
+def satisfied_flags(
+    pred: LabelMap,
+    roster: Sequence[str],
+    triplets: TripletSet | Sequence[SpatialTriplet],
+    threshold: float = DEFAULT_SATISFACTION_THRESHOLD,
+) -> np.ndarray:
+    """triplet_satisfied for every triplet at once, as a (T,) bool array.
+
+    The bands are the loss's, taken over the one-hot label maps with no
+    epsilon; the subject's outside count is its row and column pixel counts
+    dotted with them.
+    """
+    index = {name: i for i, name in enumerate(roster)}
+    keys = []
+    for t in triplets:
+        for name in (t.subject, t.object):
+            if name not in index:
+                raise UnknownCategoryError(f"triplet {t} names {name!r}, not in roster")
+        keys.append((index[t.subject], _RELATIONS.index(t.relation), index[t.object]))
+    subjects, relations, objects = np.array(keys, dtype=np.intp).reshape(-1, 3).T
+    onehot = (pred.labels == np.arange(len(roster))[:, None, None]).astype(np.float64)
+    rows, cols = outside_bands(onehot, relations, objects, 0.0)
+    row_counts, col_counts = onehot.sum(axis=2)[subjects], onehot.sum(axis=1)[subjects]
+    outside = (rows * row_counts).sum(axis=1) + (cols * col_counts).sum(axis=1)
+    pixels = row_counts.sum(axis=1)
+    share = np.divide(pixels - outside, pixels, out=np.zeros_like(pixels), where=pixels != 0.0)
+    return (pixels == 0.0) | (share >= threshold)
+
+
 def triplet_satisfied(
     pred: LabelMap,
     roster: Sequence[str],
@@ -78,19 +108,7 @@ def triplet_satisfied(
     the exact mean counts for both opposing sides. A subject with no
     predicted pixels is vacuously satisfied.
     """
-    index = {name: i for i, name in enumerate(roster)}
-    for name in (triplet.subject, triplet.object):
-        if name not in index:
-            raise UnknownCategoryError(f"triplet {triplet} names {name!r}, not in roster")
-    subject_mask = pred.labels == index[triplet.subject]
-    subject_pixels = int(subject_mask.sum())
-    if subject_pixels == 0:
-        return True
-    object_onehot = ProbabilityMap((pred.labels == index[triplet.object]).astype(np.float64))
-    mean = weighted_mean_coordinate(object_onehot, triplet.relation.axis, epsilon=0.0)
-    region = half_plane_mask(pred.height, pred.width, triplet.relation, mean)
-    inside = int((subject_mask & (region > 0)).sum())
-    return inside / subject_pixels >= threshold
+    return bool(satisfied_flags(pred, roster, (triplet,), threshold)[0])
 
 
 def constraint_satisfaction(
@@ -103,8 +121,7 @@ def constraint_satisfaction(
     1.0 for an empty set."""
     if not triplets:
         return 1.0
-    satisfied = sum(triplet_satisfied(pred, roster, t, threshold) for t in triplets)
-    return satisfied / len(triplets)
+    return int(satisfied_flags(pred, roster, triplets, threshold).sum()) / len(triplets)
 
 
 @dataclass(frozen=True)
@@ -124,16 +141,7 @@ class EvalReport:
         return self.constraint_count / max(self.category_count, 1)
 
     def to_dict(self) -> dict:
-        return {
-            "scene": self.scene,
-            "miou": self.miou,
-            "macc": self.macc,
-            "constraint_satisfaction": self.constraint_satisfaction,
-            "per_class_iou": dict(self.per_class_iou),
-            "category_count": self.category_count,
-            "constraint_count": self.constraint_count,
-            "constraint_ratio": self.constraint_ratio,
-        }
+        return {**asdict(self), "constraint_ratio": self.constraint_ratio}
 
 
 def evaluate_scene(

@@ -84,11 +84,27 @@ def outside_band(length: int, relation: Relation, mean_coord: float) -> np.ndarr
     return (coords > mean_coord).astype(np.float64)
 
 
-def half_plane_mask(height: int, width: int, relation: Relation, mean_coord: float) -> np.ndarray:
-    """Binary grid selecting the relation's side of a mean coordinate."""
-    rows = relation.axis == "row"
-    inside = 1.0 - outside_band(height if rows else width, relation, mean_coord)
-    return np.broadcast_to(inside[:, None] if rows else inside, (height, width))
+def outside_bands(
+    maps: np.ndarray, relations: np.ndarray, objects: np.ndarray, epsilon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outside bands of T triplets against the (C, H, W) `maps`: rows (T, H)
+    and cols (T, W), all 0 on the axis a relation does not use.
+
+    `relations` index tuple(Relation) and `objects` index the maps. Each
+    object's mean is weighted_mean_coordinate's (sum coord*M) / (sum M + eps),
+    0 for a map with no mass.
+    """
+    means, bands = {}, {}
+    for axis, marginals in (("row", maps.sum(axis=2)), ("col", maps.sum(axis=1))):
+        mass = marginals.sum(axis=1)
+        sums = marginals @ np.arange(marginals.shape[1])
+        means[axis] = np.divide(sums, mass + epsilon, out=np.zeros_like(mass), where=mass != 0.0)
+        bands[axis] = np.zeros((len(objects), marginals.shape[1]))
+    for code, relation in enumerate(_RELATIONS):
+        picked = relations == code
+        band = bands[relation.axis]
+        band[picked] = outside_band(band.shape[1], relation, means[relation.axis][objects[picked], None])
+    return bands["row"], bands["col"]
 
 
 def pseudo_mask(
@@ -105,7 +121,9 @@ def pseudo_mask(
     """
     cfg = cfg or SpatialLossConfig()
     mean = weighted_mean_coordinate(anchor_map, relation.axis, cfg.epsilon)
-    mask = half_plane_mask(anchor_map.height, anchor_map.width, relation, mean)
+    rows = relation.axis == "row"
+    inside = 1.0 - outside_band(anchor_map.height if rows else anchor_map.width, relation, mean)
+    mask = np.broadcast_to(inside[:, None] if rows else inside, anchor_map.shape)
     return PseudoMask(anchor=anchor, relation=relation, mask=mask, mean_coord=mean)
 
 
@@ -191,17 +209,8 @@ def compile_constraints(
     with np.errstate(over="ignore"):  # an overflowing exp saturates the gate to 0, as intended
         gate = 1.0 / (1.0 + np.exp(-cfg.sigmoid_scale * (probs - cfg.sigmoid_bias)))
     weights = (probs * gate).sum(axis=(1, 2)) / (gate.sum(axis=(1, 2)) + cfg.epsilon)
-    means, bands = {}, {}
-    for axis, marginals in (("row", probs.sum(axis=2)), ("col", probs.sum(axis=1))):
-        mass = marginals.sum(axis=1)
-        means[axis] = marginals @ np.arange(marginals.shape[1]) / (mass + cfg.epsilon)
-        means[axis][mass == 0.0] = 0.0
-        bands[axis] = np.zeros((len(triplets), marginals.shape[1]))
-    for code, relation in enumerate(_RELATIONS):
-        picked = relations == code
-        band = bands[relation.axis]
-        band[picked] = outside_band(band.shape[1], relation, means[relation.axis][objects[picked], None])
-    return ConstraintTerms(triplets, subjects, weights[objects], bands["row"], bands["col"])
+    rows, cols = outside_bands(probs, relations, objects, cfg.epsilon)
+    return ConstraintTerms(triplets, subjects, weights[objects], rows, cols)
 
 
 def compiled_spatial_loss(

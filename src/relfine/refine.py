@@ -9,7 +9,7 @@ and every quantity is recomputed from the current maps at each step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
@@ -125,16 +125,7 @@ class RefineTrace:
         return len(self.records)
 
     def to_list(self) -> list[dict]:
-        return [
-            {
-                "step": r.step,
-                "fidelity": r.fidelity,
-                "spatial": r.spatial,
-                "total": r.total,
-                "weights": dict(r.weights),
-            }
-            for r in self.records
-        ]
+        return [asdict(r) for r in self.records]
 
 
 _DIVERGED = "lower alpha or learning_rate"

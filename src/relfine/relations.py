@@ -11,15 +11,14 @@ derived from label-map geometry.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Literal, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .errors import FormatError, UnknownCategoryError, load_json_object
+from .errors import FormatError, UnknownCategoryError, load_json_object, write_json_object
 from .grid import LabelMap
 
 Stage = Literal["initial", "bidirectional", "validated", "resolved"]
@@ -28,7 +27,7 @@ ChooseAnswer = Literal["first", "second", "neither"]
 
 STAGES: tuple[Stage, ...] = ("initial", "bidirectional", "validated", "resolved")
 
-#: Default name of the category excluded from constraints.
+#: Name of the category excluded from constraints.
 BACKGROUND = "background"
 
 
@@ -271,7 +270,6 @@ def resolve_contradictions(
 @dataclass(frozen=True)
 class CalibrationOptions:
     drop_background: bool = True
-    background_name: str = BACKGROUND
 
 
 @dataclass(frozen=True)
@@ -287,15 +285,7 @@ class CalibrationAudit:
     final: int
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            "initial": self.initial,
-            "background_dropped": self.background_dropped,
-            "augmented": self.augmented,
-            "validated": self.validated,
-            "contradiction_pairs": self.contradiction_pairs,
-            "resolution_dropped": self.resolution_dropped,
-            "final": self.final,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -318,7 +308,7 @@ def calibrate(
     work = initial
     background_dropped = 0
     if opts.drop_background:
-        kept = [t for t in work if opts.background_name not in (t.subject, t.object)]
+        kept = [t for t in work if BACKGROUND not in (t.subject, t.object)]
         background_dropped = len(work) - len(kept)
         work = work.with_triplets(kept)
 
@@ -499,7 +489,7 @@ def save_triplets(path: str | Path, triplets: TripletSet) -> None:
             for t in triplets
         ],
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json_object(path, doc)
 
 
 def load_scripted_oracle(path: str | Path) -> ScriptedOracle:

@@ -8,7 +8,6 @@ computed from an explicit seed, so scenes regenerate bit-identically.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FormatError, SceneSpecError, load_json_object, require_int, require_real
+from .errors import FormatError, SceneSpecError, load_json_object, require_int, require_real, write_json_object
 from .grid import LabelMap, ProbabilityMap, read_labels, read_rsgf, write_labels_pgm, write_rsgf
 from .relations import (
     BACKGROUND,
@@ -109,15 +108,13 @@ class Scene:
     gt_triplets: TripletSet
 
 
-def derive_gt_triplets(
-    labels: LabelMap, roster: Sequence[str], background: str | None = BACKGROUND
-) -> TripletSet:
+def derive_gt_triplets(labels: LabelMap, roster: Sequence[str]) -> TripletSet:
     """Every triplet the label map's centroids satisfy, excluding background."""
     oracle = geometric_oracle(labels, roster)
     triplets = []
     for subject in roster:
         for obj in roster:
-            if subject == obj or background in (subject, obj):
+            if subject == obj or BACKGROUND in (subject, obj):
                 continue
             for relation in Relation:
                 if oracle.holds(subject, relation, obj) == "yes":
@@ -327,9 +324,7 @@ def save_scene_bundle(path: str | Path, scene: Scene) -> None:
             raise FormatError(f"category {name!r} is not filename-safe")
     root = Path(path)
     (root / "probs").mkdir(parents=True, exist_ok=True)
-    (root / "spec.json").write_text(
-        json.dumps(spec_to_dict(scene.spec), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json_object(root / "spec.json", spec_to_dict(scene.spec))
     write_labels_pgm(root / "gt_labels.pgm", scene.gt_labels)
     save_triplets(root / "triplets.json", scene.gt_triplets)
     for name in scene.categories:

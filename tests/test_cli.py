@@ -476,6 +476,28 @@ def test_scene_fields_of_wrong_type_exit_code(tmp_path, capsys):
         assert "config.json" in err and field in err and repr(value) in err, err
 
 
+HUGE_INTEGER = 10**400  # finite as an int, too large for a float
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda doc: doc["scenes"][0].update(noise_sigma=HUGE_INTEGER), "noise_sigma"),
+        (lambda doc: doc["scenes"][0]["confusion"].update(strength=HUGE_INTEGER), "strength"),
+        (lambda doc: doc.update(refine={"alpha": HUGE_INTEGER}), "alpha"),
+    ],
+    ids=["noise_sigma", "strength", "alpha"],
+)
+def test_real_field_too_large_for_a_float_exit_code(tmp_path, capsys, mutate, field):
+    doc = {"output_dir": "scenes", "scenes": [small_scene()]}
+    mutate(doc)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["gen-scenes", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "config.json" in err and f"{field} must be a finite number" in err, err
+
+
 WRONG_SECTION_TYPES = [
     ("refine", "alpha", "x"),
     ("refine", "alpha", True),

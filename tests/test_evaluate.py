@@ -12,10 +12,12 @@ from relfine.evaluate import (
     iou_per_class,
     macc,
     miou,
+    satisfied_flags,
     triplet_satisfied,
     write_bucket_csv,
 )
 from relfine.grid import LabelMap
+from relfine.logic import outside_band
 from relfine.relations import Relation, SpatialTriplet, TripletSet, empty_triplet_set
 from relfine.scenes import Placement, Scene, SceneSpec, generate_scene
 
@@ -160,6 +162,60 @@ def test_satisfaction_monotone_in_threshold():
         for threshold in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
     ]
     assert all(b <= a for a, b in zip(values, values[1:]))
+
+
+def loop_satisfied(pred, roster, triplet, threshold):
+    """One triplet on the H x W grid: the object's one-hot mean with no
+    epsilon, outside_band's tie rule, and inside / pixels >= threshold."""
+    subject = pred.labels == roster.index(triplet.subject)
+    obj = pred.labels == roster.index(triplet.object)
+    pixels = int(subject.sum())
+    if pixels == 0:
+        return True
+    row = triplet.relation.axis == "row"
+    coords = np.indices(pred.shape)[0 if row else 1]
+    mass = int(obj.sum())
+    mean = int(coords[obj].sum()) / mass if mass else 0.0
+    outside = outside_band(pred.shape[0 if row else 1], triplet.relation, mean)[coords] > 0
+    inside = int((subject & ~outside).sum())
+    return inside / pixels >= threshold
+
+
+def test_satisfied_flags_equal_per_triplet_loop():
+    rng = np.random.default_rng(31)
+    thresholds = (0.0, 0.5, 2 / 3, 0.95, 1.0)
+    for _ in range(100):
+        maps = int(rng.integers(2, 7))
+        height, width = (int(v) for v in rng.integers(1, 12, size=2))
+        if rng.random() < 0.4:
+            # 2x2 blocks put many object means on an exact row or column: ties.
+            blocks = rng.integers(0, maps, size=((height + 1) // 2, (width + 1) // 2))
+            arr = blocks.repeat(2, axis=0).repeat(2, axis=1)[:height, :width]
+        else:
+            arr = rng.integers(0, maps, size=(height, width))
+        if rng.random() < 0.3:
+            arr[arr == int(rng.integers(1, maps))] = 0  # an absent subject and object
+        pred = labels(arr, maps)
+        # A roster may name more categories than the label map holds.
+        roster = tuple(f"k{c}" for c in range(maps + int(rng.integers(0, 2))))
+        pick = int(rng.integers(0, len(thresholds) + 1))
+        threshold = thresholds[pick] if pick < len(thresholds) else float(rng.random())
+        keep = 0.0 if rng.random() < 0.1 else 0.5  # an empty triplet list now and then
+        triplets = [
+            SpatialTriplet(s, relation, o)
+            for s in roster
+            for o in roster
+            if s != o
+            for relation in Relation
+            if rng.random() < keep
+        ]
+        flags = satisfied_flags(pred, roster, triplets, threshold)
+        assert flags.dtype == bool and flags.shape == (len(triplets),)
+        expected = [loop_satisfied(pred, roster, t, threshold) for t in triplets]
+        assert flags.tolist() == expected
+        assert [triplet_satisfied(pred, roster, t, threshold) for t in triplets] == expected
+        satisfaction = constraint_satisfaction(pred, roster, TripletSet(tuple(triplets), roster), threshold)
+        assert satisfaction == (sum(expected) / len(expected) if expected else 1.0)
 
 
 # --------------------------------------------------------------------------
