@@ -95,6 +95,6 @@ from .scenes import (
     random_grid_spec,
     save_scene_bundle,
 )
-from .state import SegmentationState, argmax_labels, init_state, log_softmax, softmax
+from .state import SegmentationState, argmax_labels, init_state
 
 __version__ = "0.1.0"

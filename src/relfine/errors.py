@@ -60,8 +60,9 @@ def write_json_object(path: str | Path, doc: dict) -> None:
 
 def load_json_object(path: str | Path) -> dict:
     """The JSON object stored in `path`. A file that is missing or unreadable,
-    not UTF-8, not valid JSON (or nested too deeply to parse), or not an object
-    at top level raises FormatError naming the file."""
+    not UTF-8, not valid JSON (or nested too deeply, or holding an integer too
+    long, to parse), or not an object at top level raises FormatError naming
+    the file."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -70,6 +71,8 @@ def load_json_object(path: str | Path) -> dict:
         raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer past Python's int-conversion digit limit
+        raise FormatError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:
         raise FormatError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):

@@ -3,13 +3,16 @@
 The objective is fidelity + alpha * spatial: a cross-entropy anchor to the
 initial maps plus the weighted fuzzy-logic constraint loss. Both gradients
 are analytic; optimization runs a fixed number of Adam steps over the logits
-and every quantity is recomputed from the current maps at each step.
+and every quantity is recomputed from the current maps at each step, until
+Adam reaches an exact fixed point: a step whose gradient and both moments are
+all zero leaves the logits unchanged, so it and every later step would repeat
+the same record, and the loop stops there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -24,7 +27,7 @@ from .logic import (
     logit_gradient_from_terms,
 )
 from .relations import SpatialTriplet, TripletSet
-from .state import SegmentationState, init_state, log_softmax
+from .state import SegmentationState, init_state
 
 
 @dataclass(frozen=True)
@@ -75,12 +78,21 @@ def adam_step(
         raise FormatError(f"Adam step index counts from 1, got {t}")
     if params.shape != grads.shape:
         raise FormatError(f"params shape {params.shape} != grads shape {grads.shape}")
-    m = cfg.adam_beta1 * moments.m + (1.0 - cfg.adam_beta1) * grads
-    v = cfg.adam_beta2 * moments.v + (1.0 - cfg.adam_beta2) * grads**2
-    m_hat = m / (1.0 - cfg.adam_beta1**t)
-    v_hat = v / (1.0 - cfg.adam_beta2**t)
-    updated = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-    return updated, AdamState(m=m, v=v)
+    # Fresh m, v, step and denominator arrays, updated in place; each
+    # operation and its operands are the textbook formula's, so the bits are too.
+    m = np.multiply(cfg.adam_beta1, moments.m)
+    step = np.multiply(1.0 - cfg.adam_beta1, grads)
+    m += step
+    v = np.square(grads)
+    v *= 1.0 - cfg.adam_beta2
+    v += np.multiply(cfg.adam_beta2, moments.v, out=step)
+    denom = np.divide(v, 1.0 - cfg.adam_beta2**t)
+    np.sqrt(denom, out=denom)
+    denom += cfg.adam_eps
+    np.divide(m, 1.0 - cfg.adam_beta1**t, out=step)
+    step *= cfg.learning_rate
+    step /= denom
+    return np.subtract(params, step, out=step), AdamState(m=m, v=v)
 
 
 def fidelity_loss(
@@ -98,7 +110,7 @@ def fidelity_loss(
     q = np.asarray(init_probs, dtype=np.float64)
     if q.shape != state.probs.shape:
         raise FormatError(f"target shape {q.shape} != state shape {state.probs.shape}")
-    loss = float(-(q * log_softmax(state.logits, axis=0)).sum())
+    loss = float(-(q * state.log_probs).sum())
     grad = state.probs - q
     if reduction == "mean":
         pixels = state.height * state.width
@@ -157,9 +169,14 @@ def refine(
 ) -> tuple[SegmentationState, RefineTrace]:
     """Run the optimization loop and return the final state plus its trace.
 
-    Masks and weights are recompiled from the current maps every step. With
-    alpha=0 the spatial loss is still traced but never touches the update,
-    so the run reproduces the unconstrained baseline exactly. Deterministic:
+    Masks and weights are recompiled from the current maps every step. A step
+    whose gradient and Adam moments are all exactly zero is a fixed point of
+    the update: its record is repeated for the remaining steps, with only
+    `step` changed, and the loop stops before calling `adam_step`. With
+    alpha=0 that happens at step 1, since the fidelity gradient p - q starts
+    at exactly zero, so the run reproduces the unconstrained baseline for the
+    cost of one record; its spatial loss is recorded but never touches the
+    update. An empty triplet set stops at step 1 at any alpha. Deterministic:
     same inputs and config give bit-identical traces and states. Raises
     FormatError when a step's arithmetic overflows or its objective is not
     finite, which an alpha or learning_rate too large for float64 brings about.
@@ -186,6 +203,12 @@ def refine(
                 grad = fid_grad
                 if cfg.alpha != 0.0:
                     grad = grad + cfg.alpha * logit_gradient_from_terms(state, terms, loss_cfg)
+                if not (grad.any() or moments.m.any() or moments.v.any()):
+                    records.extend(
+                        replace(records[-1], step=later, weights=dict(weights))
+                        for later in range(step + 1, cfg.steps + 1)
+                    )
+                    break
                 logits, moments = adam_step(state.logits, grad, moments, step, cfg)
                 state = state.with_logits(logits)
         except FloatingPointError as exc:

@@ -18,25 +18,15 @@ from .grid import LabelMap, ProbabilityMap
 PROB_FLOOR = 1e-7
 
 
-def softmax(logits: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Numerically stable softmax along the given axis."""
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(logits: np.ndarray, axis: int = 0) -> np.ndarray:
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
 @dataclass(frozen=True, eq=False)
 class SegmentationState:
-    """Category roster plus (C, H, W) logits and their softmax probabilities."""
+    """Category roster plus (C, H, W) logits, their softmax probabilities and
+    their log-softmax, both from one numerically stable pass."""
 
     categories: tuple[str, ...]
     logits: np.ndarray
     probs: np.ndarray
+    log_probs: np.ndarray
 
     @classmethod
     def from_logits(cls, categories: tuple[str, ...], logits: np.ndarray) -> SegmentationState:
@@ -47,7 +37,12 @@ class SegmentationState:
             )
         if len(categories) < 1:
             raise FormatError("state needs at least one category")
-        return cls(categories=tuple(categories), logits=logits, probs=softmax(logits, axis=0))
+        log_probs = logits - logits.max(axis=0, keepdims=True)
+        probs = np.exp(log_probs)
+        total = probs.sum(axis=0, keepdims=True)
+        probs /= total
+        log_probs -= np.log(total)
+        return cls(tuple(categories), logits, probs, log_probs)
 
     def with_logits(self, logits: np.ndarray) -> SegmentationState:
         """New state with updated logits; probabilities are recomputed."""

@@ -272,6 +272,18 @@ def test_refine_scene_set_and_eval_round_trip(tmp_path):
     assert csv_path.read_text().startswith("bucket,scenes,baseline_miou,refined_miou,delta")
 
 
+@pytest.mark.parametrize("alpha", [["--alpha", "0"], []], ids=["baseline", "default_alpha"])
+def test_refine_jobs_parallel_matches_serial(tmp_path, alpha):
+    scenes = _generated_scene_set(tmp_path)
+    trees = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs_{jobs}"
+        assert main(["refine", "--scene", str(scenes), "--out", str(out),
+                     "--use-gt-triplets", "--jobs", jobs, *alpha]) == 0
+        trees.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+    assert trees[0] and trees[0] == trees[1]
+
+
 def test_refine_unknown_category_exit_code(tmp_path, capsys):
     scenes = _generated_scene_set(tmp_path)
     triplets = tmp_path / "bad.json"
@@ -556,6 +568,17 @@ def test_json_file_invalid_exit_code(tmp_path, capsys):
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "oracle.json" in err and message in err, err
+
+
+def test_json_integer_too_long_to_parse_exit_code(tmp_path, capsys):
+    # Python refuses to parse integers past 4,300 digits; json.dumps would
+    # refuse to write one, so the digits are spliced into the text.
+    text = json.dumps({"output_dir": "scenes", "scenes": [small_scene()]})
+    config = tmp_path / "config.json"
+    config.write_text(text.replace('"height": 16', '"height": ' + "9" * 5000, 1))
+    assert main(["gen-scenes", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "config.json" in err and "invalid JSON" in err, err
 
 
 def test_json_file_not_an_object_exit_code(tmp_path, capsys):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,6 +211,46 @@ def test_refine_alpha_zero_matches_baseline_and_ignores_triplets():
     # Fidelity starts at its own minimum, so the baseline never moves.
     expected = init_state(scene.init_probs)
     assert np.array_equal(with_triplets.probs, expected.probs)
+
+
+def test_refine_alpha_zero_stops_at_adam_fixed_point():
+    scene = fixture_scene()
+    cfg = RefineConfig(alpha=0.0)
+    state, trace = refine(scene.init_probs, scene.gt_triplets, cfg)
+    first = trace.records[0]
+    assert list(trace.records) == [replace(first, step=k) for k in range(1, cfg.steps + 1)]
+    assert len({id(r.weights) for r in trace.records}) == cfg.steps
+    assert np.array_equal(state.logits, init_state(scene.init_probs).logits)
+
+
+def _count_adam_steps(monkeypatch) -> list[int]:
+    # relfine rebinds the attribute `relfine.refine` to the function, so the
+    # module is taken from the import system.
+    module = importlib.import_module("relfine.refine")
+    calls: list[int] = []
+
+    def counting(params, grads, moments, t, cfg):
+        calls.append(t)
+        return adam_step(params, grads, moments, t, cfg)
+
+    monkeypatch.setattr(module, "adam_step", counting)
+    return calls
+
+
+def test_refine_empty_triplets_never_call_adam(monkeypatch):
+    scene = fixture_scene()
+    calls = _count_adam_steps(monkeypatch)
+    state, trace = refine(scene.init_probs, empty_triplet_set(scene.categories), RefineConfig(alpha=0.1))
+    assert calls == []
+    assert len(trace) == RefineConfig().steps
+    assert np.array_equal(state.logits, init_state(scene.init_probs).logits)
+
+
+def test_refine_with_triplets_runs_every_adam_step(monkeypatch):
+    scene = fixture_scene()
+    calls = _count_adam_steps(monkeypatch)
+    refine(scene.init_probs, scene.gt_triplets, RefineConfig(alpha=0.1))
+    assert calls == list(range(1, RefineConfig().steps + 1))
 
 
 def test_refine_trace_length_and_simplex():
