@@ -42,7 +42,15 @@ from .relations import (
     load_triplets,
     save_triplets,
 )
-from .scenes import Scene, SceneSpec, generate_scene, load_scene_bundle, save_scene_bundle, spec_from_dict
+from .scenes import (
+    Scene,
+    SceneSpec,
+    generate_scene,
+    load_scene_bundle,
+    require_safe_name,
+    save_scene_bundle,
+    spec_from_dict,
+)
 from .state import argmax_labels
 
 T = TypeVar("T")
@@ -88,7 +96,10 @@ class RunConfig:
         if unknown:
             raise FormatError(f"{path}: unknown keys {sorted(unknown)}")
 
-        self.output_dir = self.path.parent / str(doc.get("output_dir", "out"))
+        output_dir = doc.get("output_dir", "out")
+        if not isinstance(output_dir, str):
+            raise FormatError(f"{path}: 'output_dir' must be a string, got {output_dir!r}")
+        self.output_dir = self.path.parent / output_dir
 
         self.scene_specs: list[tuple[str, SceneSpec]] = []
         entries = doc.get("scenes", [])
@@ -98,7 +109,7 @@ class RunConfig:
             if not isinstance(entry, dict):
                 raise FormatError(f"{path}: scenes[{index}] must be an object")
             entry = dict(entry)
-            name = str(entry.pop("name", f"scene_{index:03d}"))
+            name = require_safe_name(entry.pop("name", f"scene_{index:03d}"), f"{path}: scenes[{index}]: 'name'")
             spec = spec_from_dict(entry, where=f"{path}: scenes[{index}] ({name})")
             self.scene_specs.append((name, spec))
         names = [name for name, _ in self.scene_specs]
@@ -225,7 +236,9 @@ def _scene_set(path: Path) -> list[tuple[str, Path]]:
     for index, entry in enumerate(entries):
         if not isinstance(entry, dict) or "name" not in entry or "path" not in entry:
             raise FormatError(f"{manifest}: scenes[{index}] needs 'name' and 'path'")
-        pairs.append((str(entry["name"]), path / str(entry["path"])))
+        where = f"{manifest}: scenes[{index}]"
+        name = require_safe_name(entry["name"], f"{where}: 'name'")
+        pairs.append((name, path / require_safe_name(entry["path"], f"{where}: 'path'")))
     return pairs
 
 
@@ -337,10 +350,12 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
     sizes = []
     for token in text.split(","):
         try:
-            h, w = token.lower().split("x")
-            sizes.append((int(h), int(w)))
+            h, w = (int(side) for side in token.lower().split("x"))
         except ValueError:
-            raise FormatError(f"bad size {token!r}, expected HxW") from None
+            h = w = 0
+        if h < 1 or w < 1:
+            raise FormatError(f"bad size {token!r}, expected HxW with positive H and W")
+        sizes.append((h, w))
     return sizes
 
 

@@ -11,14 +11,16 @@ derived from label-map geometry.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+import json
+from dataclasses import asdict, dataclass
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Literal, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .errors import FormatError, UnknownCategoryError, load_json_object, write_json_object
+from .errors import FormatError, UnknownCategoryError, load_json_object
 from .grid import LabelMap
 
 Stage = Literal["initial", "bidirectional", "validated", "resolved"]
@@ -57,15 +59,20 @@ def opposite(relation: Relation) -> Relation:
     return _OPPOSITE[relation]
 
 
+_RELATIONS = {r.value: r for r in Relation}
+
+
 def parse_relation(name: str) -> Relation:
-    try:
-        return Relation(name)
-    except ValueError:
-        valid = ", ".join(r.value for r in Relation)
-        raise FormatError(f"unknown relation {name!r}, expected one of: {valid}") from None
+    relation = _RELATIONS.get(name) if isinstance(name, str) else None
+    if relation is None:
+        raise FormatError(f"unknown relation {name!r}, expected one of: {', '.join(_RELATIONS)}")
+    return relation
 
 
 TripletKey = tuple[str, Relation, str]
+
+#: The key of a triplet as a plain function, for `map` over many triplets.
+_triplet_key = attrgetter("subject", "relation", "object")
 
 
 @dataclass(frozen=True)
@@ -106,9 +113,18 @@ class TripletSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "triplets", tuple(self.triplets))
         object.__setattr__(self, "categories", tuple(self.categories))
-        if len(set(self.categories)) != len(self.categories):
-            raise FormatError("category roster contains duplicates")
         roster = set(self.categories)
+        if len(roster) != len(self.categories):
+            raise FormatError("category roster contains duplicates")
+        items = self.triplets
+        if (
+            len(set(map(_triplet_key, items))) == len(items)
+            and roster.issuperset(map(attrgetter("subject"), items))
+            and roster.issuperset(map(attrgetter("object"), items))
+        ):
+            return
+        # Some triplet is a duplicate or names an unknown category: the
+        # first offender in order decides the error.
         seen: set[TripletKey] = set()
         for t in self.triplets:
             if t.key in seen:
@@ -160,13 +176,13 @@ def augment_bidirectional(triplets: TripletSet) -> TripletSet:
     Originals keep their stage; additions are tagged "bidirectional". The
     result is duplicate-free and applying this twice changes nothing.
     """
-    present = set(t.key for t in triplets)
+    present = set(map(_triplet_key, triplets.triplets))
     out = list(triplets.triplets)
-    for t in triplets:
-        rev = replace(t.reversed(), stage="bidirectional")
-        if rev.key not in present:
-            present.add(rev.key)
-            out.append(rev)
+    for t in triplets.triplets:
+        key = (t.object, _OPPOSITE[t.relation], t.subject)
+        if key not in present:
+            present.add(key)
+            out.append(SpatialTriplet(*key, "bidirectional"))
     return triplets.with_triplets(out)
 
 
@@ -178,11 +194,11 @@ def validate_polar(triplets: TripletSet, oracle: RelationOracle) -> TripletSet:
     "unknown") drops the triplet.
     """
     kept = []
-    for t in triplets:
+    for t in triplets.triplets:
         primary = oracle.holds(t.subject, t.relation, t.object)
-        reflection = oracle.holds(t.object, opposite(t.relation), t.subject)
+        reflection = oracle.holds(t.object, _OPPOSITE[t.relation], t.subject)
         if primary == "yes" and reflection == "yes":
-            kept.append(replace(t, stage="validated"))
+            kept.append(SpatialTriplet(t.subject, t.relation, t.object, "validated"))
     return triplets.with_triplets(kept)
 
 
@@ -259,11 +275,11 @@ def resolve_contradictions(
             dropped.add(pair.first.key)
             dropped.add(pair.second.key)
 
-    kept = [
-        replace(t, stage="resolved") if t.key in chosen and t.key not in dropped else t
-        for t in triplets
-        if t.key not in dropped
-    ]
+    kept = []
+    for t in triplets.triplets:
+        key = _triplet_key(t)
+        if key not in dropped:
+            kept.append(SpatialTriplet(*key, "resolved") if key in chosen else t)
     return triplets.with_triplets(kept)
 
 
@@ -413,11 +429,18 @@ def scripted_oracle(holds: HoldsTable, choose: ChooseTable | None = None) -> Scr
 #                             "a": "first"}]}
 
 
-def _require_names(entry: dict, keys: Sequence[str], where: str) -> None:
+_TRIPLET_FILE_KEYS = frozenset({"categories", "triplets"})
+_TRIPLET_KEYS = frozenset({"subject", "relation", "object", "stage"})
+_ORACLE_FILE_KEYS = frozenset({"holds", "choose"})
+_HOLDS_KEYS = frozenset({"s", "r", "o", "a"})
+_CHOOSE_KEYS = frozenset({"s", "r1", "r2", "o", "a"})
+
+
+def _require_names(entry: dict, keys: Sequence[str]) -> None:
     """Category names must be strings: they key dicts and sets downstream."""
     for key in keys:
         if not isinstance(entry[key], str):
-            raise FormatError(f"{where}: {key!r} must be a string, got {entry[key]!r}")
+            raise FormatError(f"{key!r} must be a string, got {entry[key]!r}")
 
 
 def _table(doc: dict, name: str, path: str | Path) -> list:
@@ -435,45 +458,40 @@ def load_triplets(path: str | Path, swap_args: bool = False) -> TripletSet:
     relation, object) collapse to one entry keeping the earliest stage tag.
     """
     doc = load_json_object(path)
-    unknown = set(doc) - {"categories", "triplets"}
-    if unknown:
-        raise FormatError(f"{path}: unknown keys {sorted(unknown)}")
+    if not doc.keys() <= _TRIPLET_FILE_KEYS:
+        raise FormatError(f"{path}: unknown keys {sorted(doc.keys() - _TRIPLET_FILE_KEYS)}")
     categories = doc.get("categories")
     if not isinstance(categories, list) or not all(isinstance(c, str) for c in categories):
         raise FormatError(f"{path}: 'categories' must be a list of strings")
 
-    triplets = []
-    for index, entry in enumerate(_table(doc, "triplets", path)):
-        where = f"{path}: triplets[{index}]"
-        if not isinstance(entry, dict):
-            raise FormatError(f"{where}: expected an object")
-        bad = set(entry) - {"subject", "relation", "object", "stage"}
-        if bad:
-            raise FormatError(f"{where}: unknown keys {sorted(bad)}")
-        try:
-            subject = entry["subject"]
-            relation = parse_relation(entry["relation"])
-            obj = entry["object"]
-        except KeyError as exc:
-            raise FormatError(f"{where}: missing key {exc.args[0]!r}") from None
-        except FormatError as exc:
-            raise FormatError(f"{where}: {exc}") from None
-        _require_names(entry, ("subject", "object"), where)
-        stage = entry.get("stage", "initial")
-        if stage not in STAGES:
-            raise FormatError(f"{where}: unknown stage {stage!r}")
-        if swap_args:
-            subject, obj = obj, subject
-        try:
-            triplets.append(SpatialTriplet(subject, relation, obj, stage=stage))
-        except FormatError as exc:
-            raise FormatError(f"{where}: {exc}") from None
-
+    # Each entry is checked once; the file and index prefix the message only
+    # when a check fails.
     collapsed: dict[TripletKey, SpatialTriplet] = {}
-    for t in triplets:
-        kept = collapsed.get(t.key)
-        if kept is None or STAGES.index(t.stage) < STAGES.index(kept.stage):
-            collapsed[t.key] = t
+    for index, entry in enumerate(_table(doc, "triplets", path)):
+        try:
+            if not isinstance(entry, dict):
+                raise FormatError("expected an object")
+            if not entry.keys() <= _TRIPLET_KEYS:
+                raise FormatError(f"unknown keys {sorted(entry.keys() - _TRIPLET_KEYS)}")
+            try:
+                subject = entry["subject"]
+                relation = parse_relation(entry["relation"])
+                obj = entry["object"]
+            except KeyError as exc:
+                raise FormatError(f"missing key {exc.args[0]!r}") from None
+            _require_names(entry, ("subject", "object"))
+            stage = entry.get("stage", "initial")
+            if stage not in STAGES:
+                raise FormatError(f"unknown stage {stage!r}")
+            if swap_args:
+                subject, obj = obj, subject
+            t = SpatialTriplet(subject, relation, obj, stage)
+        except FormatError as exc:
+            raise FormatError(f"{path}: triplets[{index}]: {exc}") from None
+        key = (subject, relation, obj)
+        kept = collapsed.get(key)
+        if kept is None or STAGES.index(stage) < STAGES.index(kept.stage):
+            collapsed[key] = t
 
     try:
         return TripletSet(tuple(collapsed.values()), tuple(categories))
@@ -481,49 +499,56 @@ def load_triplets(path: str | Path, swap_args: bool = False) -> TripletSet:
         raise type(exc)(f"{path}: {exc}") from None
 
 
+def _json_list(items: list[str]) -> str:
+    """A JSON array at depth 1 of indent 2, from items already indented to depth 2."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def save_triplets(path: str | Path, triplets: TripletSet) -> None:
-    doc = {
-        "categories": list(triplets.categories),
-        "triplets": [
-            {"subject": t.subject, "relation": t.relation.value, "object": t.object, "stage": t.stage}
-            for t in triplets
-        ],
-    }
-    write_json_object(path, doc)
+    """Write the bytes `write_json_object` writes for the same document (indent
+    2, sorted keys), building the layout here so that only the strings go
+    through json's encoder. Relations and stages come from fixed ASCII
+    vocabularies and need no escaping."""
+    name = json.dumps
+    categories = [f"    {name(c)}" for c in triplets.categories]
+    rows = [
+        f'    {{\n      "object": {name(t.object)},\n      "relation": "{t.relation.value}",\n'
+        f'      "stage": "{t.stage}",\n      "subject": {name(t.subject)}\n    }}'
+        for t in triplets.triplets
+    ]
+    text = f'{{\n  "categories": {_json_list(categories)},\n  "triplets": {_json_list(rows)}\n}}\n'
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_scripted_oracle(path: str | Path) -> ScriptedOracle:
     doc = load_json_object(path)
-    unknown = set(doc) - {"holds", "choose"}
-    if unknown:
-        raise FormatError(f"{path}: unknown keys {sorted(unknown)}")
+    if not doc.keys() <= _ORACLE_FILE_KEYS:
+        raise FormatError(f"{path}: unknown keys {sorted(doc.keys() - _ORACLE_FILE_KEYS)}")
 
     holds: dict[tuple[str, Relation, str], HoldsAnswer] = {}
     for index, entry in enumerate(_table(doc, "holds", path)):
-        where = f"{path}: holds[{index}]"
-        if not isinstance(entry, dict) or set(entry) != {"s", "r", "o", "a"}:
-            raise FormatError(f"{where}: expected keys s, r, o, a")
-        _require_names(entry, ("s", "o"), where)
-        if entry["a"] not in ("yes", "no", "unknown"):
-            raise FormatError(f"{where}: answer must be yes/no/unknown, got {entry['a']!r}")
         try:
-            key = (entry["s"], parse_relation(entry["r"]), entry["o"])
+            if not isinstance(entry, dict) or entry.keys() != _HOLDS_KEYS:
+                raise FormatError("expected keys s, r, o, a")
+            _require_names(entry, ("s", "o"))
+            answer = entry["a"]
+            if answer not in ("yes", "no", "unknown"):
+                raise FormatError(f"answer must be yes/no/unknown, got {answer!r}")
+            holds[entry["s"], parse_relation(entry["r"]), entry["o"]] = answer
         except FormatError as exc:
-            raise FormatError(f"{where}: {exc}") from None
-        holds[key] = entry["a"]
+            raise FormatError(f"{path}: holds[{index}]: {exc}") from None
 
     choose: dict[tuple[str, Relation, Relation, str], ChooseAnswer] = {}
     for index, entry in enumerate(_table(doc, "choose", path)):
-        where = f"{path}: choose[{index}]"
-        if not isinstance(entry, dict) or set(entry) != {"s", "r1", "r2", "o", "a"}:
-            raise FormatError(f"{where}: expected keys s, r1, r2, o, a")
-        _require_names(entry, ("s", "o"), where)
-        if entry["a"] not in ("first", "second", "neither"):
-            raise FormatError(f"{where}: answer must be first/second/neither, got {entry['a']!r}")
         try:
-            key = (entry["s"], parse_relation(entry["r1"]), parse_relation(entry["r2"]), entry["o"])
+            if not isinstance(entry, dict) or entry.keys() != _CHOOSE_KEYS:
+                raise FormatError("expected keys s, r1, r2, o, a")
+            _require_names(entry, ("s", "o"))
+            answer = entry["a"]
+            if answer not in ("first", "second", "neither"):
+                raise FormatError(f"answer must be first/second/neither, got {answer!r}")
+            choose[entry["s"], parse_relation(entry["r1"]), parse_relation(entry["r2"]), entry["o"]] = answer
         except FormatError as exc:
-            raise FormatError(f"{where}: {exc}") from None
-        choose[key] = entry["a"]
+            raise FormatError(f"{path}: choose[{index}]: {exc}") from None
 
     return ScriptedOracle(holds, choose)

@@ -32,6 +32,19 @@ CATEGORY_POOL = ("amber", "blue", "coral", "dune", "elm", "fern", "gold", "heath
 
 _SAFE_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
+#: Largest scene grid, in pixels (height x width). One float64 map of 4096²
+#: pixels is 128 MiB and refinement keeps several per category; every grid
+#: the tests, demos and benchmark use is at most 256².
+MAX_PIXELS = 4096 * 4096
+
+
+def require_safe_name(value: object, field: str) -> str:
+    """`value` as a name that is one path component: a non-empty string of
+    ASCII letters, digits, '_' and '-'. Anything else raises FormatError."""
+    if not isinstance(value, str) or not _SAFE_NAME.fullmatch(value):
+        raise FormatError(f"{field} must be a filename-safe name ([A-Za-z0-9_-]+), got {value!r}")
+    return value
+
 
 @dataclass(frozen=True)
 class Placement:
@@ -66,6 +79,10 @@ class SceneSpec:
         object.__setattr__(self, "placements", tuple(self.placements))
         if self.height < 1 or self.width < 1:
             raise SceneSpecError(f"scene dimensions must be positive, got {self.height}x{self.width}")
+        if self.height * self.width > MAX_PIXELS:
+            raise SceneSpecError(
+                f"height x width must be at most {MAX_PIXELS} pixels, got {self.height}x{self.width}"
+            )
         if not self.placements:
             raise SceneSpecError("scene needs at least one placement")
         if self.noise_sigma < 0:
@@ -320,8 +337,7 @@ def spec_from_dict(doc: dict, where: str = "scene spec") -> SceneSpec:
 
 def save_scene_bundle(path: str | Path, scene: Scene) -> None:
     for name in scene.categories:
-        if not _SAFE_NAME.fullmatch(name):
-            raise FormatError(f"category {name!r} is not filename-safe")
+        require_safe_name(name, "category")
     root = Path(path)
     (root / "probs").mkdir(parents=True, exist_ok=True)
     write_json_object(root / "spec.json", spec_to_dict(scene.spec))

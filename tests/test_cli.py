@@ -76,6 +76,30 @@ def test_gen_scenes_rejects_unknown_config_keys(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+def _tree(root: Path) -> set[Path]:
+    return set(root.rglob("*"))
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "", ".", ["x"], 7], ids=repr)
+def test_gen_scenes_scene_name_must_be_filename_safe(tmp_path, capsys, name):
+    config = write_config(tmp_path / "config.json", [small_scene(name)])
+    before = _tree(tmp_path)
+    assert main(["gen-scenes", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "config.json" in err and "scenes[0]: 'name' must be a filename-safe name" in err, err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("output_dir", [["x"], 5, None], ids=repr)
+def test_gen_scenes_output_dir_must_be_a_string(tmp_path, capsys, output_dir):
+    config = write_config(tmp_path / "config.json", [small_scene()], output_dir=output_dir)
+    before = _tree(tmp_path)
+    assert main(["gen-scenes", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "config.json" in err and f"'output_dir' must be a string, got {output_dir!r}" in err, err
+    assert _tree(tmp_path) == before
+
+
 def test_gen_scenes_jobs_parallel_matches_serial(tmp_path):
     scenes = [small_scene(f"scene_{i:03d}", seed=i) for i in range(4)]
     config = write_config(tmp_path / "config.json", scenes)
@@ -284,6 +308,26 @@ def test_refine_jobs_parallel_matches_serial(tmp_path, alpha):
     assert trees[0] and trees[0] == trees[1]
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("name", "../../leak"), ("path", "../scene_000"), ("name", ["x"]), ("path", 0)],
+    ids=repr,
+)
+def test_refine_manifest_entries_must_be_filename_safe(tmp_path, capsys, field, value):
+    scenes = _generated_scene_set(tmp_path)
+    manifest = scenes / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["scenes"][0][field] = value
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "runs" / "out"
+    before = _tree(tmp_path)
+    code = main(["refine", "--scene", str(scenes), "--out", str(out), "--use-gt-triplets"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and f"scenes[0]: {field!r} must be a filename-safe name" in err, err
+    assert _tree(tmp_path) == before
+
+
 def test_refine_unknown_category_exit_code(tmp_path, capsys):
     scenes = _generated_scene_set(tmp_path)
     triplets = tmp_path / "bad.json"
@@ -381,6 +425,13 @@ def test_gradcheck_corrupted_fails(capsys):
 def test_gradcheck_size_parsing(capsys):
     assert main(["gradcheck", "--instances", "2", "--sizes", "1x1,2x2"]) == 0
     assert main(["gradcheck", "--instances", "2", "--sizes", "bogus"]) == 2
+
+
+@pytest.mark.parametrize("sizes", ["0x3", "-2x3", "3x0", "4x4,2x-1"])
+def test_gradcheck_non_positive_size_exit_code(capsys, sizes):
+    assert main(["gradcheck", "--instances", "2", f"--sizes={sizes}"]) == 2
+    err = capsys.readouterr().err
+    assert "bad size" in err and "Traceback" not in err, err
 
 
 # --------------------------------------------------------------------------
@@ -508,6 +559,17 @@ def test_real_field_too_large_for_a_float_exit_code(tmp_path, capsys, mutate, fi
     assert main(["gen-scenes", str(config)]) == 2
     err = capsys.readouterr().err
     assert "config.json" in err and f"{field} must be a finite number" in err, err
+
+
+@pytest.mark.parametrize(
+    "height, width", [(int("9" * 400), 16), (10**6, 10**6)], ids=["400_digit_height", "million_squared"]
+)
+def test_scene_grid_over_the_pixel_cap_exit_code(tmp_path, capsys, height, width):
+    config = write_config(tmp_path / "config.json", [{**small_scene(), "height": height, "width": width}])
+    assert main(["gen-scenes", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "config.json" in err and "height x width must be at most 16777216 pixels" in err, err
+    assert not (tmp_path / "scenes").exists()
 
 
 WRONG_SECTION_TYPES = [

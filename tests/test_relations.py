@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relfine.errors import FormatError, UnknownCategoryError
+from relfine.errors import FormatError, UnknownCategoryError, write_json_object
 from relfine.grid import LabelMap
 from relfine.relations import (
     CalibrationOptions,
     ContradictionPair,
+    STAGES,
     Relation,
     ScriptedOracle,
     SpatialTriplet,
@@ -80,6 +81,15 @@ def test_set_rejects_duplicates_and_unknown_names():
         TripletSet((t, triplet("cat", Relation.RIGHT, "person", stage="validated")), ("cat", "person"))
     with pytest.raises(UnknownCategoryError):
         TripletSet((t,), ("cat",))
+
+
+def test_set_reports_the_first_offender_in_order():
+    a_b = triplet("a", Relation.LEFT, "b")
+    ghost = triplet("a", Relation.ABOVE, "ghost")
+    with pytest.raises(FormatError, match=r"^duplicate triplet <a, left, b>$"):
+        TripletSet((a_b, a_b, ghost), ("a", "b"))
+    with pytest.raises(UnknownCategoryError, match=r"^triplet <a, above, ghost> names 'ghost', not in roster$"):
+        TripletSet((a_b, ghost, a_b), ("a", "b"))
 
 
 # --------------------------------------------------------------------------
@@ -462,6 +472,34 @@ def test_triplet_json_round_trip(tmp_path):
     assert [t.stage for t in loaded] == [t.stage for t in original]
 
 
+# Names that exercise every escape the JSON encoder makes: quotes,
+# backslashes, control characters, separators past ASCII and CJK.
+AWKWARD_NAMES = ("a", "b c", 'say "hi"', "back\\slash", "nul\x00", "tab\t", "del\x7f", "line\u2028sep", "猫", "é")
+
+
+def test_save_triplets_writes_the_bytes_of_write_json_object(tmp_path):
+    rng = np.random.default_rng(3)
+    for case in range(200):
+        size = int(rng.integers(0, len(AWKWARD_NAMES) + 1))
+        roster = tuple(AWKWARD_NAMES[i] for i in rng.permutation(len(AWKWARD_NAMES))[:size])
+        chosen = {}
+        for _ in range(int(rng.integers(0, 12)) if size >= 2 else 0):
+            s, o = rng.choice(size, 2, replace=False)
+            r = list(Relation)[int(rng.integers(0, 4))]
+            chosen[(roster[s], r, roster[o])] = STAGES[int(rng.integers(0, len(STAGES)))]
+        triplets = TripletSet(tuple(triplet(s, r, o, stage) for (s, r, o), stage in chosen.items()), roster)
+        doc = {
+            "categories": list(triplets.categories),
+            "triplets": [
+                {"subject": t.subject, "relation": t.relation.value, "object": t.object, "stage": t.stage}
+                for t in triplets
+            ],
+        }
+        save_triplets(tmp_path / "saved.json", triplets)
+        write_json_object(tmp_path / "expected.json", doc)
+        assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "expected.json").read_bytes(), case
+
+
 def test_load_triplets_swap_args(tmp_path):
     path = tmp_path / "t.json"
     path.write_text(json.dumps({
@@ -523,6 +561,62 @@ def test_load_scripted_oracle_rejects_malformed_entries(tmp_path):
     path.write_text(json.dumps({"holds": [{"s": "c", "r": "right", "o": "p", "a": "maybe"}]}))
     with pytest.raises(FormatError, match="yes/no/unknown"):
         load_scripted_oracle(path)
+
+
+VALID_TRIPLET = {"subject": "a", "relation": "left", "object": "b"}
+VALID_HOLDS = {"s": "a", "r": "left", "o": "b", "a": "yes"}
+VALID_CHOOSE = {"s": "a", "r1": "left", "r2": "right", "o": "b", "a": "first"}
+RELATIONS = "expected one of: above, below, left, right"
+
+
+@pytest.mark.parametrize(
+    "loader, doc, message",
+    [
+        ("triplets", {"categories": [], "extra": 1}, "unknown keys ['extra']"),
+        ("triplets", {"categories": ["a", "b"], "triplets": {}}, "'triplets' must be a list"),
+        ("triplets", {"categories": ["a"], "triplets": [VALID_TRIPLET, 5]}, "triplets[1]: expected an object"),
+        ("triplets", {"categories": [], "triplets": [{**VALID_TRIPLET, "zz": 1, "note": 2}]},
+         "triplets[0]: unknown keys ['note', 'zz']"),
+        ("triplets", {"categories": [], "triplets": [{"subject": "a", "object": "b"}]},
+         "triplets[0]: missing key 'relation'"),
+        ("triplets", {"categories": [], "triplets": [{"relation": "left", "object": "b"}]},
+         "triplets[0]: missing key 'subject'"),
+        ("triplets", {"categories": [], "triplets": [{**VALID_TRIPLET, "relation": "up"}]},
+         f"triplets[0]: unknown relation 'up', {RELATIONS}"),
+        ("triplets", {"categories": [], "triplets": [{**VALID_TRIPLET, "relation": ["left"]}]},
+         f"triplets[0]: unknown relation ['left'], {RELATIONS}"),
+        ("triplets", {"categories": [], "triplets": [{**VALID_TRIPLET, "object": 3}]},
+         "triplets[0]: 'object' must be a string, got 3"),
+        ("triplets", {"categories": [], "triplets": [{**VALID_TRIPLET, "stage": "final"}]},
+         "triplets[0]: unknown stage 'final'"),
+        ("triplets", {"categories": [], "triplets": [{**VALID_TRIPLET, "object": "a", "stage": "final"}]},
+         "triplets[0]: unknown stage 'final'"),
+        ("triplets", {"categories": [], "triplets": [{**VALID_TRIPLET, "object": "a"}]},
+         "triplets[0]: triplet subject and object must differ, both are 'a'"),
+        ("oracle", {"holds": [], "extra": 1}, "unknown keys ['extra']"),
+        ("oracle", {"holds": {}}, "'holds' must be a list"),
+        ("oracle", {"choose": 3}, "'choose' must be a list"),
+        ("oracle", {"holds": [VALID_HOLDS, "x"]}, "holds[1]: expected keys s, r, o, a"),
+        ("oracle", {"holds": [{**VALID_HOLDS, "extra": 1}]}, "holds[0]: expected keys s, r, o, a"),
+        ("oracle", {"choose": [{"s": "a", "o": "b", "a": "first"}]}, "choose[0]: expected keys s, r1, r2, o, a"),
+        ("oracle", {"holds": [{**VALID_HOLDS, "r": "up"}]}, f"holds[0]: unknown relation 'up', {RELATIONS}"),
+        ("oracle", {"choose": [VALID_CHOOSE, {**VALID_CHOOSE, "r2": ["right"]}]},
+         f"choose[1]: unknown relation ['right'], {RELATIONS}"),
+        ("oracle", {"holds": [{**VALID_HOLDS, "o": None}]}, "holds[0]: 'o' must be a string, got None"),
+        ("oracle", {"choose": [{**VALID_CHOOSE, "s": ["a"]}]}, "choose[0]: 's' must be a string, got ['a']"),
+        ("oracle", {"holds": [{**VALID_HOLDS, "a": "maybe"}]},
+         "holds[0]: answer must be yes/no/unknown, got 'maybe'"),
+        ("oracle", {"choose": [{**VALID_CHOOSE, "a": "yes"}]},
+         "choose[0]: answer must be first/second/neither, got 'yes'"),
+    ],
+)
+def test_loaders_report_each_malformed_entry_exactly(tmp_path, loader, doc, message):
+    path = tmp_path / f"{loader}.json"
+    path.write_text(json.dumps(doc))
+    load = load_triplets if loader == "triplets" else load_scripted_oracle
+    with pytest.raises(FormatError) as caught:
+        load(path)
+    assert str(caught.value) == f"{path}: {message}"
 
 
 # --------------------------------------------------------------------------
