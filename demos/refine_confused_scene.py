@@ -47,10 +47,10 @@ baseline_state, _ = refine(scene.init_probs, scene.gt_triplets, RefineConfig(alp
 refined_state, trace = refine(scene.init_probs, scene.gt_triplets, RefineConfig(alpha=0.1))
 
 print("\nspatial loss over the optimization:")
-for record in trace.records:
-    bar = "#" * int(record.spatial / trace.records[0].spatial * 40)
-    print(f"   step {record.step:2d}  fidelity {record.fidelity:9.3f}  "
-          f"spatial {record.spatial:9.3f}  {bar}")
+for step, (fidelity, spatial) in enumerate(zip(trace.fidelity, trace.spatial), start=1):
+    bar = "#" * int(spatial / trace.spatial[0] * 40)
+    print(f"   step {step:2d}  fidelity {fidelity:9.3f}  "
+          f"spatial {spatial:9.3f}  {bar}")
 
 base_labels = argmax_labels(baseline_state)
 ref_labels = argmax_labels(refined_state)

@@ -55,7 +55,6 @@ from .refine import (
     AdamState,
     RefineConfig,
     RefineTrace,
-    StepRecord,
     adam_step,
     evaluate_objective,
     fidelity_loss,

@@ -43,7 +43,6 @@ from .relations import (
     save_triplets,
 )
 from .scenes import (
-    Scene,
     SceneSpec,
     generate_scene,
     load_scene_bundle,
@@ -288,14 +287,6 @@ def cmd_refine(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate_prediction(scene_name: str, scene: Scene, pred_dir: Path, threshold: float) -> EvalReport:
-    labels_path = pred_dir / "labels.pgm"
-    if not labels_path.exists():
-        raise SceneSetMismatchError(f"no prediction for scene {scene_name!r}: {labels_path} missing")
-    pred = read_labels(labels_path, len(scene.categories))
-    return evaluate_scene(pred, scene, threshold=threshold, name=scene_name)
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.csv and not args.baseline:
         raise FormatError("--csv needs --baseline: the CSV holds baseline-vs-refined buckets")
@@ -307,23 +298,27 @@ def cmd_eval(args: argparse.Namespace) -> int:
     pred_root = Path(args.pred)
     single = len(scene_pairs) == 1 and (Path(args.scenes) / "spec.json").exists()
 
-    def run_reports(root: Path) -> list[EvalReport]:
-        reports = []
-        for name, bundle in scene_pairs:
-            scene = load_scene_bundle(bundle)
-            pred_dir = root if single else root / name
-            reports.append(_evaluate_prediction(name, scene, pred_dir, args.threshold))
-        return reports
+    # Each scene bundle is loaded once and scores every prediction directory.
+    roots = [pred_root, *([Path(args.baseline)] if args.baseline else [])]
+    runs: list[list[EvalReport]] = [[] for _ in roots]
+    for name, bundle in scene_pairs:
+        scene = load_scene_bundle(bundle)
+        for root, reports in zip(roots, runs):
+            labels_path = (root if single else root / name) / "labels.pgm"
+            if not labels_path.exists():
+                raise SceneSetMismatchError(f"no prediction for scene {name!r}: {labels_path} missing")
+            pred = read_labels(labels_path, len(scene.categories))
+            reports.append(evaluate_scene(pred, scene, threshold=args.threshold, name=name))
 
     def aggregate(reports: list[EvalReport]) -> dict[str, float]:
         keys = ("miou", "macc", "constraint_satisfaction")
         return {key: sum(getattr(r, key) for r in reports) / len(reports) for key in keys}
 
-    refined = run_reports(pred_root)
+    refined = runs[0]
     doc: dict = {"scenes": [r.to_dict() for r in refined], "aggregate": aggregate(refined)}
 
     if args.baseline:
-        baseline = run_reports(Path(args.baseline))
+        baseline = runs[1]
         deltas = compare_runs(baseline, refined, args.group_by)
         doc["baseline_aggregate"] = aggregate(baseline)
         doc["buckets"] = [{**asdict(d), "delta": d.delta} for d in deltas]

@@ -12,16 +12,15 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import FormatError, SceneSetMismatchError, UnknownCategoryError
+from .errors import FormatError, SceneSetMismatchError
 from .grid import LabelMap
-from .logic import outside_bands
-from .relations import Relation, SpatialTriplet, TripletSet
+from .logic import encode_triplets, outside_bands
+from .relations import SpatialTriplet, TripletSet
 from .scenes import Scene
 
 GroupBy = Literal["categories", "constraints", "ratio"]
 
 DEFAULT_SATISFACTION_THRESHOLD = 0.95
-_RELATIONS = tuple(Relation)
 
 
 def _confusion(pred: LabelMap, gt: LabelMap, num_categories: int) -> np.ndarray:
@@ -77,14 +76,7 @@ def satisfied_flags(
     epsilon; the subject's outside count is its row and column pixel counts
     dotted with them.
     """
-    index = {name: i for i, name in enumerate(roster)}
-    keys = []
-    for t in triplets:
-        for name in (t.subject, t.object):
-            if name not in index:
-                raise UnknownCategoryError(f"triplet {t} names {name!r}, not in roster")
-        keys.append((index[t.subject], _RELATIONS.index(t.relation), index[t.object]))
-    subjects, relations, objects = np.array(keys, dtype=np.intp).reshape(-1, 3).T
+    subjects, relations, objects = encode_triplets(roster, triplets)
     onehot = (pred.labels == np.arange(len(roster))[:, None, None]).astype(np.float64)
     rows, cols = outside_bands(onehot, relations, objects, 0.0)
     row_counts, col_counts = onehot.sum(axis=2)[subjects], onehot.sum(axis=1)[subjects]

@@ -237,7 +237,7 @@ def read_labels_pgm(path: str | Path, num_categories: int) -> LabelMap:
     width, height, maxval = fields
     if maxval != 255:
         raise FormatError(f"{path}: PGM maxval must be 255, got {maxval}")
-    data = np.frombuffer(raw, dtype=np.uint8, offset=pos)
+    data = np.frombuffer(raw[pos:], dtype=np.uint8)
     if data.size != height * width:
         raise FormatError(f"{path}: PGM pixel count {data.size} != {height}x{width}")
     return LabelMap(data.reshape(height, width).astype(np.int64), num_categories)

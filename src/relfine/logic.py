@@ -20,11 +20,11 @@ per-triplet H x W reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .errors import FormatError, require_real
+from .errors import FormatError, UnknownCategoryError, require_real
 from .grid import DEFAULT_EPSILON, ProbabilityMap, weighted_mean_coordinate
 from .relations import Relation, SpatialTriplet, TripletSet
 from .state import SegmentationState
@@ -82,6 +82,20 @@ def outside_band(length: int, relation: Relation, mean_coord: float) -> np.ndarr
     if relation in (Relation.RIGHT, Relation.BELOW):
         return (coords < mean_coord).astype(np.float64)
     return (coords > mean_coord).astype(np.float64)
+
+
+def encode_triplets(
+    roster: Sequence[str], triplets: Iterable[SpatialTriplet]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(subjects, relations, objects) of the triplets as (T,) index arrays:
+    names index `roster` and relations index tuple(Relation), the codes
+    outside_bands reads. A name outside the roster raises UnknownCategoryError."""
+    index = {name: i for i, name in enumerate(roster)}
+    try:
+        codes = [(index[t.subject], _RELATIONS.index(t.relation), index[t.object]) for t in triplets]
+    except KeyError as exc:
+        raise UnknownCategoryError(f"category {exc.args[0]!r} is not in roster {list(roster)}") from None
+    return tuple(np.array(codes, dtype=np.intp).reshape(-1, 3).T)
 
 
 def outside_bands(
@@ -202,10 +216,7 @@ def compile_constraints(
     cfg = cfg or SpatialLossConfig()
     triplets = tuple(triplets)
     probs = state.probs
-    keys = [
-        (state.index(t.subject), _RELATIONS.index(t.relation), state.index(t.object)) for t in triplets
-    ]
-    subjects, relations, objects = np.array(keys, dtype=np.intp).reshape(-1, 3).T
+    subjects, relations, objects = encode_triplets(state.categories, triplets)
     with np.errstate(over="ignore"):  # an overflowing exp saturates the gate to 0, as intended
         gate = 1.0 / (1.0 + np.exp(-cfg.sigmoid_scale * (probs - cfg.sigmoid_bias)))
     weights = (probs * gate).sum(axis=(1, 2)) / (gate.sum(axis=(1, 2)) + cfg.epsilon)

@@ -6,13 +6,13 @@ are analytic; optimization runs a fixed number of Adam steps over the logits
 and every quantity is recomputed from the current maps at each step, until
 Adam reaches an exact fixed point: a step whose gradient and both moments are
 all zero leaves the logits unchanged, so it and every later step would repeat
-the same record, and the loop stops there.
+the same trace row, and the loop stops there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -26,7 +26,7 @@ from .logic import (
     compiled_spatial_loss,
     logit_gradient_from_terms,
 )
-from .relations import SpatialTriplet, TripletSet
+from .relations import TripletSet
 from .state import SegmentationState, init_state
 
 
@@ -118,33 +118,30 @@ def fidelity_loss(
     return loss, grad
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Losses at the start of one optimization step, before its update."""
-
-    step: int
-    fidelity: float
-    spatial: float
-    total: float
-    weights: dict[str, float]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RefineTrace:
-    records: tuple[StepRecord, ...]
+    """Losses at the start of each of S steps, before its update: (S,) columns
+    and (S, T) weights, one column per key "subject relation object"."""
+
+    keys: tuple[str, ...]
+    fidelity: np.ndarray
+    spatial: np.ndarray
+    total: np.ndarray
+    weights: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.total)
 
     def to_list(self) -> list[dict]:
-        return [asdict(r) for r in self.records]
+        """One dict per step, counted from 1, with its weights keyed by constraint."""
+        columns = zip(self.fidelity.tolist(), self.spatial.tolist(), self.total.tolist(), self.weights.tolist())
+        return [
+            {"step": step, "fidelity": fid, "spatial": spa, "total": total, "weights": dict(zip(self.keys, row))}
+            for step, (fid, spa, total, row) in enumerate(columns, start=1)
+        ]
 
 
 _DIVERGED = "lower alpha or learning_rate"
-
-
-def _constraint_key(t: SpatialTriplet) -> str:
-    return f"{t.subject} {t.relation.value} {t.object}"
 
 
 def evaluate_objective(
@@ -171,15 +168,15 @@ def refine(
 
     Masks and weights are recompiled from the current maps every step. A step
     whose gradient and Adam moments are all exactly zero is a fixed point of
-    the update: its record is repeated for the remaining steps, with only
-    `step` changed, and the loop stops before calling `adam_step`. With
-    alpha=0 that happens at step 1, since the fidelity gradient p - q starts
-    at exactly zero, so the run reproduces the unconstrained baseline for the
-    cost of one record; its spatial loss is recorded but never touches the
-    update. An empty triplet set stops at step 1 at any alpha. Deterministic:
-    same inputs and config give bit-identical traces and states. Raises
-    FormatError when a step's arithmetic overflows or its objective is not
-    finite, which an alpha or learning_rate too large for float64 brings about.
+    the update: its trace row is repeated for the remaining steps and the loop
+    stops before calling `adam_step`. With alpha=0 that happens at step 1,
+    since the fidelity gradient p - q starts at exactly zero, so the run
+    reproduces the unconstrained baseline for the cost of one row; its
+    spatial loss is recorded but never touches the update. An empty triplet
+    set stops at step 1 at any alpha. Deterministic: same inputs and config
+    give bit-identical traces and states. Raises FormatError when a step's
+    arithmetic overflows or its objective is not finite, which an alpha or
+    learning_rate too large for float64 brings about.
     """
     cfg = cfg or RefineConfig()
     loss_cfg = loss_cfg or SpatialLossConfig()
@@ -187,7 +184,7 @@ def refine(
     state = init_state(init_probs)
     targets = state.probs.copy()
     moments = AdamState.zeros_like(state.logits)
-    records: list[StepRecord] = []
+    rows: list[tuple[float, float, float, np.ndarray]] = []
 
     for step in range(1, cfg.steps + 1):
         try:
@@ -198,20 +195,19 @@ def refine(
                 total = fid_loss + cfg.alpha * spa_loss
                 if not math.isfinite(total):  # Python floats overflow to inf without raising
                     raise FloatingPointError(f"objective {total}")
-                weights = {_constraint_key(t): w for t, w in zip(terms.triplets, terms.weights.tolist())}
-                records.append(StepRecord(step, fid_loss, spa_loss, total, weights))
+                rows.append((fid_loss, spa_loss, total, terms.weights))
                 grad = fid_grad
                 if cfg.alpha != 0.0:
                     grad = grad + cfg.alpha * logit_gradient_from_terms(state, terms, loss_cfg)
                 if not (grad.any() or moments.m.any() or moments.v.any()):
-                    records.extend(
-                        replace(records[-1], step=later, weights=dict(weights))
-                        for later in range(step + 1, cfg.steps + 1)
-                    )
+                    rows.extend([rows[-1]] * (cfg.steps - step))
                     break
                 logits, moments = adam_step(state.logits, grad, moments, step, cfg)
                 state = state.with_logits(logits)
         except FloatingPointError as exc:
             raise FormatError(f"refinement diverged at step {step}: {exc}; {_DIVERGED}") from None
 
-    return state, RefineTrace(tuple(records))
+    keys = tuple(f"{t.subject} {t.relation.value} {t.object}" for t in triplets)
+    fidelity, spatial, total = (np.array([row[k] for row in rows], dtype=np.float64) for k in range(3))
+    weights = np.array([row[3] for row in rows], dtype=np.float64).reshape(len(rows), len(keys))
+    return state, RefineTrace(keys, fidelity, spatial, total, weights)

@@ -87,6 +87,8 @@ class SceneSpec:
             raise SceneSpecError("scene needs at least one placement")
         if self.noise_sigma < 0:
             raise SceneSpecError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise SceneSpecError(f"seed must be nonnegative, got {self.seed}")
         seen = set()
         for p in self.placements:
             if p.category == BACKGROUND:
@@ -313,7 +315,8 @@ def spec_from_dict(doc: dict, where: str = "scene spec") -> SceneSpec:
             key: require_int(entry[key], f"{entry_where}: {key}", SceneSpecError)
             for key in ("row0", "col0", "row1", "col1")
         }
-        placements.append(Placement(category=str(entry["category"]), **bounds))
+        category = require_safe_name(entry["category"], f"{entry_where}: category")
+        placements.append(Placement(category=category, **bounds))
     confusion = None
     if doc.get("confusion") is not None:
         centry = doc["confusion"]
@@ -321,7 +324,8 @@ def spec_from_dict(doc: dict, where: str = "scene spec") -> SceneSpec:
             raise SceneSpecError(f"{where}: confusion must be an object, got {centry!r}")
         _require_keys(centry, {"first", "second", "strength"}, set(), f"{where}: confusion")
         strength = require_real(centry["strength"], f"{where}: confusion: strength", SceneSpecError)
-        confusion = Confusion(str(centry["first"]), str(centry["second"]), strength)
+        first, second = (require_safe_name(centry[key], f"{where}: confusion: {key}") for key in ("first", "second"))
+        confusion = Confusion(first, second, strength)
     try:
         return SceneSpec(
             height=require_int(doc["height"], "height", SceneSpecError),

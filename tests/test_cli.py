@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from relfine import cli
 from relfine.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -88,6 +89,20 @@ def test_gen_scenes_scene_name_must_be_filename_safe(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert "config.json" in err and "scenes[0]: 'name' must be a filename-safe name" in err, err
     assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("value", [["x"], 7, "../a"], ids=repr)
+@pytest.mark.parametrize("where, field", [("placements[0]", "category"), ("confusion", "first"),
+                                          ("confusion", "second")])
+def test_gen_scenes_category_names_checked_at_parse_time(tmp_path, capsys, where, field, value):
+    scene = small_scene()
+    (scene["placements"][0] if where == "placements[0]" else scene["confusion"])[field] = value
+    config = write_config(tmp_path / "config.json", [scene])
+    out = tmp_path / "out"
+    assert main(["gen-scenes", str(config), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config.json" in err and f"{where}: {field} must be a filename-safe name" in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("output_dir", [["x"], 5, None], ids=repr)
@@ -395,6 +410,19 @@ def test_eval_single_bundle_mode(tmp_path):
     report = json.loads(report_path.read_text())
     assert len(report["scenes"]) == 1
     assert report["scenes"][0]["scene"] == "scene_000"
+
+
+def test_eval_baseline_loads_each_scene_bundle_once(tmp_path, monkeypatch):
+    scenes = _generated_scene_set(tmp_path)
+    for out, alpha in (("base", "0"), ("refined", "0.1")):
+        assert main(["refine", "--scene", str(scenes), "--out", str(tmp_path / out),
+                     "--use-gt-triplets", "--alpha", alpha, "--steps", "2"]) == 0
+    loads = []
+    load = cli.load_scene_bundle
+    monkeypatch.setattr(cli, "load_scene_bundle", lambda path: loads.append(path) or load(path))
+    assert main(["eval", "--scenes", str(scenes), "--pred", str(tmp_path / "refined"),
+                 "--baseline", str(tmp_path / "base")]) == 0
+    assert sorted(Path(p).name for p in loads) == ["scene_000", "scene_001"]
 
 
 def test_eval_missing_prediction_exit_code(tmp_path, capsys):

@@ -3,7 +3,6 @@ from __future__ import annotations
 import importlib
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,7 +206,7 @@ def test_refine_alpha_zero_matches_baseline_and_ignores_triplets():
     without, _ = refine(scene.init_probs, empty_triplet_set(scene.categories), cfg)
     assert np.array_equal(with_triplets.probs, without.probs)
     # Spatial loss is still recorded on the trace.
-    assert all(r.spatial > 0 for r in trace.records)
+    assert all(trace.spatial > 0)
     # Fidelity starts at its own minimum, so the baseline never moves.
     expected = init_state(scene.init_probs)
     assert np.array_equal(with_triplets.probs, expected.probs)
@@ -217,10 +216,34 @@ def test_refine_alpha_zero_stops_at_adam_fixed_point():
     scene = fixture_scene()
     cfg = RefineConfig(alpha=0.0)
     state, trace = refine(scene.init_probs, scene.gt_triplets, cfg)
-    first = trace.records[0]
-    assert list(trace.records) == [replace(first, step=k) for k in range(1, cfg.steps + 1)]
-    assert len({id(r.weights) for r in trace.records}) == cfg.steps
+    assert len(trace) == cfg.steps
+    for column in (trace.fidelity, trace.spatial, trace.total, trace.weights):
+        assert np.array_equal(column, np.repeat(column[:1], cfg.steps, axis=0))
+    rows = trace.to_list()
+    assert [row["step"] for row in rows] == list(range(1, cfg.steps + 1))
+    assert len({id(row["weights"]) for row in rows}) == cfg.steps
     assert np.array_equal(state.logits, init_state(scene.init_probs).logits)
+
+
+def test_refine_trace_columns_and_report_layout():
+    scene = fixture_scene()
+    triplets = scene.gt_triplets
+    keys = tuple(f"{t.subject} {t.relation.value} {t.object}" for t in triplets)
+    steps = RefineConfig().steps
+    _, trace = refine(scene.init_probs, triplets)
+    assert trace.keys == keys
+    assert trace.weights.shape == (steps, len(keys))
+    assert [c.shape for c in (trace.fidelity, trace.spatial, trace.total)] == [(steps,)] * 3
+    rows = trace.to_list()
+    assert [list(row) for row in rows] == [["step", "fidelity", "spatial", "total", "weights"]] * steps
+    assert rows[2]["weights"] == dict(zip(keys, trace.weights[2].tolist()))
+    assert all(type(rows[-1][name]) is float for name in ("fidelity", "spatial", "total"))
+    _, empty = refine(scene.init_probs, empty_triplet_set(scene.categories))
+    assert empty.weights.shape == (steps, 0)
+    assert empty.to_list()[0]["weights"] == {}
+    _, none = refine(scene.init_probs, triplets, RefineConfig(steps=0))
+    assert none.weights.shape == (0, len(keys))
+    assert none.to_list() == []
 
 
 def _count_adam_steps(monkeypatch) -> list[int]:
@@ -273,7 +296,7 @@ def test_refine_deterministic_bit_identical():
 def test_refine_spatial_loss_strictly_decreases_early():
     scene = fixture_scene()
     _, trace = refine(scene.init_probs, scene.gt_triplets)
-    spatial = [r.spatial for r in trace.records[:5]]
+    spatial = trace.spatial[:5].tolist()
     assert all(b < a for a, b in zip(spatial, spatial[1:]))
 
 
@@ -285,14 +308,13 @@ def test_refine_final_total_below_initial_total():
         state, trace = refine(scene.init_probs, scene.gt_triplets, cfg, loss_cfg)
         targets = init_state(scene.init_probs).probs
         _, _, final_total, _ = evaluate_objective(state, targets, scene.gt_triplets, cfg.alpha, loss_cfg)
-        assert final_total < trace.records[0].total
+        assert final_total < trace.total[0]
 
 
 def test_refine_weights_recomputed_each_step():
     scene = fixture_scene()
     _, trace = refine(scene.init_probs, scene.gt_triplets)
-    key = next(iter(trace.records[0].weights))
-    series = [r.weights[key] for r in trace.records]
+    series = trace.weights[:, 0].tolist()
     assert len(set(series)) > 1
 
 
@@ -315,4 +337,4 @@ def test_refine_steep_weight_gate_is_not_divergence():
         warnings.simplefilter("error")
         _, trace = refine(scene.init_probs, scene.gt_triplets, loss_cfg=SpatialLossConfig(sigmoid_scale=1e4))
     assert len(trace) == RefineConfig().steps
-    assert all(math.isfinite(r.total) for r in trace.records)
+    assert all(math.isfinite(total) for total in trace.total.tolist())
