@@ -9,6 +9,7 @@ constraint or query names an unknown category, 4 mismatched scene sets,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
@@ -194,7 +195,7 @@ def _refine_one(task: tuple[str, str, str, str | None, RefineConfig, SpatialLoss
         write_rsgf(out / "probs" / f"{category}.rsgf", final_state.probs[index])
 
     _, terms = spatial_loss(final_state, triplets, loss_cfg)
-    flags = satisfied_flags(labels, scene.categories, terms.triplets).tolist()
+    flags = satisfied_flags(labels, scene.categories, terms.triplets)
     constraints = [
         {
             "subject": t.subject,
@@ -204,9 +205,11 @@ def _refine_one(task: tuple[str, str, str, str | None, RefineConfig, SpatialLoss
             "weight": weight,
             "satisfied": satisfied,
         }
-        for t, loss, weight, satisfied in zip(terms.triplets, terms.losses.tolist(), terms.weights.tolist(), flags)
+        for t, loss, weight, satisfied in zip(
+            terms.triplets, terms.losses.tolist(), terms.weights.tolist(), flags.tolist()
+        )
     ]
-    report = evaluate_scene(labels, scene, triplets, name=name)
+    report = evaluate_scene(labels, scene, triplets, name=name, flags=flags)
     doc = {
         "scene": name,
         "baseline": cfg.alpha == 0.0,
@@ -389,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="run config JSON")
     p.add_argument("--output", help="override the config's output_dir")
     p.add_argument("--jobs", type=int, default=1, help="parallel scene generation")
-    p.set_defaults(fn=cmd_gen_scenes)
+    p.set_defaults(handler="cmd_gen_scenes")
 
     p = sub.add_parser("calibrate", help="augment, validate, and de-contradict a triplet set")
     p.add_argument("--triplets", required=True, help="triplet JSON file")
@@ -401,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keep-background", action="store_true", help="keep background triplets")
     p.add_argument("--out-triplets", help="write the calibrated set here")
     p.add_argument("--out-audit", help="write per-stage audit counts here")
-    p.set_defaults(fn=cmd_calibrate)
+    p.set_defaults(handler="cmd_calibrate")
 
     p = sub.add_parser("refine", help="optimize a scene's maps under spatial constraints")
     p.add_argument("--scene", required=True, help="scene bundle or scene-set directory")
@@ -414,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, help=f"Adam learning rate (default {RefineConfig().learning_rate})")
     p.add_argument("--reduction", choices=["sum", "mean"])
     p.add_argument("--jobs", type=int, default=1, help="parallel refinement across scenes")
-    p.set_defaults(fn=cmd_refine)
+    p.set_defaults(handler="cmd_refine")
 
     p = sub.add_parser("eval", help="score predictions against scene ground truth")
     p.add_argument("--scenes", required=True, help="scene bundle or scene-set directory")
@@ -424,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.95, help="satisfaction threshold in [0, 1]")
     p.add_argument("--out", help="write the report JSON here")
     p.add_argument("--csv", help="write the bucket CSV here (needs --baseline)")
-    p.set_defaults(fn=cmd_eval)
+    p.set_defaults(handler="cmd_eval")
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the analytic gradients")
     p.add_argument("--seed", type=int, default=0)
@@ -433,16 +436,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--corrupt-gradient", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(fn=cmd_gradcheck)
+    p.set_defaults(handler="cmd_gradcheck")
 
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses for the life of the process, built on the
+    first call rather than at import. `build_parser` stays fresh per call, so
+    a caller that edits its own parser cannot reach this one."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
+    # The handler is looked up by name on every call, so a `cmd_*` replaced
+    # after the parser was built (a test double, a tracing wrapper) runs.
+    handler = globals()[args.handler]
     try:
-        return args.fn(args)
+        return handler(args)
     except (SceneSpecError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

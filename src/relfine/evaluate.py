@@ -113,7 +113,12 @@ def constraint_satisfaction(
     1.0 for an empty set."""
     if not triplets:
         return 1.0
-    return int(satisfied_flags(pred, roster, triplets, threshold).sum()) / len(triplets)
+    return _satisfied_share(satisfied_flags(pred, roster, triplets, threshold))
+
+
+def _satisfied_share(flags: np.ndarray) -> float:
+    """Fraction of true flags; 1.0 when there are none."""
+    return int(flags.sum()) / len(flags) if len(flags) else 1.0
 
 
 @dataclass(frozen=True)
@@ -142,21 +147,30 @@ def evaluate_scene(
     triplets: TripletSet | None = None,
     threshold: float = DEFAULT_SATISFACTION_THRESHOLD,
     name: str | None = None,
+    flags: np.ndarray | None = None,
 ) -> EvalReport:
     """Score a prediction against a scene's ground truth.
 
     The category count groups by ground truth: distinct non-background
-    categories present in the label map.
+    categories present in the label map. A caller that already holds
+    `satisfied_flags(pred, scene.categories, triplets, threshold)` passes it
+    as `flags`, and the triplets are not checked again.
     """
     active = triplets if triplets is not None else scene.gt_triplets
     roster = scene.categories
     counts = _confusion(pred, scene.gt_labels, len(roster))
     ious, mean_iou, mean_recall = _scores(counts, len(roster))
+    if flags is None:
+        satisfaction = constraint_satisfaction(pred, roster, active, threshold)
+    elif len(flags) != len(active):
+        raise ValueError(f"{len(flags)} satisfaction flags for {len(active)} triplets")
+    else:
+        satisfaction = _satisfied_share(flags)
     return EvalReport(
         scene=name if name is not None else "",
         miou=mean_iou,
         macc=mean_recall,
-        constraint_satisfaction=constraint_satisfaction(pred, roster, active, threshold),
+        constraint_satisfaction=satisfaction,
         per_class_iou={roster[c]: value for c, value in ious.items()},
         category_count=int((counts[1:].sum(axis=1) > 0).sum()),
         constraint_count=len(active),

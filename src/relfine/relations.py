@@ -436,11 +436,9 @@ _HOLDS_KEYS = frozenset({"s", "r", "o", "a"})
 _CHOOSE_KEYS = frozenset({"s", "r1", "r2", "o", "a"})
 
 
-def _require_names(entry: dict, keys: Sequence[str]) -> None:
+def _not_a_name(key: str, value: object) -> FormatError:
     """Category names must be strings: they key dicts and sets downstream."""
-    for key in keys:
-        if not isinstance(entry[key], str):
-            raise FormatError(f"{key!r} must be a string, got {entry[key]!r}")
+    return FormatError(f"{key!r} must be a string, got {value!r}")
 
 
 def _table(doc: dict, name: str, path: str | Path) -> list:
@@ -464,8 +462,9 @@ def load_triplets(path: str | Path, swap_args: bool = False) -> TripletSet:
     if not isinstance(categories, list) or not all(isinstance(c, str) for c in categories):
         raise FormatError(f"{path}: 'categories' must be a list of strings")
 
-    # Each entry is checked once; the file and index prefix the message only
-    # when a check fails.
+    # Each entry is checked once, inline; the file and index prefix the
+    # message only when a check fails, and `parse_relation` runs only to word
+    # a bad relation's error.
     collapsed: dict[TripletKey, SpatialTriplet] = {}
     for index, entry in enumerate(_table(doc, "triplets", path)):
         try:
@@ -475,11 +474,17 @@ def load_triplets(path: str | Path, swap_args: bool = False) -> TripletSet:
                 raise FormatError(f"unknown keys {sorted(entry.keys() - _TRIPLET_KEYS)}")
             try:
                 subject = entry["subject"]
-                relation = parse_relation(entry["relation"])
+                name = entry["relation"]
+                relation = _RELATIONS.get(name) if isinstance(name, str) else None
+                if relation is None:
+                    parse_relation(name)
                 obj = entry["object"]
             except KeyError as exc:
                 raise FormatError(f"missing key {exc.args[0]!r}") from None
-            _require_names(entry, ("subject", "object"))
+            if not isinstance(subject, str):
+                raise _not_a_name("subject", subject)
+            if not isinstance(obj, str):
+                raise _not_a_name("object", obj)
             stage = entry.get("stage", "initial")
             if stage not in STAGES:
                 raise FormatError(f"unknown stage {stage!r}")
@@ -507,13 +512,13 @@ def _json_list(items: list[str]) -> str:
 def save_triplets(path: str | Path, triplets: TripletSet) -> None:
     """Write the bytes `write_json_object` writes for the same document (indent
     2, sorted keys), building the layout here so that only the strings go
-    through json's encoder. Relations and stages come from fixed ASCII
-    vocabularies and need no escaping."""
-    name = json.dumps
-    categories = [f"    {name(c)}" for c in triplets.categories]
+    through json's encoder, each roster name once. Relations and stages come
+    from fixed ASCII vocabularies and need no escaping."""
+    name = {c: json.dumps(c) for c in triplets.categories}
+    categories = [f"    {name[c]}" for c in triplets.categories]
     rows = [
-        f'    {{\n      "object": {name(t.object)},\n      "relation": "{t.relation.value}",\n'
-        f'      "stage": "{t.stage}",\n      "subject": {name(t.subject)}\n    }}'
+        f'    {{\n      "object": {name[t.object]},\n      "relation": "{t.relation.value}",\n'
+        f'      "stage": "{t.stage}",\n      "subject": {name[t.subject]}\n    }}'
         for t in triplets.triplets
     ]
     text = f'{{\n  "categories": {_json_list(categories)},\n  "triplets": {_json_list(rows)}\n}}\n'
@@ -525,16 +530,25 @@ def load_scripted_oracle(path: str | Path) -> ScriptedOracle:
     if not doc.keys() <= _ORACLE_FILE_KEYS:
         raise FormatError(f"{path}: unknown keys {sorted(doc.keys() - _ORACLE_FILE_KEYS)}")
 
+    # Each entry is checked once, inline, in the order keys, names, answer,
+    # relations; `parse_relation` runs only to word a bad relation's error.
     holds: dict[tuple[str, Relation, str], HoldsAnswer] = {}
     for index, entry in enumerate(_table(doc, "holds", path)):
         try:
             if not isinstance(entry, dict) or entry.keys() != _HOLDS_KEYS:
                 raise FormatError("expected keys s, r, o, a")
-            _require_names(entry, ("s", "o"))
-            answer = entry["a"]
+            s, o, answer = entry["s"], entry["o"], entry["a"]
+            if not isinstance(s, str):
+                raise _not_a_name("s", s)
+            if not isinstance(o, str):
+                raise _not_a_name("o", o)
             if answer not in ("yes", "no", "unknown"):
                 raise FormatError(f"answer must be yes/no/unknown, got {answer!r}")
-            holds[entry["s"], parse_relation(entry["r"]), entry["o"]] = answer
+            r = entry["r"]
+            relation = _RELATIONS.get(r) if isinstance(r, str) else None
+            if relation is None:
+                parse_relation(r)
+            holds[s, relation, o] = answer
         except FormatError as exc:
             raise FormatError(f"{path}: holds[{index}]: {exc}") from None
 
@@ -543,11 +557,21 @@ def load_scripted_oracle(path: str | Path) -> ScriptedOracle:
         try:
             if not isinstance(entry, dict) or entry.keys() != _CHOOSE_KEYS:
                 raise FormatError("expected keys s, r1, r2, o, a")
-            _require_names(entry, ("s", "o"))
-            answer = entry["a"]
+            s, o, answer = entry["s"], entry["o"], entry["a"]
+            if not isinstance(s, str):
+                raise _not_a_name("s", s)
+            if not isinstance(o, str):
+                raise _not_a_name("o", o)
             if answer not in ("first", "second", "neither"):
                 raise FormatError(f"answer must be first/second/neither, got {answer!r}")
-            choose[entry["s"], parse_relation(entry["r1"]), parse_relation(entry["r2"]), entry["o"]] = answer
+            r1, r2 = entry["r1"], entry["r2"]
+            first = _RELATIONS.get(r1) if isinstance(r1, str) else None
+            if first is None:
+                parse_relation(r1)
+            second = _RELATIONS.get(r2) if isinstance(r2, str) else None
+            if second is None:
+                parse_relation(r2)
+            choose[s, first, second, o] = answer
         except FormatError as exc:
             raise FormatError(f"{path}: choose[{index}]: {exc}") from None
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from relfine import cli
+from relfine import cli, evaluate
 from relfine.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -311,6 +311,38 @@ def test_refine_scene_set_and_eval_round_trip(tmp_path):
     assert csv_path.read_text().startswith("bucket,scenes,baseline_miou,refined_miou,delta")
 
 
+def test_refine_checks_each_scene_once_and_satisfaction_is_the_flags_mean(tmp_path, monkeypatch):
+    scenes = _generated_scene_set(tmp_path)
+    calls = []
+    flags_of = cli.satisfied_flags
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return flags_of(*args, **kwargs)
+
+    # Both the CLI's own call and any inside evaluate_scene are counted.
+    monkeypatch.setattr(cli, "satisfied_flags", counted)
+    monkeypatch.setattr(evaluate, "satisfied_flags", counted)
+    out = tmp_path / "refined"
+    assert main(["refine", "--scene", str(scenes), "--out", str(out), "--use-gt-triplets"]) == 0
+    assert len(calls) == 2
+    for name in ("scene_000", "scene_001"):
+        report = json.loads((out / name / "report.json").read_text())
+        satisfied = [c["satisfied"] for c in report["constraints"]]
+        assert satisfied
+        assert report["metrics"]["constraint_satisfaction"] == sum(satisfied) / len(satisfied)
+
+    empty = tmp_path / "empty.json"
+    roster = json.loads((scenes / "scene_000" / "triplets.json").read_text())["categories"]
+    empty.write_text(json.dumps({"categories": roster, "triplets": []}))
+    assert main(["refine", "--scene", str(scenes / "scene_000"), "--out", str(tmp_path / "empty"),
+                 "--triplets", str(empty)]) == 0
+    report = json.loads((tmp_path / "empty" / "report.json").read_text())
+    assert report["constraints"] == []
+    assert report["metrics"]["constraint_satisfaction"] == 1.0
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("alpha", [["--alpha", "0"], []], ids=["baseline", "default_alpha"])
 def test_refine_jobs_parallel_matches_serial(tmp_path, alpha):
     scenes = _generated_scene_set(tmp_path)
@@ -460,6 +492,68 @@ def test_gradcheck_non_positive_size_exit_code(capsys, sizes):
     assert main(["gradcheck", "--instances", "2", f"--sizes={sizes}"]) == 2
     err = capsys.readouterr().err
     assert "bad size" in err and "Traceback" not in err, err
+
+
+# --------------------------------------------------------------------------
+# one parser per process
+
+
+def _lighthouse_calibration(out: Path) -> list[str]:
+    out.mkdir()
+    return [
+        "calibrate",
+        "--triplets", str(FIXTURES / "lighthouse_log" / "triplets.json"),
+        "--oracle", str(FIXTURES / "lighthouse_log" / "oracle.json"),
+        "--out-triplets", str(out / "calibrated.json"),
+        "--out-audit", str(out / "audit.json"),
+    ]
+
+
+def _outputs(out: Path, capsys) -> tuple:
+    captured = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return captured.out, captured.err, files
+
+
+def test_shared_parser_call_after_a_failed_call_matches_a_first_call(tmp_path, capsys):
+    cli._shared_parser.cache_clear()
+    assert main(_lighthouse_calibration(tmp_path / "first")) == 0
+    first = _outputs(tmp_path / "first", capsys)
+
+    bad_oracle = {"holds": [{"s": "a", "r": "up", "o": "b", "a": "yes"}]}
+    assert main(_calibrate_args(tmp_path, oracle_doc=bad_oracle)) == 2
+    assert "unknown relation 'up'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # argparse's own exit 2
+        main(["calibrate", "--triplets", "t.json", "--oracle", "o.json", "--geometric"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+    assert main(_lighthouse_calibration(tmp_path / "again")) == 0
+    assert _outputs(tmp_path / "again", capsys) == first
+
+
+def test_shared_parser_runs_a_handler_replaced_after_the_first_call(tmp_path, monkeypatch):
+    assert main(["eval", "--scenes", str(tmp_path), "--pred", str(tmp_path), "--csv", "x.csv"]) == 2
+    seen = []
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args.scenes) or 0)
+    assert main(["eval", "--scenes", "somewhere", "--pred", str(tmp_path), "--csv", "x.csv"]) == 0
+    assert seen == ["somewhere"]
+
+
+def test_shared_parser_is_built_once_and_build_parser_stays_fresh(tmp_path, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._shared_parser.cache_clear()
+    for _ in range(5):
+        assert main(["eval", "--scenes", str(tmp_path), "--pred", str(tmp_path), "--csv", "x.csv"]) == 2
+    assert main(["gradcheck", "--instances", "1", "--sizes", "2x2"]) == 0
+    assert len(built) == 1
+
+    # A caller's own parser is a separate object, so changing it leaves main's alone.
+    mine = cli.build_parser()
+    assert mine is not cli.build_parser() and mine is not cli._shared_parser()
+    assert len(built) == 3
 
 
 # --------------------------------------------------------------------------
