@@ -56,8 +56,8 @@ from .refine import (
     RefineConfig,
     RefineTrace,
     adam_step,
-    evaluate_objective,
     fidelity_loss,
+    objective,
     refine,
 )
 from .relations import (

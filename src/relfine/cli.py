@@ -12,12 +12,13 @@ import argparse
 import functools
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
 from .errors import (
     FormatError,
+    RelfineError,
     SceneSetMismatchError,
     SceneSpecError,
     UnknownCategoryError,
@@ -37,6 +38,7 @@ from .logic import SpatialLossConfig, spatial_loss
 from .refine import RefineConfig, refine
 from .relations import (
     CalibrationOptions,
+    TripletSet,
     calibrate,
     geometric_oracle,
     load_scripted_oracle,
@@ -57,12 +59,28 @@ T = TypeVar("T")
 U = TypeVar("U")
 
 
+def _attempt(fn: Callable[[T], U], item: T) -> tuple[U | None, RelfineError | None]:
+    """`fn(item)` as (result, None), or (None, error) when it raises a RelfineError."""
+    try:
+        return fn(item), None
+    except RelfineError as exc:
+        return None, exc
+
+
 def _parallel_map(fn: Callable[[T], U], items: Sequence[T], jobs: int) -> list[U]:
-    """Map in input order; results do not depend on the job count."""
+    """Map in input order. Every item runs even after one fails; then the
+    first failure in input order is raised. So which items ran, what they
+    wrote and what is raised do not depend on the job count or on timing."""
+    attempt = functools.partial(_attempt, fn)
     if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        outcomes = [attempt(item) for item in items]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(attempt, items))
+    for _, error in outcomes:
+        if error is not None:
+            raise error
+    return [result for result, _ in outcomes]
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +195,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _refine_one(task: tuple[str, str, str, str | None, RefineConfig, SpatialLossConfig]) -> dict:
-    name, bundle_dir, out_dir, triplets_path, cfg, loss_cfg = task
+def _refine_one(task: tuple[str, str, str, TripletSet | None, RefineConfig, SpatialLossConfig]) -> dict:
+    name, bundle_dir, out_dir, triplets, cfg, loss_cfg = task
     scene = load_scene_bundle(bundle_dir)
-    if triplets_path is None:
+    if triplets is None:
         triplets = scene.gt_triplets
-    else:
-        triplets = load_triplets(triplets_path)
 
     final_state, trace = refine(scene.init_probs, triplets, cfg, loss_cfg)
     labels = argmax_labels(final_state)
@@ -222,11 +238,12 @@ def _refine_one(task: tuple[str, str, str, str | None, RefineConfig, SpatialLoss
     return report.to_dict()
 
 
-def _scene_set(path: Path) -> list[tuple[str, Path]]:
-    """Resolve a path to named bundles: one entry for a single bundle, or the
-    manifest order for a generated scene set."""
+def _scene_set(path: Path) -> tuple[list[tuple[str, Path]], bool]:
+    """Resolve a path to named bundles, and whether it is a single bundle:
+    one entry for a single bundle, or the manifest order for a generated
+    scene set, which must not be empty."""
     if (path / "spec.json").exists():
-        return [(path.name, path)]
+        return [(path.name, path)], True
     manifest = path / "manifest.json"
     if not manifest.exists():
         raise FormatError(f"{path}: neither a scene bundle (spec.json) nor a scene set (manifest.json)")
@@ -241,7 +258,9 @@ def _scene_set(path: Path) -> list[tuple[str, Path]]:
         where = f"{manifest}: scenes[{index}]"
         name = require_safe_name(entry["name"], f"{where}: 'name'")
         pairs.append((name, path / require_safe_name(entry["path"], f"{where}: 'path'")))
-    return pairs
+    if not pairs:
+        raise FormatError(f"{path}: scene set is empty")
+    return pairs, False
 
 
 def cmd_refine(args: argparse.Namespace) -> int:
@@ -259,22 +278,17 @@ def cmd_refine(args: argparse.Namespace) -> int:
         "steps": args.steps,
         "learning_rate": args.learning_rate,
     }
-    overrides = {key: value for key, value in overrides.items() if value is not None}
-    if overrides:
-        cfg = RefineConfig(**{**asdict(cfg), **overrides})
+    cfg = replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
     if args.reduction is not None:
-        loss_cfg = SpatialLossConfig(**{**asdict(loss_cfg), "reduction": args.reduction})
+        loss_cfg = replace(loss_cfg, reduction=args.reduction)
 
-    scene_root = Path(args.scene)
-    pairs = _scene_set(scene_root)
-    if not pairs:
-        raise FormatError(f"{scene_root}: scene set is empty")
+    pairs, single = _scene_set(Path(args.scene))
+    triplets = None if args.triplets is None else load_triplets(args.triplets)
     out_root = Path(args.out)
-    single = len(pairs) == 1 and (scene_root / "spec.json").exists()
     tasks = []
     for name, bundle in pairs:
         out_dir = out_root if single else out_root / name
-        tasks.append((name, str(bundle), str(out_dir), args.triplets, cfg, loss_cfg))
+        tasks.append((name, str(bundle), str(out_dir), triplets, cfg, loss_cfg))
     reports = _parallel_map(_refine_one, tasks, args.jobs)
     if not single:
         out_root.mkdir(parents=True, exist_ok=True)
@@ -295,11 +309,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise FormatError("--csv needs --baseline: the CSV holds baseline-vs-refined buckets")
     if not 0.0 <= args.threshold <= 1.0:
         raise FormatError(f"--threshold must lie in [0, 1], got {args.threshold}")
-    scene_pairs = _scene_set(Path(args.scenes))
-    if not scene_pairs:
-        raise FormatError(f"{args.scenes}: scene set is empty")
+    scene_pairs, single = _scene_set(Path(args.scenes))
     pred_root = Path(args.pred)
-    single = len(scene_pairs) == 1 and (Path(args.scenes) / "spec.json").exists()
 
     # Each scene bundle is loaded once and scores every prediction directory.
     roots = [pred_root, *([Path(args.baseline)] if args.baseline else [])]

@@ -1,10 +1,11 @@
 """Finite-difference verification of the analytic logit gradients.
 
 Each random instance draws logits, soft targets, and a handful of
-constraints, then compares the analytic gradient of fidelity + alpha *
-spatial against central differences. The half-plane masks and constraint
-weights are compiled once at the evaluation point and held fixed on both
-sides of the comparison, matching their treat-as-constant semantics.
+constraints, then compares the analytic gradient of `refine.objective`, the
+one that `refine` descends, against central differences of its total. The
+half-plane masks and constraint weights are compiled once at the evaluation
+point and held fixed on both sides of the comparison, matching their
+treat-as-constant semantics.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .logic import SpatialLossConfig, compile_constraints, compiled_spatial_loss, logit_gradient_from_terms
-from .refine import fidelity_loss
+from .logic import SpatialLossConfig, compile_constraints
+from .refine import objective
 from .relations import Relation, SpatialTriplet, TripletSet
 from .state import SegmentationState
 
@@ -101,20 +102,14 @@ def check_instance(
     loss_cfg = loss_cfg or SpatialLossConfig()
     compiled = compile_constraints(state, triplets, loss_cfg)
 
-    def objective(logits: np.ndarray) -> float:
-        probe = state.with_logits(logits)
-        fid, _ = fidelity_loss(probe, targets, reduction=loss_cfg.reduction)
-        spa, _ = compiled_spatial_loss(probe, compiled, loss_cfg)
-        return fid + alpha * spa
+    def total(logits: np.ndarray) -> float:
+        return objective(state.with_logits(logits), targets, compiled, alpha, loss_cfg)[2]
 
-    _, fid_grad = fidelity_loss(state, targets, reduction=loss_cfg.reduction)
-    _, terms = compiled_spatial_loss(state, compiled, loss_cfg)
-    analytic = fid_grad + alpha * logit_gradient_from_terms(state, terms, loss_cfg)
+    analytic = objective(state, targets, compiled, alpha, loss_cfg)[4]
     if corrupt:
-        analytic = analytic.copy()
-        analytic.reshape(-1)[0] += 1e-2
+        analytic.flat[0] += 1e-2
 
-    numeric = finite_difference_gradient(objective, state.logits)
+    numeric = finite_difference_gradient(total, state.logits)
     scale = max(float(np.abs(numeric).max()), 1e-12)
     return float(np.abs(analytic - numeric).max()) / scale
 

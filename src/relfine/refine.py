@@ -1,10 +1,11 @@
 """Test-time refinement of segmentation logits under spatial constraints.
 
 The objective is fidelity + alpha * spatial: a cross-entropy anchor to the
-initial maps plus the weighted fuzzy-logic constraint loss. Both gradients
-are analytic; optimization runs a fixed number of Adam steps over the logits
-and every quantity is recomputed from the current maps at each step, until
-Adam reaches an exact fixed point: a step whose gradient and both moments are
+initial maps plus the weighted fuzzy-logic constraint loss. `objective` is
+its one definition, with its analytic logit gradient: `refine` descends it
+and `relfine gradcheck` checks it. Adam runs a fixed number of steps over the
+logits, every quantity recomputed from the current maps at each step, until
+it reaches an exact fixed point: a step whose gradient and both moments are
 all zero leaves the logits unchanged, so it and every later step would repeat
 the same trace row, and the loop stops there.
 """
@@ -144,18 +145,28 @@ class RefineTrace:
 _DIVERGED = "lower alpha or learning_rate"
 
 
-def evaluate_objective(
+def objective(
     state: SegmentationState,
     targets: np.ndarray,
-    triplets: TripletSet,
+    compiled: ConstraintTerms,
     alpha: float,
     loss_cfg: SpatialLossConfig,
-) -> tuple[float, float, float, ConstraintTerms]:
-    """Current (fidelity, spatial, total) with per-constraint terms."""
-    fid, _ = fidelity_loss(state, targets, reduction=loss_cfg.reduction)
-    compiled = compile_constraints(state, triplets, loss_cfg)
+) -> tuple[float, float, float, ConstraintTerms, np.ndarray]:
+    """The objective fidelity + alpha * spatial and its logit gradient.
+
+    Returns (fidelity, spatial, total, terms, grad). `compiled` holds the
+    masks and weights, constants of the gradient, so the caller compiles
+    them. Raises FloatingPointError when the total is not finite, before any
+    gradient is formed; at alpha=0 the spatial gradient is never formed.
+    """
+    fid, grad = fidelity_loss(state, targets, reduction=loss_cfg.reduction)
     spa, terms = compiled_spatial_loss(state, compiled, loss_cfg)
-    return fid, spa, fid + alpha * spa, terms
+    total = fid + alpha * spa
+    if not math.isfinite(total):  # Python floats overflow to inf without raising
+        raise FloatingPointError(f"objective {total}")
+    if alpha != 0.0:
+        grad = grad + alpha * logit_gradient_from_terms(state, terms, loss_cfg)
+    return fid, spa, total, terms, grad
 
 
 def refine(
@@ -189,16 +200,9 @@ def refine(
     for step in range(1, cfg.steps + 1):
         try:
             with np.errstate(over="raise", invalid="raise"):
-                fid_loss, fid_grad = fidelity_loss(state, targets, reduction=loss_cfg.reduction)
                 compiled = compile_constraints(state, triplets, loss_cfg)
-                spa_loss, terms = compiled_spatial_loss(state, compiled, loss_cfg)
-                total = fid_loss + cfg.alpha * spa_loss
-                if not math.isfinite(total):  # Python floats overflow to inf without raising
-                    raise FloatingPointError(f"objective {total}")
+                fid_loss, spa_loss, total, terms, grad = objective(state, targets, compiled, cfg.alpha, loss_cfg)
                 rows.append((fid_loss, spa_loss, total, terms.weights))
-                grad = fid_grad
-                if cfg.alpha != 0.0:
-                    grad = grad + cfg.alpha * logit_gradient_from_terms(state, terms, loss_cfg)
                 if not (grad.any() or moments.m.any() or moments.v.any()):
                     rows.extend([rows[-1]] * (cfg.steps - step))
                     break

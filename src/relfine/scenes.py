@@ -358,7 +358,12 @@ def load_scene_bundle(path: str | Path) -> Scene:
             raise FormatError(f"scene bundle {root} is missing {required}")
     spec = spec_from_dict(load_json_object(root / "spec.json"), where=str(root / "spec.json"))
     triplets = load_triplets(root / "triplets.json")
-    roster = triplets.categories
+    roster = spec.categories
+    if triplets.categories != roster:
+        raise FormatError(
+            f"{root / 'triplets.json'}: categories {list(triplets.categories)} "
+            f"differ from the roster {list(roster)} that spec.json places"
+        )
     gt_labels = read_labels(root / "gt_labels.pgm", len(roster))
     init_probs = {}
     for name in roster:

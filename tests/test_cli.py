@@ -355,6 +355,72 @@ def test_refine_jobs_parallel_matches_serial(tmp_path, alpha):
     assert trees[0] and trees[0] == trees[1]
 
 
+def test_refine_failing_scene_leaves_the_same_outputs_at_any_jobs(tmp_path, capsys):
+    # scene_000 places "c" where the others place "b", so the triplets of
+    # scene_001 name a category it lacks. The scenes after it still run, and
+    # the failure is reported the same way, whatever the job count.
+    odd = small_scene("scene_000", seed=1)
+    odd["placements"][1]["category"] = odd["confusion"]["second"] = "c"
+    scenes = [odd, small_scene("scene_001", seed=2), small_scene("scene_002", seed=3)]
+    config = write_config(tmp_path / "config.json", scenes)
+    assert main(["gen-scenes", str(config)]) == 0
+    triplets = tmp_path / "scenes" / "scene_001" / "triplets.json"
+    runs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs_{jobs}"
+        code = main(["refine", "--scene", str(tmp_path / "scenes"), "--out", str(out),
+                     "--triplets", str(triplets), "--jobs", jobs])
+        tree = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        runs.append((code, capsys.readouterr().err, tree))
+    assert runs[0][0] == 3 and "'b'" in runs[0][1]
+    assert {path.parts[0] for path in runs[0][2]} == {"scene_001", "scene_002"}
+    assert runs[0] == runs[1]
+
+
+def test_refine_loads_triplets_once_per_command(tmp_path, monkeypatch):
+    scenes = _generated_scene_set(tmp_path)
+    calls = []
+    load = cli.load_triplets
+    monkeypatch.setattr(cli, "load_triplets", lambda path: calls.append(path) or load(path))
+    assert main(["refine", "--scene", str(scenes), "--out", str(tmp_path / "out"),
+                 "--triplets", str(scenes / "scene_000" / "triplets.json")]) == 0
+    assert len(calls) == 1
+
+
+def test_refine_and_eval_reject_an_empty_scene_set(tmp_path, capsys):
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    (scenes / "manifest.json").write_text(json.dumps({"scenes": []}))
+    out = tmp_path / "out"
+    for argv in (["refine", "--scene", str(scenes), "--out", str(out), "--use-gt-triplets"],
+                 ["eval", "--scenes", str(scenes), "--pred", str(out), "--out", str(out / "r.json")]):
+        assert main(argv) == 2
+        assert f"{scenes}: scene set is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bundle_triplets_roster_must_match_spec(tmp_path, capsys):
+    # The roster is the one spec.json places; a triplets.json listing the same
+    # categories in another order would stack the maps against the labels.
+    from relfine import generate_scene, random_grid_spec, save_scene_bundle
+
+    bundle = tmp_path / "bundle"
+    save_scene_bundle(bundle, generate_scene(random_grid_spec(5, n_categories=3, height=16, width=16)))
+    doc = json.loads((bundle / "triplets.json").read_text())
+    doc["categories"] = doc["categories"][::-1]
+    (bundle / "triplets.json").write_text(json.dumps(doc))
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    shutil.copy(bundle / "gt_labels.pgm", pred / "labels.pgm")
+    out = tmp_path / "out"
+    for argv in (["refine", "--scene", str(bundle), "--out", str(out), "--use-gt-triplets"],
+                 ["eval", "--scenes", str(bundle), "--pred", str(pred), "--out", str(out / "r.json")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(bundle / "triplets.json") in err and "spec.json" in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("name", "../../leak"), ("path", "../scene_000"), ("name", ["x"]), ("path", 0)],

@@ -9,18 +9,18 @@ import pytest
 
 from relfine.errors import FormatError
 from relfine.grid import make_probability_map
-from relfine.logic import SpatialLossConfig
+from relfine.logic import SpatialLossConfig, compile_constraints
 from relfine.refine import (
     AdamState,
     RefineConfig,
     adam_step,
-    evaluate_objective,
     fidelity_loss,
+    objective,
     refine,
 )
 from relfine.relations import empty_triplet_set
 from relfine.scenes import generate_scene, random_grid_spec
-from relfine.state import argmax_labels, init_state
+from relfine.state import SegmentationState, argmax_labels, init_state
 
 # The regression-pinned fixture scene: everything downstream of this seed is
 # frozen, so golden values below change only when the algorithm does.
@@ -307,8 +307,32 @@ def test_refine_final_total_below_initial_total():
         loss_cfg = SpatialLossConfig()
         state, trace = refine(scene.init_probs, scene.gt_triplets, cfg, loss_cfg)
         targets = init_state(scene.init_probs).probs
-        _, _, final_total, _ = evaluate_objective(state, targets, scene.gt_triplets, cfg.alpha, loss_cfg)
+        compiled = compile_constraints(state, scene.gt_triplets, loss_cfg)
+        final_total = objective(state, targets, compiled, cfg.alpha, loss_cfg)[2]
         assert final_total < trace.total[0]
+
+
+def test_refine_descends_exactly_the_objective_gradient(monkeypatch):
+    # Every gradient refine hands to Adam is objective's own, bit for bit,
+    # at the logits Adam is about to update and freshly compiled constraints.
+    scene = fixture_scene()
+    cfg = RefineConfig(alpha=0.1, steps=3)
+    loss_cfg = SpatialLossConfig()
+    records = []
+
+    def recording_adam_step(params, grads, *args):
+        records.append((params.copy(), grads.copy()))
+        return adam_step(params, grads, *args)
+
+    monkeypatch.setattr(importlib.import_module("relfine.refine"), "adam_step", recording_adam_step)
+    refine(scene.init_probs, scene.gt_triplets, cfg, loss_cfg)
+    assert len(records) == 3
+
+    targets = init_state(scene.init_probs).probs
+    for params, grads in records:
+        state = SegmentationState.from_logits(scene.categories, params)
+        compiled = compile_constraints(state, scene.gt_triplets, loss_cfg)
+        assert np.array_equal(objective(state, targets, compiled, cfg.alpha, loss_cfg)[4], grads)
 
 
 def test_refine_weights_recomputed_each_step():
