@@ -35,20 +35,14 @@ from .grid import (
     read_grid,
     read_labels,
     read_rsgf,
-    weighted_mean_coordinate,
-    write_grid_json,
     write_labels_pgm,
     write_rsgf,
 )
 from .logic import (
     ConstraintTerms,
-    PseudoMask,
     SpatialLossConfig,
     compile_constraints,
-    constraint_loss,
-    constraint_weight,
     fuzzy_implication,
-    pseudo_mask,
     spatial_loss,
 )
 from .refine import (

@@ -111,8 +111,6 @@ def constraint_satisfaction(
 ) -> float:
     """Fraction of triplets discretely satisfied by the predicted labels;
     1.0 for an empty set."""
-    if not triplets:
-        return 1.0
     return _satisfied_share(satisfied_flags(pred, roster, triplets, threshold))
 
 
@@ -161,16 +159,14 @@ def evaluate_scene(
     counts = _confusion(pred, scene.gt_labels, len(roster))
     ious, mean_iou, mean_recall = _scores(counts, len(roster))
     if flags is None:
-        satisfaction = constraint_satisfaction(pred, roster, active, threshold)
+        flags = satisfied_flags(pred, roster, active, threshold)
     elif len(flags) != len(active):
         raise ValueError(f"{len(flags)} satisfaction flags for {len(active)} triplets")
-    else:
-        satisfaction = _satisfied_share(flags)
     return EvalReport(
         scene=name if name is not None else "",
         miou=mean_iou,
         macc=mean_recall,
-        constraint_satisfaction=satisfaction,
+        constraint_satisfaction=_satisfied_share(flags),
         per_class_iou={roster[c]: value for c, value in ious.items()},
         category_count=int((counts[1:].sum(axis=1) > 0).sum()),
         constraint_count=len(active),

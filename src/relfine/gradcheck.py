@@ -16,9 +16,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import FormatError, require_int, require_real
 from .logic import SpatialLossConfig, compile_constraints
 from .refine import objective
 from .relations import Relation, SpatialTriplet, TripletSet
+from .scenes import MAX_PIXELS
 from .state import SegmentationState
 
 DEFAULT_SIZES: tuple[tuple[int, int], ...] = ((1, 1), (2, 3), (4, 4), (5, 7), (8, 8))
@@ -123,7 +125,25 @@ def run_gradcheck(
     loss_cfg: SpatialLossConfig | None = None,
     corrupt: bool = False,
 ) -> list[GradCheckResult]:
-    """Randomized gradient checks across grid sizes and category counts."""
+    """Randomized gradient checks across grid sizes and category counts.
+
+    Raises FormatError, naming the argument, for a negative seed, fewer than
+    one instance, an alpha that is negative or not finite, a tolerance that
+    is not finite and positive, or a size that is not a positive H x W of at
+    most scenes.MAX_PIXELS pixels; and, naming the instance, when an
+    objective or its gradient overflows, as a too-large alpha makes it.
+    """
+    if require_int(seed, "seed") < 0:
+        raise FormatError(f"seed must be nonnegative, got {seed}")
+    if require_int(instances, "instances") < 1:
+        raise FormatError(f"instances must be at least 1, got {instances}")
+    if require_real(alpha, "alpha") < 0:
+        raise FormatError(f"alpha must be nonnegative, got {alpha}")
+    if require_real(tolerance, "tolerance") <= 0:
+        raise FormatError(f"tolerance must be positive, got {tolerance}")
+    for height, width in sizes:
+        if min(require_int(height, "sizes"), require_int(width, "sizes")) < 1 or height * width > MAX_PIXELS:
+            raise FormatError(f"sizes must be positive HxW of at most {MAX_PIXELS} pixels, got {height}x{width}")
     rng = np.random.default_rng(seed)
     results = []
     for instance in range(instances):
@@ -131,7 +151,11 @@ def run_gradcheck(
         n_categories = int(rng.integers(2, 5))
         n_constraints = int(rng.integers(2, 5))
         state, targets, triplets = _random_instance(rng, height, width, n_categories, n_constraints)
-        error = check_instance(state, targets, triplets, alpha, loss_cfg, corrupt=corrupt)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                error = check_instance(state, targets, triplets, alpha, loss_cfg, corrupt=corrupt)
+        except FloatingPointError as exc:
+            raise FormatError(f"gradcheck instance {instance}: {exc}; lower --alpha") from None
         results.append(
             GradCheckResult(
                 instance=instance,

@@ -1,24 +1,21 @@
-"""Dense 2-D grid types, coordinate arithmetic, and grid file formats.
+"""Dense 2-D grid types and grid file formats.
 
-Everything downstream (pseudo masks, losses, metrics) operates on these
-types. Coordinates are 0-based; all comparisons against the weighted mean
-of the same coordinate grid are shift-invariant, so this matches the usual
-array convention without changing any derived mask.
+Everything downstream (constraint kernels, losses, metrics) operates on these
+types. Coordinates are 0-based; all comparisons against the weighted mean of
+the same coordinate grid are shift-invariant, so this matches the usual array
+convention without changing any derived mask.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import FormatError, load_json_object, require_int
-
-Axis = Literal["row", "col"]
 
 #: Denominator guard for weighted means, small enough that it never moves a
 #: half-plane boundary on grids up to 4096 px.
@@ -108,21 +105,6 @@ def make_probability_map(height: int, width: int, values: Sequence[float]) -> Pr
     return ProbabilityMap(flat.reshape(height, width))
 
 
-def weighted_mean_coordinate(pmap: ProbabilityMap, axis: Axis, epsilon: float = DEFAULT_EPSILON) -> float:
-    """Mass-weighted mean row or column of a map: (sum coord*M) / (sum M + eps).
-
-    A zero-mass map yields 0 so empty anchors degrade gracefully; their
-    constraint weight vanishes downstream anyway.
-    """
-    if epsilon < 0:
-        raise FormatError(f"epsilon must be nonnegative, got {epsilon}")
-    marginal = pmap.values.sum(axis=1 if axis == "row" else 0)
-    mass = float(marginal.sum())
-    if mass == 0.0:
-        return 0.0
-    return float(marginal @ np.arange(marginal.size) / (mass + epsilon))
-
-
 # ---------------------------------------------------------------------------
 # Grid file formats
 # ---------------------------------------------------------------------------
@@ -152,14 +134,6 @@ def read_rsgf(path: str | Path) -> np.ndarray:
         raise FormatError(f"{path}: truncated RSGF1 grid, expected {expected} bytes, got {len(raw)}")
     values = np.frombuffer(raw, dtype="<f4", offset=13).reshape(height, width)
     return values.astype(np.float64)
-
-
-def write_grid_json(path: str | Path, values: np.ndarray) -> None:
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise FormatError(f"grid JSON stores 2-D grids, got shape {values.shape}")
-    doc = {"height": values.shape[0], "width": values.shape[1], "values": values.ravel().tolist()}
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
 def read_grid_json(path: str | Path) -> np.ndarray:

@@ -13,8 +13,8 @@ derivative is zero almost everywhere), so gradients flow only through the
 subject map.
 
 A half plane depends on one coordinate only, so the compiled form is a 1-D
-band along the relation's axis; PseudoMask and constraint_loss are the
-per-triplet H x W reference.
+band along the relation's axis. The per-triplet H x W form that the tests
+compare this kernel against lives in tests/reference_kernels.py.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from .errors import FormatError, UnknownCategoryError, require_real
-from .grid import DEFAULT_EPSILON, ProbabilityMap, weighted_mean_coordinate
+from .grid import DEFAULT_EPSILON
 from .relations import Relation, SpatialTriplet, TripletSet
 from .state import SegmentationState
 
@@ -60,21 +60,6 @@ class SpatialLossConfig:
             raise FormatError(f"reduction must be 'sum' or 'mean', got {self.reduction!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class PseudoMask:
-    """Binary half-plane region adjacent to an anchor category.
-
-    A pixel at the exact mean coordinate belongs to both opposing masks
-    (right uses >=, left <=, and likewise below/above), so no pixel is ever
-    in neither region.
-    """
-
-    anchor: str
-    relation: Relation
-    mask: np.ndarray
-    mean_coord: float
-
-
 def outside_band(length: int, relation: Relation, mean_coord: float) -> np.ndarray:
     """1 at each row or column the subject must avoid. Right/below keep
     coords >= mean and left/above coords <= mean, so a tie is on both sides."""
@@ -105,8 +90,8 @@ def outside_bands(
     and cols (T, W), all 0 on the axis a relation does not use.
 
     `relations` index tuple(Relation) and `objects` index the maps. Each
-    object's mean is weighted_mean_coordinate's (sum coord*M) / (sum M + eps),
-    0 for a map with no mass.
+    object's mean is its mass-weighted coordinate (sum coord*M) / (sum M + eps)
+    along the relation's axis, 0 for a map with no mass.
     """
     means, bands = {}, {}
     for axis, marginals in (("row", maps.sum(axis=2)), ("col", maps.sum(axis=1))):
@@ -121,68 +106,9 @@ def outside_bands(
     return bands["row"], bands["col"]
 
 
-def pseudo_mask(
-    anchor_map: ProbabilityMap,
-    relation: Relation,
-    cfg: SpatialLossConfig | None = None,
-    anchor: str = "",
-) -> PseudoMask:
-    """Threshold the relation's coordinate grid at the anchor map's mean.
-
-    An empty anchor keeps its mean at 0, so right/below masks cover the whole
-    grid and left/above collapse to the first column/row; the constraint
-    weight of such an anchor is ~0 downstream, making this harmless.
-    """
-    cfg = cfg or SpatialLossConfig()
-    mean = weighted_mean_coordinate(anchor_map, relation.axis, cfg.epsilon)
-    rows = relation.axis == "row"
-    inside = 1.0 - outside_band(anchor_map.height if rows else anchor_map.width, relation, mean)
-    mask = np.broadcast_to(inside[:, None] if rows else inside, anchor_map.shape)
-    return PseudoMask(anchor=anchor, relation=relation, mask=mask, mean_coord=mean)
-
-
 def fuzzy_implication(p, q):
     """Product-logic implication P -> Q = 1 - P*(1-Q), elementwise on arrays."""
     return 1.0 - p * (1.0 - q)
-
-
-def constraint_loss(
-    subject_map: ProbabilityMap,
-    pmask: PseudoMask,
-    cfg: SpatialLossConfig | None = None,
-) -> tuple[float, np.ndarray]:
-    """Negative log of the per-pixel implication product, plus its gradient.
-
-    loss = -sum log(max(1 - M*(1-mask), clamp)); the gradient with respect to
-    the subject map is (1-mask)/inner where the clamp is inactive and 0 where
-    it saturates. reduction="mean" divides both by the pixel count.
-    """
-    cfg = cfg or SpatialLossConfig()
-    if subject_map.shape != pmask.mask.shape:
-        raise FormatError(
-            f"subject map shape {subject_map.shape} != pseudo mask shape {pmask.mask.shape}"
-        )
-    outside = 1.0 - pmask.mask
-    inner = 1.0 - subject_map.values * outside
-    clamped = np.maximum(inner, cfg.log_clamp)
-    loss = float(-np.log(clamped).sum())
-    grad = np.where(inner > cfg.log_clamp, outside / clamped, 0.0)
-    if cfg.reduction == "mean":
-        pixels = subject_map.values.size
-        return loss / pixels, grad / pixels
-    return loss, grad
-
-
-def constraint_weight(anchor_map: ProbabilityMap, cfg: SpatialLossConfig | None = None) -> float:
-    """Sigmoid-gated mean of the anchor map's scores, in [0, 1).
-
-    Scores pass through sigma(scale*(v - bias)) so the mean concentrates on
-    confidently predicted pixels; an all-zero anchor weighs nothing.
-    """
-    cfg = cfg or SpatialLossConfig()
-    values = anchor_map.values
-    gate = 1.0 / (1.0 + np.exp(-cfg.sigmoid_scale * (values - cfg.sigmoid_bias)))
-    return float((values * gate).sum() / (gate.sum() + cfg.epsilon))
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,8 +137,9 @@ def compile_constraints(
     cfg: SpatialLossConfig | None = None,
 ) -> ConstraintTerms:
     """Freeze each triplet's band and weight against the current object maps,
-    reducing every category's map at once by the arithmetic of
-    constraint_weight and weighted_mean_coordinate."""
+    reducing every category's map at once. A weight is the object map's
+    sigmoid-gated mean sum(M*s) / (sum s + eps) with s = sigma(scale*(M - bias)),
+    which leans on confidently predicted pixels and is 0 for an empty map."""
     cfg = cfg or SpatialLossConfig()
     triplets = tuple(triplets)
     probs = state.probs

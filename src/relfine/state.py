@@ -11,7 +11,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import FormatError, UnknownCategoryError
+from .errors import FormatError
 from .grid import LabelMap, ProbabilityMap
 
 #: Probabilities below this are clamped before taking logs.
@@ -55,17 +55,6 @@ class SegmentationState:
     @property
     def width(self) -> int:
         return self.logits.shape[2]
-
-    def index(self, category: str) -> int:
-        try:
-            return self.categories.index(category)
-        except ValueError:
-            raise UnknownCategoryError(
-                f"category {category!r} has no map; state covers {list(self.categories)}"
-            ) from None
-
-    def prob_map(self, category: str) -> ProbabilityMap:
-        return ProbabilityMap(self.probs[self.index(category)])
 
 
 def init_state(initial_maps: Mapping[str, ProbabilityMap]) -> SegmentationState:

@@ -560,6 +560,27 @@ def test_gradcheck_non_positive_size_exit_code(capsys, sizes):
     assert "bad size" in err and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--seed", "-1"], "seed"),
+        (["--alpha", "nan"], "alpha"),
+        (["--alpha", "inf"], "alpha"),
+        (["--alpha", "-1"], "alpha"),
+        (["--alpha", "1e308"], "lower --alpha"),
+        (["--sizes", "100000000000000000000x1"], "sizes"),
+        (["--instances", "0"], "instances"),
+        (["--instances", "-3"], "instances"),
+        (["--tolerance", "inf"], "tolerance"),
+        (["--tolerance", "0"], "tolerance"),
+    ],
+)
+def test_gradcheck_rejects_bad_flags(capsys, flags, named):
+    assert main(["gradcheck", "--instances", "2", *flags]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err, err
+
+
 # --------------------------------------------------------------------------
 # one parser per process
 

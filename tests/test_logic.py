@@ -8,19 +8,16 @@ import pytest
 from relfine.errors import FormatError, UnknownCategoryError
 from relfine.grid import ProbabilityMap, make_probability_map
 from relfine.logic import (
-    PseudoMask,
     SpatialLossConfig,
     compile_constraints,
     compiled_spatial_loss,
-    constraint_loss,
-    constraint_weight,
     fuzzy_implication,
     logit_gradient_from_terms,
-    pseudo_mask,
     spatial_loss,
 )
 from relfine.relations import Relation, SpatialTriplet, TripletSet
 from relfine.state import SegmentationState
+from reference_kernels import PseudoMask, constraint_loss, constraint_weight, prob_map, pseudo_mask
 
 CFG_EXACT = SpatialLossConfig(epsilon=1e-300)  # epsilon small enough to act as zero
 
@@ -249,10 +246,10 @@ def test_spatial_loss_composition_hand_example():
     state = _two_category_state([[0.5, 0.5, 0.0, 0.0]], [[0.5, 0.5, 1.0, 1.0]])
     triplets = TripletSet((SpatialTriplet("cat", Relation.RIGHT, "person"),), ("cat", "person"))
     total, terms = spatial_loss(state, triplets)
-    person = state.prob_map("person")
+    person = prob_map(state, "person")
     expected_weight = constraint_weight(person)
     pm = pseudo_mask(person, Relation.RIGHT)
-    expected_loss, _ = constraint_loss(state.prob_map("cat"), pm)
+    expected_loss, _ = constraint_loss(prob_map(state, "cat"), pm)
     assert len(terms) == 1
     assert terms.weights[0] == pytest.approx(expected_weight)
     assert terms.losses[0] == pytest.approx(expected_loss)
@@ -280,8 +277,8 @@ def test_detachment_small_anchor_perturbation_leaves_loss_unchanged():
     bumped[1] += 1e-9  # anchor logits only
     # Renormalize subject row so the subject map stays bit-identical.
     nudged = SegmentationState.from_logits(state.categories, bumped)
-    pm0 = pseudo_mask(state.prob_map("person"), Relation.RIGHT)
-    pm1 = pseudo_mask(nudged.prob_map("person"), Relation.RIGHT)
+    pm0 = pseudo_mask(prob_map(state, "person"), Relation.RIGHT)
+    pm1 = pseudo_mask(prob_map(nudged, "person"), Relation.RIGHT)
     assert pm0.mask.tolist() == pm1.mask.tolist()
 
 
@@ -391,11 +388,11 @@ def _dense_reference(state, triplets, cfg):
     total = 0.0
     g = np.zeros_like(state.probs)
     for t in triplets:
-        anchor = state.prob_map(t.object)
+        anchor = prob_map(state, t.object)
         weight = constraint_weight(anchor, cfg)
-        loss, grad = constraint_loss(state.prob_map(t.subject), pseudo_mask(anchor, t.relation, cfg), cfg)
+        loss, grad = constraint_loss(prob_map(state, t.subject), pseudo_mask(anchor, t.relation, cfg), cfg)
         total += weight * loss
-        g[state.index(t.subject)] += weight * grad
+        g[state.categories.index(t.subject)] += weight * grad
     dot = (g * state.probs).sum(axis=0, keepdims=True)
     return total, state.probs * (g - dot)
 
@@ -423,14 +420,14 @@ def test_separable_kernel_matches_dense_reference():
         compiled = compile_constraints(state, triplets, cfg)
         total, terms = compiled_spatial_loss(state, compiled, cfg)
         for i, t in enumerate(triplets):
-            anchor = state.prob_map(t.object)
+            anchor = prob_map(state, t.object)
             pm = pseudo_mask(anchor, t.relation, cfg)
             rows = t.relation.axis == "row"
             band = pm.mask[:, 0] if rows else pm.mask[0, :]
             assert np.array_equal(compiled.rows[i] if rows else compiled.cols[i], 1.0 - band)
             assert not (compiled.cols[i] if rows else compiled.rows[i]).any()
             assert compiled.weights[i] == constraint_weight(anchor, cfg)
-            ref_loss, _ = constraint_loss(state.prob_map(t.subject), pm, cfg)
+            ref_loss, _ = constraint_loss(prob_map(state, t.subject), pm, cfg)
             assert abs(terms.losses[i] - ref_loss) <= 1e-12 * abs(ref_loss)
 
         grad = logit_gradient_from_terms(state, terms, cfg)
