@@ -24,6 +24,7 @@ from .errors import (
     UnknownCategoryError,
     load_json_object,
     write_json_object,
+    writing_to,
 )
 from .evaluate import (
     EvalReport,
@@ -156,7 +157,8 @@ def _generate_one(task: tuple[str, SceneSpec, str]) -> dict:
 def cmd_gen_scenes(args: argparse.Namespace) -> int:
     config = RunConfig(args.config)
     out_root = Path(args.output) if args.output else config.output_dir
-    out_root.mkdir(parents=True, exist_ok=True)
+    with writing_to(out_root):
+        out_root.mkdir(parents=True, exist_ok=True)
     tasks = [(name, spec, str(out_root)) for name, spec in config.scene_specs]
     entries = _parallel_map(_generate_one, tasks, args.jobs)
     write_json_object(out_root / "manifest.json", {"scenes": entries})
@@ -205,7 +207,8 @@ def _refine_one(task: tuple[str, str, str, TripletSet | None, RefineConfig, Spat
     labels = argmax_labels(final_state)
 
     out = Path(out_dir)
-    (out / "probs").mkdir(parents=True, exist_ok=True)
+    with writing_to(out / "probs"):
+        (out / "probs").mkdir(parents=True, exist_ok=True)
     write_labels_pgm(out / "labels.pgm", labels)
     for index, category in enumerate(final_state.categories):
         write_rsgf(out / "probs" / f"{category}.rsgf", final_state.probs[index])
@@ -291,7 +294,8 @@ def cmd_refine(args: argparse.Namespace) -> int:
         tasks.append((name, str(bundle), str(out_dir), triplets, cfg, loss_cfg))
     reports = _parallel_map(_refine_one, tasks, args.jobs)
     if not single:
-        out_root.mkdir(parents=True, exist_ok=True)
+        with writing_to(out_root):
+            out_root.mkdir(parents=True, exist_ok=True)
         write_json_object(out_root / "manifest.json", {"scenes": [{"name": n, "path": n} for n, _ in pairs]})
     tag = "baseline" if cfg.alpha == 0.0 else f"alpha={cfg.alpha}"
     mean_miou = sum(r["miou"] for r in reports) / len(reports)

@@ -1,6 +1,6 @@
 """Exception types shared across the package, the field type checks that
-raise them, and the JSON-object loader and writer every file reader and
-writer shares.
+raise them, the JSON-object loader and writer every file reader and writer
+shares, and the guard that turns a failed write into a FormatError.
 
 The CLI maps these onto its documented exit codes, so raising the right
 class matters more than the message wording.
@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from numbers import Integral, Real
 from pathlib import Path
+from typing import Iterator
 
 
 class RelfineError(Exception):
@@ -53,9 +55,22 @@ def require_real(value: object, field: str, error: type[RelfineError] = FormatEr
     return float(value)
 
 
+@contextmanager
+def writing_to(path: str | Path) -> Iterator[None]:
+    """Wrap one file write or directory creation at `path`: an OSError it
+    raises (a parent that is a regular file, a missing permission, a full
+    disk) becomes FormatError naming the path, CLI exit code 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot write: {exc.strerror}") from None
+
+
 def write_json_object(path: str | Path, doc: dict) -> None:
     """Write `doc` to `path` as JSON: indent 2, sorted keys, a final newline."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    with writing_to(path):
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def load_json_object(path: str | Path) -> dict:

@@ -12,7 +12,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import FormatError, SceneSetMismatchError
+from .errors import FormatError, SceneSetMismatchError, writing_to
 from .grid import LabelMap
 from .logic import encode_triplets, outside_bands
 from .relations import SpatialTriplet, TripletSet
@@ -236,7 +236,7 @@ def compare_runs(
 
 
 def write_bucket_csv(path: str | Path, deltas: Sequence[BucketDelta]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with writing_to(path), open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["bucket", "scenes", "baseline_miou", "refined_miou", "delta"])
         for d in deltas:

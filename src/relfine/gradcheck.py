@@ -20,12 +20,15 @@ from .errors import FormatError, require_int, require_real
 from .logic import SpatialLossConfig, compile_constraints
 from .refine import objective
 from .relations import Relation, SpatialTriplet, TripletSet
-from .scenes import MAX_PIXELS
 from .state import SegmentationState
 
 DEFAULT_SIZES: tuple[tuple[int, int], ...] = ((1, 1), (2, 3), (4, 4), (5, 7), (8, 8))
 DEFAULT_TOLERANCE = 1e-4
 FD_STEP = 1e-4
+#: Largest instance grid, in pixels. A check takes two objective evaluations
+#: per logit, each over every logit, so its cost grows as (C*H*W)**2: about
+#: 1 s per instance at 32x32, 25 s at 64x64.
+MAX_GRADCHECK_PIXELS = 32 * 32
 
 
 def finite_difference_gradient(
@@ -130,7 +133,7 @@ def run_gradcheck(
     Raises FormatError, naming the argument, for a negative seed, fewer than
     one instance, an alpha that is negative or not finite, a tolerance that
     is not finite and positive, or a size that is not a positive H x W of at
-    most scenes.MAX_PIXELS pixels; and, naming the instance, when an
+    most MAX_GRADCHECK_PIXELS pixels; and, naming the instance, when an
     objective or its gradient overflows, as a too-large alpha makes it.
     """
     if require_int(seed, "seed") < 0:
@@ -142,8 +145,10 @@ def run_gradcheck(
     if require_real(tolerance, "tolerance") <= 0:
         raise FormatError(f"tolerance must be positive, got {tolerance}")
     for height, width in sizes:
-        if min(require_int(height, "sizes"), require_int(width, "sizes")) < 1 or height * width > MAX_PIXELS:
-            raise FormatError(f"sizes must be positive HxW of at most {MAX_PIXELS} pixels, got {height}x{width}")
+        if min(require_int(height, "sizes"), require_int(width, "sizes")) < 1 or height * width > MAX_GRADCHECK_PIXELS:
+            raise FormatError(
+                f"sizes must be positive HxW of at most {MAX_GRADCHECK_PIXELS} pixels, got {height}x{width}"
+            )
     rng = np.random.default_rng(seed)
     results = []
     for instance in range(instances):

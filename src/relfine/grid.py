@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FormatError, load_json_object, require_int
+from .errors import FormatError, load_json_object, require_int, writing_to
 
 #: Denominator guard for weighted means, small enough that it never moves a
 #: half-plane boundary on grids up to 4096 px.
@@ -121,7 +121,8 @@ def write_rsgf(path: str | Path, values: np.ndarray) -> None:
         raise FormatError(f"RSGF1 stores 2-D grids, got shape {values.shape}")
     height, width = values.shape
     payload = values.astype("<f4").tobytes(order="C")
-    Path(path).write_bytes(RSGF_MAGIC + struct.pack("<II", height, width) + payload)
+    with writing_to(path):
+        Path(path).write_bytes(RSGF_MAGIC + struct.pack("<II", height, width) + payload)
 
 
 def read_rsgf(path: str | Path) -> np.ndarray:
@@ -181,7 +182,8 @@ def write_labels_pgm(path: str | Path, labels: LabelMap) -> None:
     if labels.num_categories > 256:
         raise FormatError("PGM P5 label maps support at most 256 categories")
     header = f"P5\n{labels.width} {labels.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + labels.labels.astype(np.uint8).tobytes(order="C"))
+    with writing_to(path):
+        Path(path).write_bytes(header + labels.labels.astype(np.uint8).tobytes(order="C"))
 
 
 def read_labels_pgm(path: str | Path, num_categories: int) -> LabelMap:

@@ -20,7 +20,7 @@ from typing import Iterator, Literal, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .errors import FormatError, UnknownCategoryError, load_json_object
+from .errors import FormatError, UnknownCategoryError, load_json_object, writing_to
 from .grid import LabelMap
 
 Stage = Literal["initial", "bidirectional", "validated", "resolved"]
@@ -75,7 +75,7 @@ TripletKey = tuple[str, Relation, str]
 _triplet_key = attrgetter("subject", "relation", "object")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpatialTriplet:
     """One spatial statement plus the pipeline stage that last affirmed it."""
 
@@ -84,11 +84,19 @@ class SpatialTriplet:
     object: str
     stage: Stage = "initial"
 
-    def __post_init__(self) -> None:
-        if self.subject == self.object:
-            raise FormatError(f"triplet subject and object must differ, both are {self.subject!r}")
-        if self.stage not in STAGES:
-            raise FormatError(f"unknown stage {self.stage!r}")
+    def __init__(self, subject: str, relation: Relation, object: str, stage: Stage = "initial") -> None:
+        # Calibration builds hundreds of thousands of triplets, so the fields
+        # go straight into the instance dict rather than through the frozen
+        # dataclass's per-field `object.__setattr__`.
+        if subject == object:
+            raise FormatError(f"triplet subject and object must differ, both are {subject!r}")
+        if stage not in STAGES:
+            raise FormatError(f"unknown stage {stage!r}")
+        fields = self.__dict__
+        fields["subject"] = subject
+        fields["relation"] = relation
+        fields["object"] = object
+        fields["stage"] = stage
 
     @property
     def key(self) -> TripletKey:
@@ -105,7 +113,11 @@ class SpatialTriplet:
 
 @dataclass(frozen=True)
 class TripletSet:
-    """Ordered, duplicate-free collection of triplets over a category roster."""
+    """Ordered, duplicate-free collection of triplets over a category roster.
+
+    Construction checks both properties. The calibration stages derive their
+    sets from a checked one through `_derive`, which skips the check.
+    """
 
     triplets: tuple[SpatialTriplet, ...]
     categories: tuple[str, ...]
@@ -146,6 +158,14 @@ class TripletSet:
     def with_triplets(self, triplets: Sequence[SpatialTriplet]) -> TripletSet:
         return TripletSet(tuple(triplets), self.categories)
 
+    def _derive(self, triplets: Sequence[SpatialTriplet]) -> TripletSet:
+        """A set over the same roster, built without the duplicate and roster
+        check. Only for triplets that keep this set's guarantees: members of
+        this set filtered, restaged or reversed, with distinct keys."""
+        derived = object.__new__(TripletSet)
+        derived.__dict__.update(triplets=tuple(triplets), categories=self.categories)
+        return derived
+
 
 def empty_triplet_set(categories: Sequence[str]) -> TripletSet:
     return TripletSet((), tuple(categories))
@@ -183,7 +203,7 @@ def augment_bidirectional(triplets: TripletSet) -> TripletSet:
         if key not in present:
             present.add(key)
             out.append(SpatialTriplet(*key, "bidirectional"))
-    return triplets.with_triplets(out)
+    return triplets._derive(out)
 
 
 def validate_polar(triplets: TripletSet, oracle: RelationOracle) -> TripletSet:
@@ -194,12 +214,12 @@ def validate_polar(triplets: TripletSet, oracle: RelationOracle) -> TripletSet:
     "unknown") drops the triplet.
     """
     kept = []
-    for t in triplets.triplets:
-        primary = oracle.holds(t.subject, t.relation, t.object)
-        reflection = oracle.holds(t.object, _OPPOSITE[t.relation], t.subject)
+    for s, r, o in map(_triplet_key, triplets.triplets):
+        primary = oracle.holds(s, r, o)
+        reflection = oracle.holds(o, _OPPOSITE[r], s)
         if primary == "yes" and reflection == "yes":
-            kept.append(SpatialTriplet(t.subject, t.relation, t.object, "validated"))
-    return triplets.with_triplets(kept)
+            kept.append(SpatialTriplet(s, r, o, "validated"))
+    return triplets._derive(kept)
 
 
 ContradictionKind = Literal["cyclic", "directional"]
@@ -227,13 +247,11 @@ def detect_contradictions(triplets: TripletSet) -> list[ContradictionPair]:
     partner <s,opp(r),o>, so each is a key lookup rather than a pair scan.
     """
     items = triplets.triplets
-    index = {t.key: i for i, t in enumerate(items)}
+    keys = list(map(_triplet_key, items))
+    index = {key: i for i, key in enumerate(keys)}
     found: list[tuple[int, int, ContradictionKind]] = []
-    for i, t in enumerate(items):
-        partners = (
-            ((t.object, t.relation, t.subject), "cyclic"),
-            ((t.subject, opposite(t.relation), t.object), "directional"),
-        )
+    for i, (s, r, o) in enumerate(keys):
+        partners = (((o, r, s), "cyclic"), ((s, _OPPOSITE[r], o), "directional"))
         for key, kind in partners:
             j = index.get(key, -1)
             if j > i:
@@ -262,25 +280,26 @@ def resolve_contradictions(
     dropped: set[TripletKey] = set()
     chosen: set[TripletKey] = set()
     for pair in pairs:
-        answer = oracle.choose(
-            pair.first.subject, pair.first.relation, opposite(pair.first.relation), pair.first.object
-        )
+        first = _triplet_key(pair.first)
+        second = _triplet_key(pair.second)
+        s, r, o = first
+        answer = oracle.choose(s, r, _OPPOSITE[r], o)
         if answer == "first":
-            chosen.add(pair.first.key)
-            dropped.add(pair.second.key)
+            chosen.add(first)
+            dropped.add(second)
         elif answer == "second":
-            chosen.add(pair.second.key)
-            dropped.add(pair.first.key)
+            chosen.add(second)
+            dropped.add(first)
         else:
-            dropped.add(pair.first.key)
-            dropped.add(pair.second.key)
+            dropped.add(first)
+            dropped.add(second)
 
     kept = []
     for t in triplets.triplets:
         key = _triplet_key(t)
         if key not in dropped:
             kept.append(SpatialTriplet(*key, "resolved") if key in chosen else t)
-    return triplets.with_triplets(kept)
+    return triplets._derive(kept)
 
 
 @dataclass(frozen=True)
@@ -326,7 +345,7 @@ def calibrate(
     if opts.drop_background:
         kept = [t for t in work if BACKGROUND not in (t.subject, t.object)]
         background_dropped = len(work) - len(kept)
-        work = work.with_triplets(kept)
+        work = work._derive(kept)
 
     augmented = augment_bidirectional(work)
     validated = validate_polar(augmented, oracle)
@@ -522,7 +541,8 @@ def save_triplets(path: str | Path, triplets: TripletSet) -> None:
         for t in triplets.triplets
     ]
     text = f'{{\n  "categories": {_json_list(categories)},\n  "triplets": {_json_list(rows)}\n}}\n'
-    Path(path).write_text(text, encoding="utf-8")
+    with writing_to(path):
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def load_scripted_oracle(path: str | Path) -> ScriptedOracle:

@@ -15,7 +15,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FormatError, SceneSpecError, load_json_object, require_int, require_real, write_json_object
+from .errors import (
+    FormatError,
+    SceneSpecError,
+    load_json_object,
+    require_int,
+    require_real,
+    write_json_object,
+    writing_to,
+)
 from .grid import LabelMap, ProbabilityMap, read_labels, read_rsgf, write_labels_pgm, write_rsgf
 from .relations import (
     BACKGROUND,
@@ -343,7 +351,8 @@ def save_scene_bundle(path: str | Path, scene: Scene) -> None:
     for name in scene.categories:
         require_safe_name(name, "category")
     root = Path(path)
-    (root / "probs").mkdir(parents=True, exist_ok=True)
+    with writing_to(root / "probs"):
+        (root / "probs").mkdir(parents=True, exist_ok=True)
     write_json_object(root / "spec.json", spec_to_dict(scene.spec))
     write_labels_pgm(root / "gt_labels.pgm", scene.gt_labels)
     save_triplets(root / "triplets.json", scene.gt_triplets)

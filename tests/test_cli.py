@@ -879,3 +879,59 @@ def test_calibrate_geometric_grid_json_fields_exit_code(tmp_path, capsys, labels
     assert main([*args[:3], "--geometric", "--labels", str(labels)]) == 2
     err = capsys.readouterr().err
     assert "labels.json" in err and message in err, err
+
+
+# --------------------------------------------------------------------------
+# output paths that cannot be written
+
+
+def _unwritable_output_args(tmp_path: Path, case: str) -> tuple[list[str], Path]:
+    """The argv of `case`, whose output path lies under (or is) a regular file."""
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    calibrate = [
+        "calibrate",
+        "--triplets", str(FIXTURES / "lighthouse_log" / "triplets.json"),
+        "--oracle", str(FIXTURES / "lighthouse_log" / "oracle.json"),
+    ]
+    if case == "gen-scenes --output":
+        config = write_config(tmp_path / "config.json", [small_scene()])
+        return ["gen-scenes", str(config), "--output", str(blocker)], blocker
+    if case == "calibrate --out-triplets":
+        return [*calibrate, "--out-triplets", str(blocker / "x.json")], blocker / "x.json"
+    if case == "calibrate --out-audit":
+        return [*calibrate, "--out-audit", str(blocker / "x.json")], blocker / "x.json"
+    scenes = _generated_scene_set(tmp_path)
+    if case.startswith("refine --out"):
+        jobs = case.rsplit(" ", 1)[1]
+        return ["refine", "--scene", str(scenes), "--out", str(blocker / "sub"), "--use-gt-triplets",
+                "--steps", "1", "--jobs", jobs], blocker / "sub"
+    pred = tmp_path / "pred"
+    for name in ("scene_000", "scene_001"):
+        (pred / name).mkdir(parents=True)
+        shutil.copy(scenes / name / "gt_labels.pgm", pred / name / "labels.pgm")
+    evaluate_args = ["eval", "--scenes", str(scenes), "--pred", str(pred), "--baseline", str(pred)]
+    if case == "eval --out":
+        return [*evaluate_args, "--out", str(blocker / "x.json")], blocker / "x.json"
+    assert case == "eval --csv"
+    return [*evaluate_args, "--csv", str(blocker / "x")], blocker / "x"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "gen-scenes --output",
+        "calibrate --out-triplets",
+        "calibrate --out-audit",
+        "refine --out --jobs 1",
+        "refine --out --jobs 2",
+        "eval --out",
+        "eval --csv",
+    ],
+)
+def test_unwritable_output_path_exit_code(tmp_path, capsys, case):
+    argv, path = _unwritable_output_args(tmp_path, case)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}" in err and "cannot write" in err and "Traceback" not in err, err

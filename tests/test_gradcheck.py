@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from relfine import gradcheck
+from relfine.errors import FormatError
 from relfine.gradcheck import check_instance, finite_difference_gradient, run_gradcheck
 from relfine.logic import SpatialLossConfig
 from relfine.relations import Relation, SpatialTriplet, TripletSet
@@ -55,3 +58,15 @@ def test_check_instance_on_handmade_case():
     )
     error = check_instance(state, targets, triplets)
     assert error < 1e-6
+
+
+def test_sizes_are_capped_at_32_by_32_pixels(monkeypatch):
+    # The cap is on the instance's grid; the check itself is stubbed out, as a
+    # real one at 32x32 takes about a second.
+    monkeypatch.setattr(gradcheck, "check_instance", lambda *args, **kwargs: 0.0)
+    assert gradcheck.MAX_GRADCHECK_PIXELS == 32 * 32
+    (result,) = run_gradcheck(sizes=[(32, 32)], instances=1)
+    assert (result.height, result.width) == (32, 32) and result.passed
+    for size in ((33, 32), (1, 1025)):
+        with pytest.raises(FormatError, match=rf"^sizes must be .* at most 1024 pixels, got {size[0]}x{size[1]}$"):
+            run_gradcheck(sizes=[size], instances=1)
