@@ -20,20 +20,19 @@ from .errors import (
     FormatError,
     RelfineError,
     SceneSetMismatchError,
-    SceneSpecError,
-    UnknownCategoryError,
     load_json_object,
     write_json_object,
     writing_to,
 )
 from .evaluate import (
+    DEFAULT_SATISFACTION_THRESHOLD,
     EvalReport,
     compare_runs,
     evaluate_scene,
     satisfied_flags,
     write_bucket_csv,
 )
-from .gradcheck import DEFAULT_SIZES, run_gradcheck
+from .gradcheck import DEFAULT_SIZES, DEFAULT_TOLERANCE, run_gradcheck
 from .grid import read_labels, write_labels_pgm, write_rsgf
 from .logic import SpatialLossConfig, spatial_loss
 from .refine import RefineConfig, refine
@@ -146,11 +145,7 @@ class RunConfig:
 
 def _generate_one(task: tuple[str, SceneSpec, str]) -> dict:
     name, spec, out_root = task
-    try:
-        scene = generate_scene(spec)
-    except SceneSpecError as exc:
-        raise SceneSpecError(f"scene {name!r}: {exc}") from None
-    save_scene_bundle(Path(out_root) / name, scene)
+    save_scene_bundle(Path(out_root) / name, generate_scene(spec))
     return {"name": name, "seed": spec.seed, "path": name}
 
 
@@ -424,8 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="optimize a scene's maps under spatial constraints")
     p.add_argument("--scene", required=True, help="scene bundle or scene-set directory")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--triplets", help="calibrated triplet JSON")
-    p.add_argument("--use-gt-triplets", action="store_true", help="refine with the bundle's own triplets")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--triplets", help="calibrated triplet JSON")
+    group.add_argument("--use-gt-triplets", action="store_true", help="refine with the bundle's own triplets")
     p.add_argument("--config", help="run config with refine/loss sections")
     p.add_argument("--alpha", type=float, help=f"spatial weight (default {RefineConfig().alpha})")
     p.add_argument("--steps", type=int, help=f"optimization steps (default {RefineConfig().steps})")
@@ -439,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="prediction directory (refine output)")
     p.add_argument("--baseline", help="second prediction directory for bucketed deltas")
     p.add_argument("--group-by", choices=["categories", "constraints", "ratio"], default="categories")
-    p.add_argument("--threshold", type=float, default=0.95, help="satisfaction threshold in [0, 1]")
+    p.add_argument("--threshold", type=float, default=DEFAULT_SATISFACTION_THRESHOLD,
+                   help="satisfaction threshold in [0, 1]")
     p.add_argument("--out", help="write the report JSON here")
     p.add_argument("--csv", help="write the bucket CSV here (needs --baseline)")
     p.set_defaults(handler="cmd_eval")
@@ -448,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sizes", help="comma-separated HxW list, e.g. 4x4,8x8")
     p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--corrupt-gradient", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(handler="cmd_gradcheck")
@@ -471,15 +468,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     handler = globals()[args.handler]
     try:
         return handler(args)
-    except (SceneSpecError, FormatError) as exc:
+    except RelfineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnknownCategoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SceneSetMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
 
 
 def entrypoint() -> None:

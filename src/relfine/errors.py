@@ -2,8 +2,8 @@
 raise them, the JSON-object loader and writer every file reader and writer
 shares, and the guard that turns a failed write into a FormatError.
 
-The CLI maps these onto its documented exit codes, so raising the right
-class matters more than the message wording.
+Each class declares the exit code the CLI returns for it, so raising the
+right class matters more than the message wording.
 """
 
 from __future__ import annotations
@@ -18,22 +18,27 @@ from typing import Iterator
 
 class RelfineError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code: int  # what `relfine.cli.main` returns after printing the message
 
 
 class FormatError(RelfineError, ValueError):
-    """A file, grid, or config failed validation (CLI exit code 2)."""
+    """A file, grid, or config failed validation."""
+    exit_code = 2
 
 
 class SceneSpecError(RelfineError, ValueError):
-    """A scene specification is invalid (CLI exit code 2)."""
+    """A scene specification is invalid."""
+    exit_code = 2
 
 
 class UnknownCategoryError(RelfineError, LookupError):
-    """A constraint or query names a category with no map (CLI exit code 3)."""
+    """A constraint or query names a category with no map."""
+    exit_code = 3
 
 
 class SceneSetMismatchError(RelfineError, ValueError):
-    """Two runs being compared do not cover the same scenes (CLI exit code 4)."""
+    """Two runs being compared do not cover the same scenes."""
+    exit_code = 4
 
 
 def require_int(value: object, field: str, error: type[RelfineError] = FormatError) -> int:

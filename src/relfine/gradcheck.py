@@ -2,10 +2,10 @@
 
 Each random instance draws logits, soft targets, and a handful of
 constraints, then compares the analytic gradient of `refine.objective`, the
-one that `refine` descends, against central differences of its total. The
-half-plane masks and constraint weights are compiled once at the evaluation
-point and held fixed on both sides of the comparison, matching their
-treat-as-constant semantics.
+one that `refine` descends, against central differences of the total that
+its loss half, `refine._losses`, forms. The half-plane masks and constraint
+weights are compiled once at the evaluation point and held fixed on both
+sides of the comparison, matching their treat-as-constant semantics.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import FormatError, require_int, require_real
 from .logic import SpatialLossConfig, compile_constraints
-from .refine import objective
+from .refine import _losses, objective
 from .relations import Relation, SpatialTriplet, TripletSet
 from .state import SegmentationState
 
@@ -108,7 +108,7 @@ def check_instance(
     compiled = compile_constraints(state, triplets, loss_cfg)
 
     def total(logits: np.ndarray) -> float:
-        return objective(state.with_logits(logits), targets, compiled, alpha, loss_cfg)[2]
+        return _losses(state.with_logits(logits), targets, compiled, alpha, loss_cfg)[2]
 
     analytic = objective(state, targets, compiled, alpha, loss_cfg)[4]
     if corrupt:

@@ -126,7 +126,7 @@ def write_rsgf(path: str | Path, values: np.ndarray) -> None:
 
 
 def read_rsgf(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
+    raw = _read(path)
     if len(raw) < 13 or raw[:5] != RSGF_MAGIC:
         raise FormatError(f"{path}: not an RSGF1 grid (bad magic)")
     height, width = struct.unpack("<II", raw[5:13])
@@ -161,18 +161,18 @@ def read_grid_json(path: str | Path) -> np.ndarray:
     return flat.reshape(height, width)
 
 
-def _magic(path: str | Path) -> bytes:
-    """The first five bytes of a grid file, which tell its format."""
+def _read(path: str | Path, size: int = -1) -> bytes:
+    """The first `size` bytes of a file, all by default; a failed read raises FormatError naming it."""
     try:
         with open(path, "rb") as handle:
-            return handle.read(5)
+            return handle.read(size)
     except OSError as exc:
         raise FormatError(f"{path}: cannot read: {exc.strerror}") from None
 
 
 def read_grid(path: str | Path) -> np.ndarray:
     """Load a grid from either format, sniffing the RSGF1 magic bytes."""
-    if _magic(path) == RSGF_MAGIC:
+    if _read(path, 5) == RSGF_MAGIC:
         return read_rsgf(path)
     return read_grid_json(path)
 
@@ -187,7 +187,7 @@ def write_labels_pgm(path: str | Path, labels: LabelMap) -> None:
 
 
 def read_labels_pgm(path: str | Path, num_categories: int) -> LabelMap:
-    raw = Path(path).read_bytes()
+    raw = _read(path)
     if not raw.startswith(b"P5"):
         raise FormatError(f"{path}: not a binary PGM (P5) file")
     fields: list[int] = []
@@ -221,7 +221,7 @@ def read_labels_pgm(path: str | Path, num_categories: int) -> LabelMap:
 
 def read_labels(path: str | Path, num_categories: int) -> LabelMap:
     """Load a label map from PGM P5 or from an RSGF1/JSON grid of integer floats."""
-    if _magic(path).startswith(b"P5"):
+    if _read(path, 5).startswith(b"P5"):
         return read_labels_pgm(path, num_categories)
     values = read_grid(path)
     rounded = np.rint(values)

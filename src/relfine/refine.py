@@ -145,6 +145,22 @@ class RefineTrace:
 _DIVERGED = "lower alpha or learning_rate"
 
 
+def _losses(
+    state: SegmentationState,
+    targets: np.ndarray,
+    compiled: ConstraintTerms,
+    alpha: float,
+    loss_cfg: SpatialLossConfig,
+) -> tuple[float, float, float, ConstraintTerms, np.ndarray]:
+    """`objective` without the spatial gradient: probes of its total need none."""
+    fid, grad = fidelity_loss(state, targets, reduction=loss_cfg.reduction)
+    spa, terms = compiled_spatial_loss(state, compiled, loss_cfg)
+    total = fid + alpha * spa
+    if not math.isfinite(total):  # Python floats overflow to inf without raising
+        raise FloatingPointError(f"objective {total}")
+    return fid, spa, total, terms, grad
+
+
 def objective(
     state: SegmentationState,
     targets: np.ndarray,
@@ -159,11 +175,7 @@ def objective(
     them. Raises FloatingPointError when the total is not finite, before any
     gradient is formed; at alpha=0 the spatial gradient is never formed.
     """
-    fid, grad = fidelity_loss(state, targets, reduction=loss_cfg.reduction)
-    spa, terms = compiled_spatial_loss(state, compiled, loss_cfg)
-    total = fid + alpha * spa
-    if not math.isfinite(total):  # Python floats overflow to inf without raising
-        raise FloatingPointError(f"objective {total}")
+    fid, spa, total, terms, grad = _losses(state, targets, compiled, alpha, loss_cfg)
     if alpha != 0.0:
         grad = grad + alpha * logit_gradient_from_terms(state, terms, loss_cfg)
     return fid, spa, total, terms, grad

@@ -361,10 +361,8 @@ def save_scene_bundle(path: str | Path, scene: Scene) -> None:
 
 
 def load_scene_bundle(path: str | Path) -> Scene:
+    """The scene saved at `path`; a bundle file that is missing or cannot be read raises FormatError naming it."""
     root = Path(path)
-    for required in ("spec.json", "gt_labels.pgm", "triplets.json"):
-        if not (root / required).exists():
-            raise FormatError(f"scene bundle {root} is missing {required}")
     spec = spec_from_dict(load_json_object(root / "spec.json"), where=str(root / "spec.json"))
     triplets = load_triplets(root / "triplets.json")
     roster = spec.categories
@@ -373,17 +371,10 @@ def load_scene_bundle(path: str | Path) -> Scene:
             f"{root / 'triplets.json'}: categories {list(triplets.categories)} "
             f"differ from the roster {list(roster)} that spec.json places"
         )
-    gt_labels = read_labels(root / "gt_labels.pgm", len(roster))
-    init_probs = {}
-    for name in roster:
-        grid_path = root / "probs" / f"{name}.rsgf"
-        if not grid_path.exists():
-            raise FormatError(f"scene bundle {root} is missing probs/{name}.rsgf")
-        init_probs[name] = ProbabilityMap(read_rsgf(grid_path))
     return Scene(
         spec=spec,
-        gt_labels=gt_labels,
+        gt_labels=read_labels(root / "gt_labels.pgm", len(roster)),
         categories=roster,
-        init_probs=init_probs,
+        init_probs={name: ProbabilityMap(read_rsgf(root / "probs" / f"{name}.rsgf")) for name in roster},
         gt_triplets=triplets,
     )

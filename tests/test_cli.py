@@ -935,3 +935,40 @@ def test_unwritable_output_path_exit_code(tmp_path, capsys, case):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"error: {path}" in err and "cannot write" in err and "Traceback" not in err, err
+
+
+# --------------------------------------------------------------------------
+# one exit-code path, shared defaults, exclusive flags
+
+
+def test_refine_rejects_both_triplet_sources(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:  # argparse's own exit 2
+        main(["refine", "--scene", str(tmp_path), "--out", str(tmp_path / "o"),
+              "--triplets", str(tmp_path / "t.json"), "--use-gt-triplets"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_returns_the_exit_code_each_error_class_declares(monkeypatch, capsys):
+    from relfine.errors import FormatError, SceneSetMismatchError, SceneSpecError, UnknownCategoryError
+
+    expected = {FormatError: 2, SceneSpecError: 2, UnknownCategoryError: 3, SceneSetMismatchError: 4}
+    for error, code in expected.items():
+        assert error.exit_code == code
+
+        def fail(args, error=error):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_gradcheck", fail)
+        assert main(["gradcheck"]) == code
+        assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_parser_defaults_are_the_library_defaults():
+    from relfine import gradcheck
+
+    parser = cli.build_parser()
+    evaluate_args = parser.parse_args(["eval", "--scenes", "s", "--pred", "p"])
+    assert evaluate_args.threshold == evaluate.DEFAULT_SATISFACTION_THRESHOLD
+    assert parser.parse_args(["gradcheck"]).tolerance == gradcheck.DEFAULT_TOLERANCE

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,15 @@ def test_sizes_are_capped_at_32_by_32_pixels(monkeypatch):
     for size in ((33, 32), (1, 1025)):
         with pytest.raises(FormatError, match=rf"^sizes must be .* at most 1024 pixels, got {size[0]}x{size[1]}$"):
             run_gradcheck(sizes=[size], instances=1)
+
+
+def test_finite_difference_probes_form_no_spatial_gradient(monkeypatch):
+    # Only the analytic side of each instance forms the spatial gradient;
+    # the probes of the total evaluate the losses alone.
+    refine = importlib.import_module("relfine.refine")
+    calls = []
+    kernel = refine.logit_gradient_from_terms
+    monkeypatch.setattr(refine, "logit_gradient_from_terms", lambda *args: calls.append(1) or kernel(*args))
+    results = run_gradcheck(seed=0, instances=5)
+    assert all(r.passed for r in results)
+    assert len(calls) == 5

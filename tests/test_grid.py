@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -191,3 +192,15 @@ def test_read_labels_accepts_integer_rsgf(tmp_path):
     write_rsgf(path, np.array([[0.5]]))
     with pytest.raises(FormatError, match="non-integer"):
         read_labels(path, 3)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_every_grid_reader_names_a_file_it_cannot_read(tmp_path, kind):
+    path = tmp_path / "grid"
+    if kind == "directory":
+        path.mkdir()
+    message = "No such file or directory" if kind == "missing" else "Is a directory"
+    readers = [read_rsgf, read_grid, lambda p: read_labels_pgm(p, 3), lambda p: read_labels(p, 3)]
+    for reader in readers:
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: cannot read: {message}$"):
+            reader(path)
