@@ -33,7 +33,7 @@ from .evaluate import (
     write_bucket_csv,
 )
 from .gradcheck import DEFAULT_SIZES, DEFAULT_TOLERANCE, run_gradcheck
-from .grid import read_labels, write_labels_pgm, write_rsgf
+from .grid import read_labels, require_shape, write_labels_pgm, write_rsgf
 from .logic import SpatialLossConfig, spatial_loss
 from .refine import RefineConfig, refine
 from .relations import (
@@ -72,10 +72,13 @@ def _parallel_map(fn: Callable[[T], U], items: Sequence[T], jobs: int) -> list[U
     first failure in input order is raised. So which items ran, what they
     wrote and what is raised do not depend on the job count or on timing."""
     attempt = functools.partial(_attempt, fn)
-    if jobs <= 1 or len(items) <= 1:
+    # A forked pool starts all its workers at once, so start no more than
+    # there are items.
+    workers = min(jobs, len(items))
+    if workers <= 1:
         outcomes = [attempt(item) for item in items]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(attempt, items))
     for _, error in outcomes:
         if error is not None:
@@ -250,11 +253,15 @@ def _scene_set(path: Path) -> tuple[list[tuple[str, Path]], bool]:
     if not isinstance(entries, list):
         raise FormatError(f"{manifest}: 'scenes' must be a list")
     pairs = []
+    names: set[str] = set()
     for index, entry in enumerate(entries):
         if not isinstance(entry, dict) or "name" not in entry or "path" not in entry:
             raise FormatError(f"{manifest}: scenes[{index}] needs 'name' and 'path'")
         where = f"{manifest}: scenes[{index}]"
         name = require_safe_name(entry["name"], f"{where}: 'name'")
+        if name in names:
+            raise FormatError(f"{where}: duplicate scene name {name!r}")
+        names.add(name)
         pairs.append((name, path / require_safe_name(entry["path"], f"{where}: 'path'")))
     if not pairs:
         raise FormatError(f"{path}: scene set is empty")
@@ -321,6 +328,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             if not labels_path.exists():
                 raise SceneSetMismatchError(f"no prediction for scene {name!r}: {labels_path} missing")
             pred = read_labels(labels_path, len(scene.categories))
+            require_shape(labels_path, pred, scene.gt_labels.shape, f"scene {name!r}")
             reports.append(evaluate_scene(pred, scene, threshold=args.threshold, name=name))
 
     def aggregate(reports: list[EvalReport]) -> dict[str, float]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 import numpy as np
 
@@ -92,6 +92,18 @@ class LabelMap:
     @property
     def shape(self) -> tuple[int, int]:
         return self.labels.shape
+
+
+Grid = TypeVar("Grid", np.ndarray, LabelMap)
+
+
+def require_shape(path: str | Path, grid: Grid, shape: tuple[int, int], source: str | Path) -> Grid:
+    """`grid`, read from `path`, if its shape is `shape`, which `source` gives;
+    otherwise a FormatError naming the file."""
+    if grid.shape != shape:
+        (h, w), (eh, ew) = grid.shape, shape
+        raise FormatError(f"{path}: grid is {h}x{w}, but {source} is {eh}x{ew}")
+    return grid
 
 
 def make_probability_map(height: int, width: int, values: Sequence[float]) -> ProbabilityMap:
@@ -204,10 +216,10 @@ def read_labels_pgm(path: str | Path, num_categories: int) -> LabelMap:
         end = pos
         while end < len(raw) and not raw[end : end + 1].isspace():
             end += 1
-        try:
-            fields.append(int(raw[pos:end]))
-        except ValueError as exc:
-            raise FormatError(f"{path}: malformed PGM header") from exc
+        token = raw[pos:end]
+        if not token.isdigit():  # int() would also take "-2", "+2" and "1_0"
+            raise FormatError(f"{path}: malformed PGM header")
+        fields.append(int(token))
         pos = end
     pos += 1  # single whitespace byte after maxval
     width, height, maxval = fields

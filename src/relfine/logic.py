@@ -64,9 +64,7 @@ def outside_band(length: int, relation: Relation, mean_coord: float) -> np.ndarr
     """1 at each row or column the subject must avoid. Right/below keep
     coords >= mean and left/above coords <= mean, so a tie is on both sides."""
     coords = np.arange(length)
-    if relation in (Relation.RIGHT, Relation.BELOW):
-        return (coords < mean_coord).astype(np.float64)
-    return (coords > mean_coord).astype(np.float64)
+    return (coords < mean_coord if relation.after else coords > mean_coord).astype(np.float64)
 
 
 def encode_triplets(

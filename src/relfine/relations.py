@@ -34,24 +34,22 @@ BACKGROUND = "background"
 
 
 class Relation(str, Enum):
-    """The four fundamental positional relations (rows grow downward)."""
+    """The four fundamental positional relations (rows grow downward). Each
+    states its geometry once: the `axis` it compares, and `after`, True when
+    the subject sits at larger coordinates than the object (below, right)."""
 
-    ABOVE = "above"
-    BELOW = "below"
-    LEFT = "left"
-    RIGHT = "right"
+    ABOVE = ("above", "row", False)
+    BELOW = ("below", "row", True)
+    LEFT = ("left", "col", False)
+    RIGHT = ("right", "col", True)
 
-    @property
-    def axis(self) -> Literal["row", "col"]:
-        return "row" if self in (Relation.ABOVE, Relation.BELOW) else "col"
+    def __new__(cls, value: str, axis: Literal["row", "col"], after: bool) -> Relation:
+        member = str.__new__(cls, value)
+        member._value_, member.axis, member.after = value, axis, after
+        return member
 
 
-_OPPOSITE = {
-    Relation.ABOVE: Relation.BELOW,
-    Relation.BELOW: Relation.ABOVE,
-    Relation.LEFT: Relation.RIGHT,
-    Relation.RIGHT: Relation.LEFT,
-}
+_OPPOSITE = {r: q for r in Relation for q in Relation if q.axis == r.axis and q.after != r.after}
 
 
 def opposite(relation: Relation) -> Relation:
@@ -378,25 +376,19 @@ class GeometricOracle:
     """
 
     def __init__(self, labels: LabelMap, roster: Sequence[str]):
-        self._centroids: dict[str, tuple[float, float]] = {}
+        self._centroids: dict[str, dict[str, float]] = {"row": {}, "col": {}}
         for index, name in enumerate(roster):
-            mask = labels.labels == index
-            if mask.any():
-                rows, cols = np.nonzero(mask)
-                self._centroids[name] = (float(rows.mean()), float(cols.mean()))
+            rows, cols = np.nonzero(labels.labels == index)
+            if rows.size:
+                self._centroids["row"][name] = float(rows.mean())
+                self._centroids["col"][name] = float(cols.mean())
 
     def holds(self, subject: str, relation: Relation, object: str) -> HoldsAnswer:
-        if subject not in self._centroids or object not in self._centroids:
+        centroids = self._centroids[relation.axis]
+        if subject not in centroids or object not in centroids:
             return "no"
-        s_row, s_col = self._centroids[subject]
-        o_row, o_col = self._centroids[object]
-        satisfied = {
-            Relation.ABOVE: s_row < o_row,
-            Relation.BELOW: s_row > o_row,
-            Relation.LEFT: s_col < o_col,
-            Relation.RIGHT: s_col > o_col,
-        }[relation]
-        return "yes" if satisfied else "no"
+        s, o = centroids[subject], centroids[object]
+        return "yes" if (s > o if relation.after else s < o) else "no"
 
     def choose(self, subject: str, first: Relation, second: Relation, object: str) -> ChooseAnswer:
         if self.holds(subject, first, object) == "yes":

@@ -24,7 +24,15 @@ from .errors import (
     write_json_object,
     writing_to,
 )
-from .grid import LabelMap, ProbabilityMap, read_labels, read_rsgf, write_labels_pgm, write_rsgf
+from .grid import (
+    LabelMap,
+    ProbabilityMap,
+    read_labels,
+    read_rsgf,
+    require_shape,
+    write_labels_pgm,
+    write_rsgf,
+)
 from .relations import (
     BACKGROUND,
     Relation,
@@ -361,9 +369,12 @@ def save_scene_bundle(path: str | Path, scene: Scene) -> None:
 
 
 def load_scene_bundle(path: str | Path) -> Scene:
-    """The scene saved at `path`; a bundle file that is missing or cannot be read raises FormatError naming it."""
+    """The scene saved at `path`. A bundle file that is missing or cannot be
+    read, or a grid whose shape is not spec.json's height x width, raises
+    FormatError naming it."""
     root = Path(path)
-    spec = spec_from_dict(load_json_object(root / "spec.json"), where=str(root / "spec.json"))
+    spec_path = root / "spec.json"
+    spec = spec_from_dict(load_json_object(spec_path), where=str(spec_path))
     triplets = load_triplets(root / "triplets.json")
     roster = spec.categories
     if triplets.categories != roster:
@@ -371,10 +382,17 @@ def load_scene_bundle(path: str | Path) -> Scene:
             f"{root / 'triplets.json'}: categories {list(triplets.categories)} "
             f"differ from the roster {list(roster)} that spec.json places"
         )
+    shape = (spec.height, spec.width)
+    gt_path = root / "gt_labels.pgm"
+    gt_labels = require_shape(gt_path, read_labels(gt_path, len(roster)), shape, spec_path)
+    init_probs = {}
+    for name in roster:
+        grid_path = root / "probs" / f"{name}.rsgf"
+        init_probs[name] = ProbabilityMap(require_shape(grid_path, read_rsgf(grid_path), shape, spec_path))
     return Scene(
         spec=spec,
-        gt_labels=read_labels(root / "gt_labels.pgm", len(roster)),
+        gt_labels=gt_labels,
         categories=roster,
-        init_probs={name: ProbabilityMap(read_rsgf(root / "probs" / f"{name}.rsgf")) for name in roster},
+        init_probs=init_probs,
         gt_triplets=triplets,
     )

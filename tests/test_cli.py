@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import functools
 import json
 import shutil
 import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from relfine import cli, evaluate
@@ -972,3 +974,89 @@ def test_parser_defaults_are_the_library_defaults():
     evaluate_args = parser.parse_args(["eval", "--scenes", "s", "--pred", "p"])
     assert evaluate_args.threshold == evaluate.DEFAULT_SATISFACTION_THRESHOLD
     assert parser.parse_args(["gradcheck"]).tolerance == gradcheck.DEFAULT_TOLERANCE
+
+
+# --------------------------------------------------------------------------
+# process pool, manifest names, grid shapes and PGM headers
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in-process."""
+
+    def __init__(self, started: list[int], max_workers: int):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
+
+
+@pytest.mark.parametrize("jobs, scenes, started", [("64", 3, [3]), ("2", 3, [2]), ("64", 1, [])])
+def test_jobs_start_at_most_one_worker_per_scene(tmp_path, monkeypatch, jobs, scenes, started):
+    pools: list[int] = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(_InProcessPool, pools))
+    config = write_config(tmp_path / "config.json",
+                          [small_scene(f"scene_{i:03d}", seed=i + 1) for i in range(scenes)])
+    assert main(["gen-scenes", str(config), "--jobs", jobs]) == 0
+    assert main(["refine", "--scene", str(tmp_path / "scenes"), "--out", str(tmp_path / "out"),
+                 "--use-gt-triplets", "--steps", "2", "--jobs", jobs]) == 0
+    assert pools == started * 2
+
+
+def test_refine_and_eval_reject_a_repeated_manifest_name(tmp_path, capsys):
+    scenes = _generated_scene_set(tmp_path)
+    pred = _gt_predictions(tmp_path, scenes)
+    entries = [{"name": "scene_000", "path": "scene_000"}, {"name": "scene_000", "path": "scene_001"}]
+    (scenes / "manifest.json").write_text(json.dumps({"scenes": entries}))
+    out = tmp_path / "out"
+    for argv in (["refine", "--scene", str(scenes), "--out", str(out), "--use-gt-triplets"],
+                 ["eval", "--scenes", str(scenes), "--pred", str(pred)],
+                 ["eval", "--scenes", str(scenes), "--pred", str(pred), "--baseline", str(pred)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert f"{scenes / 'manifest.json'}: scenes[1]: duplicate scene name 'scene_000'" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["gt_labels.pgm", "probs/b.rsgf"])
+def test_refine_rejects_a_bundle_grid_of_another_shape_before_writing(tmp_path, capsys, grid):
+    from relfine.grid import LabelMap, write_labels_pgm, write_rsgf
+
+    bundle = _generated_scene_set(tmp_path) / "scene_000"
+    if grid == "gt_labels.pgm":
+        write_labels_pgm(bundle / grid, LabelMap(np.zeros((8, 8), dtype=np.int64), 3))
+    else:
+        write_rsgf(bundle / grid, np.full((8, 8), 0.5))
+    out = tmp_path / "out"
+    assert main(["refine", "--scene", str(bundle), "--out", str(out), "--use-gt-triplets"]) == 2
+    err = capsys.readouterr().err
+    assert f"{bundle / grid}: grid is 8x8, but {bundle / 'spec.json'} is 16x16" in err, err
+    assert not out.exists()
+
+
+def test_eval_names_a_prediction_of_another_shape(tmp_path, capsys):
+    from relfine.grid import LabelMap, write_labels_pgm
+
+    scenes = _generated_scene_set(tmp_path)
+    pred = _gt_predictions(tmp_path, scenes)
+    labels = pred / "scene_001" / "labels.pgm"
+    write_labels_pgm(labels, LabelMap(np.zeros((8, 8), dtype=np.int64), 3))
+    assert main(["eval", "--scenes", str(scenes), "--pred", str(pred)]) == 2
+    assert f"{labels}: grid is 8x8, but scene 'scene_001' is 16x16" in capsys.readouterr().err
+
+
+def test_signed_pgm_dimensions_exit_2_naming_the_file(tmp_path, capsys):
+    scenes = _generated_scene_set(tmp_path)
+    pred = _gt_predictions(tmp_path, scenes)
+    bad = pred / "scene_000" / "labels.pgm"
+    bad.write_bytes(b"P5\n-2 -2\n255\n" + bytes(4))
+    for argv in (["calibrate", "--triplets", str(scenes / "scene_000" / "triplets.json"),
+                  "--geometric", "--labels", str(bad)],
+                 ["eval", "--scenes", str(scenes), "--pred", str(pred)]):
+        assert main(argv) == 2, argv
+        assert f"{bad}: malformed PGM header" in capsys.readouterr().err

@@ -204,3 +204,16 @@ def test_every_grid_reader_names_a_file_it_cannot_read(tmp_path, kind):
     for reader in readers:
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: cannot read: {message}$"):
             reader(path)
+
+
+@pytest.mark.parametrize("header", [b"-2 -2", b"+2 +2", b"1_0 1"], ids=repr)
+def test_pgm_header_fields_must_be_decimal_digits(tmp_path, header):
+    # int() takes each of these, and each passes the pixel-count check:
+    # -2 x -2 = 4 = +2 x +2 and 1_0 x 1 = 10.
+    path = tmp_path / "signed.pgm"
+    width, height = (int(field) for field in header.split())
+    path.write_bytes(b"P5\n" + header + b"\n255\n" + bytes(width * height))
+    with pytest.raises(FormatError, match="signed.pgm: malformed PGM header"):
+        read_labels_pgm(path, 3)
+    with pytest.raises(FormatError, match="signed.pgm: malformed PGM header"):
+        read_labels(path, 3)
