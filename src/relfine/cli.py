@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields, replace
@@ -212,7 +213,7 @@ def _refine_one(task: tuple[str, str, str, TripletSet | None, RefineConfig, Spat
         write_rsgf(out / "probs" / f"{category}.rsgf", final_state.probs[index])
 
     _, terms = spatial_loss(final_state, triplets, loss_cfg)
-    flags = satisfied_flags(labels, scene.categories, terms.triplets)
+    flags = satisfied_flags(labels, scene.categories, triplets)
     constraints = [
         {
             "subject": t.subject,
@@ -223,7 +224,7 @@ def _refine_one(task: tuple[str, str, str, TripletSet | None, RefineConfig, Spat
             "satisfied": satisfied,
         }
         for t, loss, weight, satisfied in zip(
-            terms.triplets, terms.losses.tolist(), terms.weights.tolist(), flags.tolist()
+            triplets, terms.losses.tolist(), terms.weights.tolist(), flags.tolist()
         )
     ]
     report = evaluate_scene(labels, scene, triplets, name=name, flags=flags)
@@ -268,6 +269,11 @@ def _scene_set(path: Path) -> tuple[list[tuple[str, Path]], bool]:
     return pairs, False
 
 
+def _same_path(a: Path, b: Path) -> bool:
+    """Whether two paths, existing or not, resolve to the same place."""
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def cmd_refine(args: argparse.Namespace) -> int:
     if args.triplets is None and not args.use_gt_triplets:
         raise FormatError("refine needs --triplets PATH or --use-gt-triplets")
@@ -287,12 +293,16 @@ def cmd_refine(args: argparse.Namespace) -> int:
     if args.reduction is not None:
         loss_cfg = replace(loss_cfg, reduction=args.reduction)
 
-    pairs, single = _scene_set(Path(args.scene))
+    scene_root, out_root = Path(args.scene), Path(args.out)
+    pairs, single = _scene_set(scene_root)
+    if not single and _same_path(out_root, scene_root):
+        raise FormatError(f"--out {out_root} is the scene set {scene_root}: refine would overwrite its input")
     triplets = None if args.triplets is None else load_triplets(args.triplets)
-    out_root = Path(args.out)
     tasks = []
     for name, bundle in pairs:
         out_dir = out_root if single else out_root / name
+        if _same_path(out_dir, bundle):
+            raise FormatError(f"output {out_dir} is the input bundle {bundle}: refine would overwrite its input")
         tasks.append((name, str(bundle), str(out_dir), triplets, cfg, loss_cfg))
     reports = _parallel_map(_refine_one, tasks, args.jobs)
     if not single:
@@ -402,6 +412,17 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _job_count(text: str) -> int:
+    """A --jobs value: an integer of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="relfine", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -409,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-scenes", help="generate scene bundles from a run config")
     p.add_argument("config", help="run config JSON")
     p.add_argument("--output", help="override the config's output_dir")
-    p.add_argument("--jobs", type=int, default=1, help="parallel scene generation")
+    p.add_argument("--jobs", type=_job_count, default=1, help="parallel scene generation")
     p.set_defaults(handler="cmd_gen_scenes")
 
     p = sub.add_parser("calibrate", help="augment, validate, and de-contradict a triplet set")
@@ -435,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, help=f"optimization steps (default {RefineConfig().steps})")
     p.add_argument("--learning-rate", type=float, help=f"Adam learning rate (default {RefineConfig().learning_rate})")
     p.add_argument("--reduction", choices=["sum", "mean"])
-    p.add_argument("--jobs", type=int, default=1, help="parallel refinement across scenes")
+    p.add_argument("--jobs", type=_job_count, default=1, help="parallel refinement across scenes")
     p.set_defaults(handler="cmd_refine")
 
     p = sub.add_parser("eval", help="score predictions against scene ground truth")

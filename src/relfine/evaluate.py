@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import FormatError, SceneSetMismatchError, writing_to
 from .grid import LabelMap
-from .logic import encode_triplets, outside_bands
+from .logic import encode_triplets, outside_bands, outside_sums
 from .relations import SpatialTriplet, TripletSet
 from .scenes import Scene
 
@@ -73,15 +73,14 @@ def satisfied_flags(
     """triplet_satisfied for every triplet at once, as a (T,) bool array.
 
     The bands are the loss's, taken over the one-hot label maps with no
-    epsilon; the subject's outside count is its row and column pixel counts
-    dotted with them.
+    epsilon, and the subject's outside count is the loss's outside sum over
+    those maps.
     """
     subjects, relations, objects = encode_triplets(roster, triplets)
     onehot = (pred.labels == np.arange(len(roster))[:, None, None]).astype(np.float64)
     rows, cols = outside_bands(onehot, relations, objects, 0.0)
-    row_counts, col_counts = onehot.sum(axis=2)[subjects], onehot.sum(axis=1)[subjects]
-    outside = (rows * row_counts).sum(axis=1) + (cols * col_counts).sum(axis=1)
-    pixels = row_counts.sum(axis=1)
+    outside = outside_sums(onehot, subjects, rows, cols)
+    pixels = onehot.sum(axis=(1, 2))[subjects]
     share = np.divide(pixels - outside, pixels, out=np.zeros_like(pixels), where=pixels != 0.0)
     return (pixels == 0.0) | (share >= threshold)
 

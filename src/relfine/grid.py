@@ -75,10 +75,7 @@ class LabelMap:
         if self.num_categories < 1:
             raise FormatError("label map needs at least one category")
         if labels.min() < 0 or labels.max() >= self.num_categories:
-            raise FormatError(
-                f"labels must lie in [0, {self.num_categories}), "
-                f"found range [{labels.min()}, {labels.max()}]"
-            )
+            raise _out_of_range(self.num_categories, labels.min(), labels.max())
         object.__setattr__(self, "labels", _as_readonly(labels.astype(np.int64)))
 
     @property
@@ -92,6 +89,10 @@ class LabelMap:
     @property
     def shape(self) -> tuple[int, int]:
         return self.labels.shape
+
+
+def _out_of_range(num_categories: int, low: object, high: object) -> FormatError:
+    return FormatError(f"labels must lie in [0, {num_categories}), found range [{low}, {high}]")
 
 
 Grid = TypeVar("Grid", np.ndarray, LabelMap)
@@ -228,7 +229,15 @@ def read_labels_pgm(path: str | Path, num_categories: int) -> LabelMap:
     data = np.frombuffer(raw[pos:], dtype=np.uint8)
     if data.size != height * width:
         raise FormatError(f"{path}: PGM pixel count {data.size} != {height}x{width}")
-    return LabelMap(data.reshape(height, width).astype(np.int64), num_categories)
+    return _label_map(path, data.reshape(height, width).astype(np.int64), num_categories)
+
+
+def _label_map(path: str | Path, labels: np.ndarray, num_categories: int) -> LabelMap:
+    """The LabelMap of `labels`, read from `path`; a failed check names the file."""
+    try:
+        return LabelMap(labels, num_categories)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def read_labels(path: str | Path, num_categories: int) -> LabelMap:
@@ -236,7 +245,10 @@ def read_labels(path: str | Path, num_categories: int) -> LabelMap:
     if _read(path, 5).startswith(b"P5"):
         return read_labels_pgm(path, num_categories)
     values = read_grid(path)
-    rounded = np.rint(values)
-    if not np.array_equal(rounded, values):
+    if not np.array_equal(np.rint(values), values):
         raise FormatError(f"{path}: label grid holds non-integer values")
-    return LabelMap(rounded.astype(np.int64), num_categories)
+    # A value past int64 (1e30, inf) lies outside every roster, and the int64
+    # cast would wrap it, so its range is reported before the cast.
+    if np.abs(values).max(initial=0.0) >= 2.0**63:
+        raise FormatError(f"{path}: {_out_of_range(num_categories, values.min(), values.max())}")
+    return _label_map(path, values.astype(np.int64), num_categories)

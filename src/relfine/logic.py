@@ -104,6 +104,13 @@ def outside_bands(
     return bands["row"], bands["col"]
 
 
+def outside_sums(field: np.ndarray, subjects: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each triplet's sum of the (C, H, W) `field` over its subject's map
+    outside the bands: the (T, H) `rows` and (T, W) `cols` dotted with that
+    map's row and column sums."""
+    return (rows * field.sum(axis=2)[subjects]).sum(axis=1) + (cols * field.sum(axis=1)[subjects]).sum(axis=1)
+
+
 def fuzzy_implication(p, q):
     """Product-logic implication P -> Q = 1 - P*(1-Q), elementwise on arrays."""
     return 1.0 - p * (1.0 - q)
@@ -111,14 +118,14 @@ def fuzzy_implication(p, q):
 
 @dataclass(frozen=True, eq=False)
 class ConstraintTerms:
-    """Triplets compiled against the current maps, one row per triplet.
+    """Triplets compiled against the current maps, one row per triplet, in
+    the order they were given.
 
     `rows` (T, H) and `cols` (T, W) are the outside bands, 1 where the subject
     must not be and all 0 on the axis the relation does not use. `subjects`
     index the state's categories; `losses` is None until the loss has run.
     """
 
-    triplets: tuple[SpatialTriplet, ...]
     subjects: np.ndarray
     weights: np.ndarray
     rows: np.ndarray
@@ -126,7 +133,7 @@ class ConstraintTerms:
     losses: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.triplets)
+        return len(self.subjects)
 
 
 def compile_constraints(
@@ -139,14 +146,13 @@ def compile_constraints(
     sigmoid-gated mean sum(M*s) / (sum s + eps) with s = sigma(scale*(M - bias)),
     which leans on confidently predicted pixels and is 0 for an empty map."""
     cfg = cfg or SpatialLossConfig()
-    triplets = tuple(triplets)
     probs = state.probs
     subjects, relations, objects = encode_triplets(state.categories, triplets)
     with np.errstate(over="ignore"):  # an overflowing exp saturates the gate to 0, as intended
         gate = 1.0 / (1.0 + np.exp(-cfg.sigmoid_scale * (probs - cfg.sigmoid_bias)))
     weights = (probs * gate).sum(axis=(1, 2)) / (gate.sum(axis=(1, 2)) + cfg.epsilon)
     rows, cols = outside_bands(probs, relations, objects, cfg.epsilon)
-    return ConstraintTerms(triplets, subjects, weights[objects], rows, cols)
+    return ConstraintTerms(subjects, weights[objects], rows, cols)
 
 
 def compiled_spatial_loss(
@@ -156,15 +162,13 @@ def compiled_spatial_loss(
 ) -> tuple[float, ConstraintTerms]:
     """Evaluate frozen constraints against the state's current subject maps.
 
-    Inside pixels cost log 1 = 0, so each loss is its bands dotted with the
-    subject's row and column sums of -log max(1 - P, clamp). Returns the
-    weighted total and `compiled` with its losses filled in.
+    Inside pixels cost log 1 = 0, so each loss is the outside sum of the
+    penalty -log max(1 - P, clamp). Returns the weighted total and `compiled`
+    with its losses filled in.
     """
     cfg = cfg or SpatialLossConfig()
     penalty = -np.log(np.maximum(1.0 - state.probs, cfg.log_clamp))
-    row_sums = penalty.sum(axis=2)[compiled.subjects]
-    col_sums = penalty.sum(axis=1)[compiled.subjects]
-    losses = (compiled.rows * row_sums).sum(axis=1) + (compiled.cols * col_sums).sum(axis=1)
+    losses = outside_sums(penalty, compiled.subjects, compiled.rows, compiled.cols)
     if cfg.reduction == "mean":
         losses /= state.height * state.width
     return float(compiled.weights @ losses), replace(compiled, losses=losses)

@@ -61,10 +61,12 @@ _RELATIONS = {r.value: r for r in Relation}
 
 
 def parse_relation(name: str) -> Relation:
-    relation = _RELATIONS.get(name) if isinstance(name, str) else None
-    if relation is None:
-        raise FormatError(f"unknown relation {name!r}, expected one of: {', '.join(_RELATIONS)}")
-    return relation
+    """The relation named `name`; anything else, an unhashable value included,
+    raises FormatError."""
+    try:
+        return _RELATIONS[name]
+    except (KeyError, TypeError):
+        raise FormatError(f"unknown relation {name!r}, expected one of: {', '.join(_RELATIONS)}") from None
 
 
 TripletKey = tuple[str, Relation, str]
@@ -96,10 +98,7 @@ class SpatialTriplet:
         fields["object"] = object
         fields["stage"] = stage
 
-    @property
-    def key(self) -> TripletKey:
-        """Identity of the statement itself, ignoring provenance."""
-        return (self.subject, self.relation, self.object)
+    key = property(_triplet_key, doc="Identity of the statement itself, ignoring provenance.")
 
     def reversed(self) -> SpatialTriplet:
         """The equivalent statement seen from the object's side."""
@@ -474,8 +473,7 @@ def load_triplets(path: str | Path, swap_args: bool = False) -> TripletSet:
         raise FormatError(f"{path}: 'categories' must be a list of strings")
 
     # Each entry is checked once, inline; the file and index prefix the
-    # message only when a check fails, and `parse_relation` runs only to word
-    # a bad relation's error.
+    # message only when a check fails.
     collapsed: dict[TripletKey, SpatialTriplet] = {}
     for index, entry in enumerate(_table(doc, "triplets", path)):
         try:
@@ -485,10 +483,7 @@ def load_triplets(path: str | Path, swap_args: bool = False) -> TripletSet:
                 raise FormatError(f"unknown keys {sorted(entry.keys() - _TRIPLET_KEYS)}")
             try:
                 subject = entry["subject"]
-                name = entry["relation"]
-                relation = _RELATIONS.get(name) if isinstance(name, str) else None
-                if relation is None:
-                    parse_relation(name)
+                relation = parse_relation(entry["relation"])
                 obj = entry["object"]
             except KeyError as exc:
                 raise FormatError(f"missing key {exc.args[0]!r}") from None
@@ -543,7 +538,7 @@ def load_scripted_oracle(path: str | Path) -> ScriptedOracle:
         raise FormatError(f"{path}: unknown keys {sorted(doc.keys() - _ORACLE_FILE_KEYS)}")
 
     # Each entry is checked once, inline, in the order keys, names, answer,
-    # relations; `parse_relation` runs only to word a bad relation's error.
+    # relations.
     holds: dict[tuple[str, Relation, str], HoldsAnswer] = {}
     for index, entry in enumerate(_table(doc, "holds", path)):
         try:
@@ -556,11 +551,7 @@ def load_scripted_oracle(path: str | Path) -> ScriptedOracle:
                 raise _not_a_name("o", o)
             if answer not in ("yes", "no", "unknown"):
                 raise FormatError(f"answer must be yes/no/unknown, got {answer!r}")
-            r = entry["r"]
-            relation = _RELATIONS.get(r) if isinstance(r, str) else None
-            if relation is None:
-                parse_relation(r)
-            holds[s, relation, o] = answer
+            holds[s, parse_relation(entry["r"]), o] = answer
         except FormatError as exc:
             raise FormatError(f"{path}: holds[{index}]: {exc}") from None
 
@@ -576,14 +567,7 @@ def load_scripted_oracle(path: str | Path) -> ScriptedOracle:
                 raise _not_a_name("o", o)
             if answer not in ("first", "second", "neither"):
                 raise FormatError(f"answer must be first/second/neither, got {answer!r}")
-            r1, r2 = entry["r1"], entry["r2"]
-            first = _RELATIONS.get(r1) if isinstance(r1, str) else None
-            if first is None:
-                parse_relation(r1)
-            second = _RELATIONS.get(r2) if isinstance(r2, str) else None
-            if second is None:
-                parse_relation(r2)
-            choose[s, first, second, o] = answer
+            choose[s, parse_relation(entry["r1"]), parse_relation(entry["r2"]), o] = answer
         except FormatError as exc:
             raise FormatError(f"{path}: choose[{index}]: {exc}") from None
 

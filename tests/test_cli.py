@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -1060,3 +1063,107 @@ def test_signed_pgm_dimensions_exit_2_naming_the_file(tmp_path, capsys):
                  ["eval", "--scenes", str(scenes), "--pred", str(pred)]):
         assert main(argv) == 2, argv
         assert f"{bad}: malformed PGM header" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# refine never writes over its input, label-map errors name the file, --jobs
+# is at least 1, and the module entry point returns each exit code
+
+
+def _digests(root: Path) -> dict[Path, bytes]:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("form", ["bundle", "scene set"])
+def test_refine_rejects_an_output_that_is_its_input(tmp_path, capsys, form):
+    scenes = _generated_scene_set(tmp_path)
+    scene = scenes / "scene_000" if form == "bundle" else scenes
+    before = _digests(tmp_path)
+    out = scene / "probs" / ".." if form == "bundle" else scenes / "scene_001" / ".."
+    assert main(["refine", "--scene", str(scene), "--out", str(out), "--use-gt-triplets", "--steps", "1"]) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and str(scene) in err and "overwrite" in err, err
+    assert _digests(tmp_path) == before
+
+
+def test_refine_rejects_an_output_bundle_that_is_its_input_in_a_scene_set(tmp_path, capsys):
+    scenes = _generated_scene_set(tmp_path)
+    out = tmp_path / "view"
+    out.mkdir()
+    (out / "scene_001").symlink_to(scenes / "scene_001", target_is_directory=True)
+    before = _digests(scenes)
+    assert main(["refine", "--scene", str(scenes), "--out", str(out), "--use-gt-triplets", "--steps", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{out / 'scene_001'} is the input bundle {scenes / 'scene_001'}" in err, err
+    assert _digests(scenes) == before
+    assert not (out / "scene_000").exists()
+
+
+def _labels_args(tmp_path: Path, where: str, name: str) -> tuple[list[str], Path]:
+    """An argv that reads the label map at the returned path: an eval
+    prediction, or the --labels of calibrate --geometric."""
+    scenes = _generated_scene_set(tmp_path)
+    pred = _gt_predictions(tmp_path, scenes)
+    if where == "eval":
+        return ["eval", "--scenes", str(scenes), "--pred", str(pred)], pred / "scene_000" / name
+    return (["calibrate", "--triplets", str(scenes / "scene_000" / "triplets.json"), "--geometric",
+             "--labels", str(tmp_path / name)], tmp_path / name)
+
+
+@pytest.mark.parametrize("where", ["eval", "calibrate"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"P5\n2 1\n255\n\x00\x09", "labels must lie in [0, 3), found range [0, 9]"),
+        (b"P5\n0 0\n255\n", "label map must be 2-D and non-empty, got shape (0, 0)"),
+    ],
+    ids=["value 9", "empty"],
+)
+def test_label_map_errors_name_the_file(tmp_path, capsys, where, content, message):
+    argv, labels = _labels_args(tmp_path, where, "labels.pgm")
+    labels.write_bytes(content)
+    assert main(argv) == 2
+    assert f"error: {labels}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, shown", [(1e30, "e+30]"), (float("inf"), "inf]")], ids=["1e30", "inf"])
+def test_a_label_grid_past_int64_is_rejected_before_the_cast(tmp_path, capsys, value, shown):
+    from relfine.grid import write_rsgf
+
+    argv, labels = _labels_args(tmp_path, "calibrate", "labels.rsgf")
+    write_rsgf(labels, np.array([[0.0, 1.0], [2.0, value]]))
+    assert main(argv) == 2  # the int64 cast's RuntimeWarning would be an error here
+    err = capsys.readouterr().err
+    assert f"error: {labels}: labels must lie in [0, 3), found range [0.0, " in err and shown in err, err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", ["gen-scenes", "refine"])
+def test_jobs_below_one_is_rejected_at_parsing(tmp_path, capsys, command, jobs):
+    config = write_config(tmp_path / "config.json", [small_scene()])
+    out = tmp_path / "out"
+    if command == "gen-scenes":
+        argv = ["gen-scenes", str(config), "--output", str(out)]
+    else:
+        assert main(["gen-scenes", str(config)]) == 0
+        argv = ["refine", "--scene", str(tmp_path / "scenes"), "--out", str(out), "--use-gt-triplets"]
+    with pytest.raises(SystemExit) as exc:  # argparse's own exit 2
+        main([*argv, "--jobs", jobs])
+    assert exc.value.code == 2
+    assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    src = str(Path(cli.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "relfine.cli", *args],
+                              capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+
+    assert run("gradcheck", "--instances", "1").returncode == 0
+    assert run("gradcheck", "--instances", "1", "--corrupt-gradient").returncode == 1
+    missing = run("eval", "--scenes", str(tmp_path / "missing"), "--pred", str(tmp_path / "pred"))
+    assert missing.returncode == 2
+    assert missing.stderr.startswith("error: ") and "Traceback" not in missing.stderr, missing.stderr
