@@ -11,7 +11,6 @@ from .errors import (
     FormatError,
     RelfineError,
     SceneSetMismatchError,
-    SceneSpecError,
     UnknownCategoryError,
 )
 from .evaluate import (

@@ -13,7 +13,7 @@ import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
@@ -21,7 +21,9 @@ from .errors import (
     FormatError,
     RelfineError,
     SceneSetMismatchError,
+    from_fields,
     load_json_object,
+    require_keys,
     write_json_object,
     writing_to,
 )
@@ -91,21 +93,7 @@ def _parallel_map(fn: Callable[[T], U], items: Sequence[T], jobs: int) -> list[U
 # Run configuration
 # ---------------------------------------------------------------------------
 
-_CONFIG_SECTIONS = {"output_dir", "scenes", "refine", "loss"}
-
-
-def _section(doc: dict, name: str, cls: type[T], path: str) -> T:
-    """Build the dataclass `cls` from a config section whose keys are its fields."""
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise FormatError(f"{path}: section {name!r} must be an object")
-    unknown = set(section) - {f.name for f in fields(cls)}
-    if unknown:
-        raise FormatError(f"{path}: section {name!r} has unknown keys {sorted(unknown)}")
-    try:
-        return cls(**section)
-    except FormatError as exc:
-        raise FormatError(f"{path}: section {name!r}: {exc}") from None
+_CONFIG_SECTIONS = frozenset({"output_dir", "scenes", "refine", "loss"})
 
 
 class RunConfig:
@@ -114,9 +102,7 @@ class RunConfig:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         doc = load_json_object(path)
-        unknown = set(doc) - _CONFIG_SECTIONS
-        if unknown:
-            raise FormatError(f"{path}: unknown keys {sorted(unknown)}")
+        require_keys(doc, frozenset(), _CONFIG_SECTIONS, str(path))
 
         output_dir = doc.get("output_dir", "out")
         if not isinstance(output_dir, str):
@@ -127,19 +113,20 @@ class RunConfig:
         entries = doc.get("scenes", [])
         if not isinstance(entries, list):
             raise FormatError(f"{path}: 'scenes' must be a list")
+        names: set[str] = set()
         for index, entry in enumerate(entries):
+            where = f"{path}: scenes[{index}]"
             if not isinstance(entry, dict):
-                raise FormatError(f"{path}: scenes[{index}] must be an object")
+                raise FormatError(f"{where} must be an object")
             entry = dict(entry)
-            name = require_safe_name(entry.pop("name", f"scene_{index:03d}"), f"{path}: scenes[{index}]: 'name'")
-            spec = spec_from_dict(entry, where=f"{path}: scenes[{index}] ({name})")
-            self.scene_specs.append((name, spec))
-        names = [name for name, _ in self.scene_specs]
-        if len(set(names)) != len(names):
-            raise FormatError(f"{path}: duplicate scene names")
+            name = require_safe_name(entry.pop("name", f"scene_{index:03d}"), f"{where}: 'name'")
+            if name in names:
+                raise FormatError(f"{where}: duplicate scene name {name!r}")
+            names.add(name)
+            self.scene_specs.append((name, spec_from_dict(entry, where=f"{where} ({name})")))
 
-        self.refine_cfg = _section(doc, "refine", RefineConfig, str(path))
-        self.loss_cfg = _section(doc, "loss", SpatialLossConfig, str(path))
+        self.refine_cfg = from_fields(RefineConfig, doc.get("refine", {}), f"{path}: section 'refine'")
+        self.loss_cfg = from_fields(SpatialLossConfig, doc.get("loss", {}), f"{path}: section 'loss'")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exception types shared across the package, the field type checks that
-raise them, the JSON-object loader and writer every file reader and writer
-shares, and the guard that turns a failed write into a FormatError.
+raise them, the one builder that turns a JSON object into a dataclass, the
+JSON-object loader and writer every file reader and writer shares, and the
+guard that turns a failed write into a FormatError.
 
 Each class declares the exit code the CLI returns for it, so raising the
 right class matters more than the message wording.
@@ -11,9 +12,12 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
+from dataclasses import MISSING, fields
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 
 class RelfineError(Exception):
@@ -23,11 +27,6 @@ class RelfineError(Exception):
 
 class FormatError(RelfineError, ValueError):
     """A file, grid, or config failed validation."""
-    exit_code = 2
-
-
-class SceneSpecError(RelfineError, ValueError):
-    """A scene specification is invalid."""
     exit_code = 2
 
 
@@ -41,23 +40,53 @@ class SceneSetMismatchError(RelfineError, ValueError):
     exit_code = 4
 
 
-def require_int(value: object, field: str, error: type[RelfineError] = FormatError) -> int:
-    """`value` as an int; anything but an integer (bools and floats included) raises `error`."""
+def require_int(value: object, field: str) -> int:
+    """`value` as an int; anything but an integer (bools and floats included) raises FormatError."""
+    if type(value) is int:  # the common case; the isinstance ABC check below is many times slower
+        return value
     if isinstance(value, bool) or not isinstance(value, Integral):
-        raise error(f"{field} must be an integer, got {value!r}")
+        raise FormatError(f"{field} must be an integer, got {value!r}")
     return int(value)
 
 
-def require_real(value: object, field: str, error: type[RelfineError] = FormatError) -> float:
+def require_real(value: object, field: str) -> float:
     """`value` as a float; anything but a finite int or float (bools included),
-    or an int too large for a float, raises `error`."""
+    or an int too large for a float, raises FormatError."""
     try:
         finite = not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
     except OverflowError:
         finite = False
     if not finite:
-        raise error(f"{field} must be a finite number, got {value!r}")
+        raise FormatError(f"{field} must be a finite number, got {value!r}")
     return float(value)
+
+
+def require_keys(doc: dict, required: frozenset[str], optional: frozenset[str], where: str) -> None:
+    """Raise FormatError, prefixed with `where`, when the object `doc` lacks a
+    required key or holds a key that is neither required nor optional."""
+    missing = required - doc.keys()
+    if missing:
+        raise FormatError(f"{where}: missing keys {sorted(missing)}")
+    unknown = doc.keys() - required - optional
+    if unknown:
+        raise FormatError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def from_fields(cls: type[T], doc: object, where: str, **build: Callable[[object], object]) -> T:
+    """The dataclass `cls` built from the JSON object `doc`, whose keys are its
+    fields: those with no default are required, the rest optional. `build`
+    maps a field to a function that turns its JSON value into what `cls`
+    takes (a list of objects into dataclasses, say). The key checks come
+    first; then `cls` checks its own fields, and a FormatError that the
+    builders or `cls` raise is prefixed with `where`."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{where}: must be an object, got {doc!r}")
+    required = frozenset(f.name for f in fields(cls) if f.default is MISSING)
+    require_keys(doc, required, frozenset(f.name for f in fields(cls)) - required, where)
+    try:
+        return cls(**{key: build[key](value) if key in build else value for key, value in doc.items()})
+    except FormatError as exc:
+        raise FormatError(f"{where}: {exc}") from None
 
 
 @contextmanager

@@ -15,7 +15,7 @@ from typing import Sequence, TypeVar
 
 import numpy as np
 
-from .errors import FormatError, load_json_object, require_int, writing_to
+from .errors import FormatError, load_json_object, require_int, require_keys, writing_to
 
 #: Denominator guard for weighted means, small enough that it never moves a
 #: half-plane boundary on grids up to 4096 px.
@@ -150,14 +150,12 @@ def read_rsgf(path: str | Path) -> np.ndarray:
     return values.astype(np.float64)
 
 
+_GRID_JSON_KEYS = frozenset({"height", "width", "values"})
+
+
 def read_grid_json(path: str | Path) -> np.ndarray:
     doc = load_json_object(path)
-    for key in ("height", "width", "values"):
-        if key not in doc:
-            raise FormatError(f"{path}: grid JSON missing key {key!r}")
-    unknown = set(doc) - {"height", "width", "values"}
-    if unknown:
-        raise FormatError(f"{path}: grid JSON has unknown keys {sorted(unknown)}")
+    require_keys(doc, _GRID_JSON_KEYS, frozenset(), str(path))
     height, width = (require_int(doc[key], f"{path}: {key!r}") for key in ("height", "width"))
     if height < 1 or width < 1:
         raise FormatError(f"{path}: 'height' and 'width' must be positive, got {height}x{width}")

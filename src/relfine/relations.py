@@ -20,7 +20,7 @@ from typing import Iterator, Literal, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .errors import FormatError, UnknownCategoryError, load_json_object, writing_to
+from .errors import FormatError, UnknownCategoryError, load_json_object, require_keys, writing_to
 from .grid import LabelMap
 
 Stage = Literal["initial", "bidirectional", "validated", "resolved"]
@@ -466,8 +466,7 @@ def load_triplets(path: str | Path, swap_args: bool = False) -> TripletSet:
     relation, object) collapse to one entry keeping the earliest stage tag.
     """
     doc = load_json_object(path)
-    if not doc.keys() <= _TRIPLET_FILE_KEYS:
-        raise FormatError(f"{path}: unknown keys {sorted(doc.keys() - _TRIPLET_FILE_KEYS)}")
+    require_keys(doc, frozenset(), _TRIPLET_FILE_KEYS, str(path))
     categories = doc.get("categories")
     if not isinstance(categories, list) or not all(isinstance(c, str) for c in categories):
         raise FormatError(f"{path}: 'categories' must be a list of strings")
@@ -534,8 +533,7 @@ def save_triplets(path: str | Path, triplets: TripletSet) -> None:
 
 def load_scripted_oracle(path: str | Path) -> ScriptedOracle:
     doc = load_json_object(path)
-    if not doc.keys() <= _ORACLE_FILE_KEYS:
-        raise FormatError(f"{path}: unknown keys {sorted(doc.keys() - _ORACLE_FILE_KEYS)}")
+    require_keys(doc, frozenset(), _ORACLE_FILE_KEYS, str(path))
 
     # Each entry is checked once, inline, in the order keys, names, answer,
     # relations.

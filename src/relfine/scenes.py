@@ -9,7 +9,7 @@ computed from an explicit seed, so scenes regenerate bit-identically.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (
     FormatError,
-    SceneSpecError,
+    from_fields,
     load_json_object,
     require_int,
     require_real,
@@ -62,6 +62,19 @@ def require_safe_name(value: object, field: str) -> str:
     return value
 
 
+#: The check of a scene dataclass field, by its annotation. Each returns the
+#: value in normal form: a plain int or float, or a filename-safe name.
+_REQUIRE = {"int": require_int, "float": require_real, "str": require_safe_name}
+
+
+def _check_scalars(obj: object) -> None:
+    """Check every int, float and str field of the frozen dataclass `obj`, in
+    field order, and store its normal form."""
+    for f in fields(obj):
+        if f.type in _REQUIRE:
+            object.__setattr__(obj, f.name, _REQUIRE[f.type](getattr(obj, f.name), f.name))
+
+
 @dataclass(frozen=True)
 class Placement:
     """Half-open rectangle [row0, row1) x [col0, col1) painted for one category."""
@@ -72,6 +85,9 @@ class Placement:
     row1: int
     col1: int
 
+    def __post_init__(self) -> None:
+        _check_scalars(self)
+
 
 @dataclass(frozen=True)
 class Confusion:
@@ -80,6 +96,13 @@ class Confusion:
     first: str
     second: str
     strength: float
+
+    def __post_init__(self) -> None:
+        _check_scalars(self)
+        if not 0.0 <= self.strength <= 1.0:
+            raise FormatError(f"strength must lie in [0, 1], got {self.strength}")
+        if self.first == self.second:
+            raise FormatError(f"first and second must differ, both are {self.first!r}")
 
 
 @dataclass(frozen=True)
@@ -92,41 +115,43 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_scalars(self)
+        if not isinstance(self.placements, (list, tuple)) or not all(
+            isinstance(p, Placement) for p in self.placements
+        ):
+            raise FormatError(f"placements must be a list of Placement objects, got {self.placements!r}")
         object.__setattr__(self, "placements", tuple(self.placements))
+        if not (self.confusion is None or isinstance(self.confusion, Confusion)):
+            raise FormatError(f"confusion must be a Confusion object or null, got {self.confusion!r}")
         if self.height < 1 or self.width < 1:
-            raise SceneSpecError(f"scene dimensions must be positive, got {self.height}x{self.width}")
+            raise FormatError(f"scene dimensions must be positive, got {self.height}x{self.width}")
         if self.height * self.width > MAX_PIXELS:
-            raise SceneSpecError(
+            raise FormatError(
                 f"height x width must be at most {MAX_PIXELS} pixels, got {self.height}x{self.width}"
             )
         if not self.placements:
-            raise SceneSpecError("scene needs at least one placement")
+            raise FormatError("scene needs at least one placement")
         if self.noise_sigma < 0:
-            raise SceneSpecError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+            raise FormatError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
         if self.seed < 0:
-            raise SceneSpecError(f"seed must be nonnegative, got {self.seed}")
+            raise FormatError(f"seed must be nonnegative, got {self.seed}")
         seen = set()
         for p in self.placements:
             if p.category == BACKGROUND:
-                raise SceneSpecError("placements may not use the background category")
+                raise FormatError("placements may not use the background category")
             if p.category in seen:
-                raise SceneSpecError(f"category {p.category!r} placed more than once")
+                raise FormatError(f"category {p.category!r} placed more than once")
             seen.add(p.category)
             if not (0 <= p.row0 < p.row1 <= self.height and 0 <= p.col0 < p.col1 <= self.width):
-                raise SceneSpecError(
+                raise FormatError(
                     f"placement for {p.category!r} out of bounds: "
                     f"rows [{p.row0},{p.row1}) cols [{p.col0},{p.col1}) "
                     f"in a {self.height}x{self.width} scene"
                 )
         if self.confusion is not None:
-            c = self.confusion
-            if not 0.0 <= c.strength <= 1.0:
-                raise SceneSpecError(f"confusion strength must lie in [0, 1], got {c.strength}")
-            if c.first == c.second:
-                raise SceneSpecError("confusion needs two distinct categories")
-            for name in (c.first, c.second):
+            for name in (self.confusion.first, self.confusion.second):
                 if name not in seen:
-                    raise SceneSpecError(f"confusion names unplaced category {name!r}")
+                    raise FormatError(f"confusion names unplaced category {name!r}")
 
     @property
     def categories(self) -> tuple[str, ...]:
@@ -231,11 +256,11 @@ def random_grid_spec(
     derived triplets exactly satisfiable, not just satisfied on centroids.
     """
     if not 1 <= n_categories <= len(CATEGORY_POOL):
-        raise SceneSpecError(f"n_categories must lie in [1, {len(CATEGORY_POOL)}]")
+        raise FormatError(f"n_categories must lie in [1, {len(CATEGORY_POOL)}]")
     rng = np.random.default_rng(seed)
     bands = int(np.ceil(np.sqrt(n_categories)))
     if height < bands * (min_extent + 1) or width < bands * (min_extent + 1):
-        raise SceneSpecError(f"{height}x{width} too small for {bands}x{bands} bands")
+        raise FormatError(f"{height}x{width} too small for {bands}x{bands} bands")
 
     def spans(total: int) -> list[tuple[int, int]]:
         edges = [int(e) for e in np.linspace(0, total, bands + 1)]
@@ -282,77 +307,30 @@ def random_grid_spec(
 
 
 def spec_to_dict(spec: SceneSpec) -> dict:
-    # int()/float() coercions keep numpy scalars out of the JSON encoder.
+    """The JSON object of `spec`: its fields, with the placements as a list.
+    The dataclasses hold plain ints and floats, so a shallow copy encodes."""
+    confusion = spec.confusion
     return {
-        "height": int(spec.height),
-        "width": int(spec.width),
-        "placements": [
-            {
-                "category": p.category,
-                "row0": int(p.row0),
-                "col0": int(p.col0),
-                "row1": int(p.row1),
-                "col1": int(p.col1),
-            }
-            for p in spec.placements
-        ],
-        "noise_sigma": float(spec.noise_sigma),
-        "confusion": None
-        if spec.confusion is None
-        else {
-            "first": spec.confusion.first,
-            "second": spec.confusion.second,
-            "strength": float(spec.confusion.strength),
-        },
-        "seed": int(spec.seed),
+        **vars(spec),
+        "placements": [dict(vars(p)) for p in spec.placements],
+        "confusion": None if confusion is None else dict(vars(confusion)),
     }
 
 
-def _require_keys(doc: dict, required: set[str], optional: set[str], where: str) -> None:
-    missing = required - set(doc)
-    if missing:
-        raise SceneSpecError(f"{where}: missing keys {sorted(missing)}")
-    unknown = set(doc) - required - optional
-    if unknown:
-        raise SceneSpecError(f"{where}: unknown keys {sorted(unknown)}")
+def _placements(entries: object) -> object:
+    """A JSON list of placement objects as Placements; anything else is left
+    for SceneSpec to reject."""
+    if not isinstance(entries, list):
+        return entries
+    return [from_fields(Placement, entry, f"placements[{index}]") for index, entry in enumerate(entries)]
+
+
+def _confusion(entry: object) -> object:
+    return from_fields(Confusion, entry, "confusion") if isinstance(entry, dict) else entry
 
 
 def spec_from_dict(doc: dict, where: str = "scene spec") -> SceneSpec:
-    _require_keys(doc, {"height", "width", "placements"}, {"noise_sigma", "confusion", "seed"}, where)
-    if not isinstance(doc["placements"], list):
-        raise SceneSpecError(f"{where}: placements must be a list, got {doc['placements']!r}")
-    placements = []
-    for index, entry in enumerate(doc["placements"]):
-        entry_where = f"{where}: placements[{index}]"
-        if not isinstance(entry, dict):
-            raise SceneSpecError(f"{entry_where}: expected an object")
-        _require_keys(entry, {"category", "row0", "col0", "row1", "col1"}, set(), entry_where)
-        bounds = {
-            key: require_int(entry[key], f"{entry_where}: {key}", SceneSpecError)
-            for key in ("row0", "col0", "row1", "col1")
-        }
-        category = require_safe_name(entry["category"], f"{entry_where}: category")
-        placements.append(Placement(category=category, **bounds))
-    confusion = None
-    if doc.get("confusion") is not None:
-        centry = doc["confusion"]
-        if not isinstance(centry, dict):
-            raise SceneSpecError(f"{where}: confusion must be an object, got {centry!r}")
-        _require_keys(centry, {"first", "second", "strength"}, set(), f"{where}: confusion")
-        strength = require_real(centry["strength"], f"{where}: confusion: strength", SceneSpecError)
-        first, second = (require_safe_name(centry[key], f"{where}: confusion: {key}") for key in ("first", "second"))
-        confusion = Confusion(first, second, strength)
-    try:
-        return SceneSpec(
-            height=require_int(doc["height"], "height", SceneSpecError),
-            width=require_int(doc["width"], "width", SceneSpecError),
-            placements=tuple(placements),
-            noise_sigma=require_real(doc.get("noise_sigma", 0.0), "noise_sigma", SceneSpecError),
-            confusion=confusion,
-            seed=require_int(doc.get("seed", 0), "seed", SceneSpecError),
-        )
-    except SceneSpecError as exc:
-        raise SceneSpecError(f"{where}: {exc}") from None
+    return from_fields(SceneSpec, doc, where, placements=_placements, confusion=_confusion)
 
 
 def save_scene_bundle(path: str | Path, scene: Scene) -> None:

@@ -956,9 +956,9 @@ def test_refine_rejects_both_triplet_sources(tmp_path, capsys):
 
 
 def test_main_returns_the_exit_code_each_error_class_declares(monkeypatch, capsys):
-    from relfine.errors import FormatError, SceneSetMismatchError, SceneSpecError, UnknownCategoryError
+    from relfine.errors import FormatError, SceneSetMismatchError, UnknownCategoryError
 
-    expected = {FormatError: 2, SceneSpecError: 2, UnknownCategoryError: 3, SceneSetMismatchError: 4}
+    expected = {FormatError: 2, UnknownCategoryError: 3, SceneSetMismatchError: 4}
     for error, code in expected.items():
         assert error.exit_code == code
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from relfine.errors import SceneSpecError
+from relfine.errors import FormatError
 from relfine.grid import LabelMap
 from relfine.relations import Relation, calibrate, detect_contradictions, geometric_oracle
 from relfine.scenes import (
@@ -37,22 +37,22 @@ def simple_spec(**overrides):
 
 
 def test_spec_rejects_out_of_bounds_placement():
-    with pytest.raises(SceneSpecError, match="out of bounds"):
+    with pytest.raises(FormatError, match="out of bounds"):
         simple_spec(placements=(Placement("a", 0, 0, 9, 4),))
 
 
 def test_spec_rejects_duplicate_category():
-    with pytest.raises(SceneSpecError, match="more than once"):
+    with pytest.raises(FormatError, match="more than once"):
         simple_spec(placements=(Placement("a", 0, 0, 2, 2), Placement("a", 3, 3, 5, 5)))
 
 
 def test_spec_rejects_background_placement():
-    with pytest.raises(SceneSpecError, match="background"):
+    with pytest.raises(FormatError, match="background"):
         simple_spec(placements=(Placement("background", 0, 0, 2, 2),))
 
 
 def test_spec_rejects_unplaced_confusion_category():
-    with pytest.raises(SceneSpecError, match="unplaced"):
+    with pytest.raises(FormatError, match="unplaced"):
         simple_spec(confusion=Confusion("a", "ghost", 0.5))
 
 
