@@ -2,8 +2,11 @@
 
 Runs a 36-scene suite at increasing category counts, scores the constrained
 run against the unconstrained baseline, and groups the mIoU deltas by
-category count and by constraint-to-category ratio.
+category count and by constraint-to-category ratio. The category buckets
+go to demos/out/bucketed_analysis.csv.
 """
+
+from pathlib import Path
 
 from relfine import (
     RefineConfig,
@@ -46,5 +49,7 @@ for group_by, label in (("categories", "category count"), ("constraints", "const
               f"{d.delta * 100:+7.2f}")
     print()
 
-write_bucket_csv("bucketed_analysis.csv", compare_runs(baseline_reports, refined_reports, "categories"))
-print("wrote bucketed_analysis.csv")
+csv_path = Path(__file__).parent / "out" / "bucketed_analysis.csv"
+csv_path.parent.mkdir(exist_ok=True)
+write_bucket_csv(csv_path, compare_runs(baseline_reports, refined_reports, "categories"))
+print(f"wrote {csv_path}")

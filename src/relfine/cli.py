@@ -15,7 +15,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar, get_args
 
 from .errors import (
     FormatError,
@@ -24,12 +24,14 @@ from .errors import (
     from_fields,
     load_json_object,
     require_keys,
+    require_safe_name,
     write_json_object,
     writing_to,
 )
 from .evaluate import (
     DEFAULT_SATISFACTION_THRESHOLD,
     EvalReport,
+    GroupBy,
     compare_runs,
     evaluate_scene,
     satisfied_flags,
@@ -37,7 +39,7 @@ from .evaluate import (
 )
 from .gradcheck import DEFAULT_SIZES, DEFAULT_TOLERANCE, run_gradcheck
 from .grid import read_labels, require_shape, write_labels_pgm, write_rsgf
-from .logic import SpatialLossConfig, spatial_loss
+from .logic import Reduction, SpatialLossConfig, spatial_loss
 from .refine import RefineConfig, refine
 from .relations import (
     CalibrationOptions,
@@ -48,14 +50,7 @@ from .relations import (
     load_triplets,
     save_triplets,
 )
-from .scenes import (
-    SceneSpec,
-    generate_scene,
-    load_scene_bundle,
-    require_safe_name,
-    save_scene_bundle,
-    spec_from_dict,
-)
+from .scenes import SceneSpec, generate_scene, load_scene_bundle, save_scene_bundle, spec_from_dict
 from .state import argmax_labels
 
 T = TypeVar("T")
@@ -142,6 +137,8 @@ def _generate_one(task: tuple[str, SceneSpec, str]) -> dict:
 
 def cmd_gen_scenes(args: argparse.Namespace) -> int:
     config = RunConfig(args.config)
+    if not config.scene_specs:
+        raise FormatError(f"{config.path}: no scenes to generate ('scenes' is missing or empty)")
     out_root = Path(args.output) if args.output else config.output_dir
     with writing_to(out_root):
         out_root.mkdir(parents=True, exist_ok=True)
@@ -158,6 +155,8 @@ def cmd_gen_scenes(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    if args.labels is not None and not args.geometric:
+        raise FormatError("--labels needs --geometric: a scripted oracle answers from its file alone")
     triplets = load_triplets(args.triplets, swap_args=args.swap_args)
     if args.oracle:
         oracle = load_scripted_oracle(args.oracle)
@@ -373,7 +372,7 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    sizes = _parse_sizes(args.sizes) if args.sizes else list(DEFAULT_SIZES)
+    sizes = list(DEFAULT_SIZES) if args.sizes is None else _parse_sizes(args.sizes)
     results = run_gradcheck(
         seed=args.seed,
         sizes=sizes,
@@ -442,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help=f"spatial weight (default {RefineConfig().alpha})")
     p.add_argument("--steps", type=int, help=f"optimization steps (default {RefineConfig().steps})")
     p.add_argument("--learning-rate", type=float, help=f"Adam learning rate (default {RefineConfig().learning_rate})")
-    p.add_argument("--reduction", choices=["sum", "mean"])
+    p.add_argument("--reduction", choices=get_args(Reduction))
     p.add_argument("--jobs", type=_job_count, default=1, help="parallel refinement across scenes")
     p.set_defaults(handler="cmd_refine")
 
@@ -450,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenes", required=True, help="scene bundle or scene-set directory")
     p.add_argument("--pred", required=True, help="prediction directory (refine output)")
     p.add_argument("--baseline", help="second prediction directory for bucketed deltas")
-    p.add_argument("--group-by", choices=["categories", "constraints", "ratio"], default="categories")
+    p.add_argument("--group-by", choices=get_args(GroupBy), default="categories")
     p.add_argument("--threshold", type=float, default=DEFAULT_SATISFACTION_THRESHOLD,
                    help="satisfaction threshold in [0, 1]")
     p.add_argument("--out", help="write the report JSON here")

@@ -1,5 +1,6 @@
 """Exception types shared across the package, the field type checks that
-raise them, the one builder that turns a JSON object into a dataclass, the
+raise them, the one check that applies them to a dataclass by its field
+annotations, the one builder that turns a JSON object into a dataclass, the
 JSON-object loader and writer every file reader and writer shares, and the
 guard that turns a failed write into a FormatError.
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from numbers import Integral, Real
@@ -59,6 +61,31 @@ def require_real(value: object, field: str) -> float:
     if not finite:
         raise FormatError(f"{field} must be a finite number, got {value!r}")
     return float(value)
+
+
+_SAFE_NAME = re.compile(r"[A-Za-z0-9_-]+")
+
+
+def require_safe_name(value: object, field: str) -> str:
+    """`value` as a name that is one path component: a non-empty string of
+    ASCII letters, digits, '_' and '-'. Anything else raises FormatError."""
+    if not isinstance(value, str) or not _SAFE_NAME.fullmatch(value):
+        raise FormatError(f"{field} must be a filename-safe name ([A-Za-z0-9_-]+), got {value!r}")
+    return value
+
+
+#: The check of a dataclass field, by its annotation. Each returns the value
+#: in normal form: a plain int or float, or a filename-safe name.
+_REQUIRE = {"int": require_int, "float": require_real, "str": require_safe_name}
+
+
+def check_fields(obj: object) -> None:
+    """Check every int, float and str field of the frozen dataclass `obj`, in
+    field order, and store its normal form. Fields of any other annotation
+    are left for `obj` to check."""
+    for f in fields(obj):
+        if f.type in _REQUIRE:
+            object.__setattr__(obj, f.name, _REQUIRE[f.type](getattr(obj, f.name), f.name))
 
 
 def require_keys(doc: dict, required: frozenset[str], optional: frozenset[str], where: str) -> None:

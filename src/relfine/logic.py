@@ -20,16 +20,17 @@ compare this kernel against lives in tests/reference_kernels.py.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence, get_args
 
 import numpy as np
 
-from .errors import FormatError, UnknownCategoryError, require_real
+from .errors import FormatError, UnknownCategoryError, check_fields
 from .grid import DEFAULT_EPSILON
 from .relations import Relation, SpatialTriplet, TripletSet
 from .state import SegmentationState
 
 Reduction = Literal["sum", "mean"]
+_REDUCTIONS: tuple[Reduction, ...] = get_args(Reduction)
 _RELATIONS = tuple(Relation)
 
 
@@ -50,14 +51,13 @@ class SpatialLossConfig:
     reduction: Reduction = "sum"
 
     def __post_init__(self) -> None:
-        for name in ("epsilon", "log_clamp", "sigmoid_bias", "sigmoid_scale"):
-            require_real(getattr(self, name), name)
+        check_fields(self)
         if self.epsilon <= 0 or self.log_clamp <= 0 or self.sigmoid_scale <= 0:
             raise FormatError("epsilon, log_clamp and sigmoid_scale must be positive")
         if not 0.0 < self.sigmoid_bias < 1.0:
             raise FormatError(f"sigmoid_bias must lie in (0, 1), got {self.sigmoid_bias}")
-        if self.reduction not in ("sum", "mean"):
-            raise FormatError(f"reduction must be 'sum' or 'mean', got {self.reduction!r}")
+        if self.reduction not in _REDUCTIONS:
+            raise FormatError(f"reduction must be {' or '.join(map(repr, _REDUCTIONS))}, got {self.reduction!r}")
 
 
 def outside_band(length: int, relation: Relation, mean_coord: float) -> np.ndarray:

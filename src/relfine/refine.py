@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import FormatError, require_int, require_real
+from .errors import FormatError, check_fields
 from .grid import ProbabilityMap
 from .logic import (
     ConstraintTerms,
@@ -41,9 +41,7 @@ class RefineConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        require_int(self.steps, "steps")
-        for name in ("alpha", "learning_rate", "adam_beta1", "adam_beta2", "adam_eps"):
-            require_real(getattr(self, name), name)
+        check_fields(self)
         if self.alpha < 0:
             raise FormatError(f"alpha must be nonnegative, got {self.alpha}")
         if self.steps < 0:

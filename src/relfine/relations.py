@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, Literal, Mapping, Protocol, Sequence
+from typing import Iterator, Literal, Mapping, Protocol, Sequence, get_args
 
 import numpy as np
 
@@ -27,7 +27,7 @@ Stage = Literal["initial", "bidirectional", "validated", "resolved"]
 HoldsAnswer = Literal["yes", "no", "unknown"]
 ChooseAnswer = Literal["first", "second", "neither"]
 
-STAGES: tuple[Stage, ...] = ("initial", "bidirectional", "validated", "resolved")
+STAGES: tuple[Stage, ...] = get_args(Stage)
 
 #: Name of the category excluded from constraints.
 BACKGROUND = "background"
@@ -444,6 +444,8 @@ _TRIPLET_KEYS = frozenset({"subject", "relation", "object", "stage"})
 _ORACLE_FILE_KEYS = frozenset({"holds", "choose"})
 _HOLDS_KEYS = frozenset({"s", "r", "o", "a"})
 _CHOOSE_KEYS = frozenset({"s", "r1", "r2", "o", "a"})
+_HOLDS_ANSWERS: tuple[HoldsAnswer, ...] = get_args(HoldsAnswer)
+_CHOOSE_ANSWERS: tuple[ChooseAnswer, ...] = get_args(ChooseAnswer)
 
 
 def _not_a_name(key: str, value: object) -> FormatError:
@@ -547,8 +549,8 @@ def load_scripted_oracle(path: str | Path) -> ScriptedOracle:
                 raise _not_a_name("s", s)
             if not isinstance(o, str):
                 raise _not_a_name("o", o)
-            if answer not in ("yes", "no", "unknown"):
-                raise FormatError(f"answer must be yes/no/unknown, got {answer!r}")
+            if answer not in _HOLDS_ANSWERS:
+                raise FormatError(f"answer must be {'/'.join(_HOLDS_ANSWERS)}, got {answer!r}")
             holds[s, parse_relation(entry["r"]), o] = answer
         except FormatError as exc:
             raise FormatError(f"{path}: holds[{index}]: {exc}") from None
@@ -563,8 +565,8 @@ def load_scripted_oracle(path: str | Path) -> ScriptedOracle:
                 raise _not_a_name("s", s)
             if not isinstance(o, str):
                 raise _not_a_name("o", o)
-            if answer not in ("first", "second", "neither"):
-                raise FormatError(f"answer must be first/second/neither, got {answer!r}")
+            if answer not in _CHOOSE_ANSWERS:
+                raise FormatError(f"answer must be {'/'.join(_CHOOSE_ANSWERS)}, got {answer!r}")
             choose[s, parse_relation(entry["r1"]), parse_relation(entry["r2"]), o] = answer
         except FormatError as exc:
             raise FormatError(f"{path}: choose[{index}]: {exc}") from None

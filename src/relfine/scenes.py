@@ -8,8 +8,7 @@ computed from an explicit seed, so scenes regenerate bit-identically.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -17,10 +16,10 @@ import numpy as np
 
 from .errors import (
     FormatError,
+    check_fields,
     from_fields,
     load_json_object,
-    require_int,
-    require_real,
+    require_safe_name,
     write_json_object,
     writing_to,
 )
@@ -46,33 +45,19 @@ from .relations import (
 #: Readable, filename-safe names handed out by the random spec sampler.
 CATEGORY_POOL = ("amber", "blue", "coral", "dune", "elm", "fern", "gold", "heath")
 
-_SAFE_NAME = re.compile(r"[A-Za-z0-9_-]+")
-
 #: Largest scene grid, in pixels (height x width). One float64 map of 4096²
 #: pixels is 128 MiB and refinement keeps several per category; every grid
 #: the tests, demos and benchmark use is at most 256².
 MAX_PIXELS = 4096 * 4096
 
-
-def require_safe_name(value: object, field: str) -> str:
-    """`value` as a name that is one path component: a non-empty string of
-    ASCII letters, digits, '_' and '-'. Anything else raises FormatError."""
-    if not isinstance(value, str) or not _SAFE_NAME.fullmatch(value):
-        raise FormatError(f"{field} must be a filename-safe name ([A-Za-z0-9_-]+), got {value!r}")
-    return value
-
-
-#: The check of a scene dataclass field, by its annotation. Each returns the
-#: value in normal form: a plain int or float, or a filename-safe name.
-_REQUIRE = {"int": require_int, "float": require_real, "str": require_safe_name}
-
-
-def _check_scalars(obj: object) -> None:
-    """Check every int, float and str field of the frozen dataclass `obj`, in
-    field order, and store its normal form."""
-    for f in fields(obj):
-        if f.type in _REQUIRE:
-            object.__setattr__(obj, f.name, _REQUIRE[f.type](getattr(obj, f.name), f.name))
+#: Largest scene, in cells (categories x height x width), so that one worker
+#: stays under 2 GiB. `refine`, the hungriest command, peaked at 256 MiB RSS
+#: at 512² and 925 MiB at 1024² with 9 categories over 3 steps (whole
+#: process, x86-64 Linux, single-threaded BLAS): about 99 bytes per cell
+#: over a 33 MiB base. So 2 GiB holds (2048 - 33) MiB / 99 B, about 21.3
+#: million cells, rounded down here. `gen-scenes` and `eval` peak lower
+#: (376 and 213 MiB at 1024²).
+MAX_CELLS = 20 * 2**20
 
 
 @dataclass(frozen=True)
@@ -86,7 +71,7 @@ class Placement:
     col1: int
 
     def __post_init__(self) -> None:
-        _check_scalars(self)
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -98,7 +83,7 @@ class Confusion:
     strength: float
 
     def __post_init__(self) -> None:
-        _check_scalars(self)
+        check_fields(self)
         if not 0.0 <= self.strength <= 1.0:
             raise FormatError(f"strength must lie in [0, 1], got {self.strength}")
         if self.first == self.second:
@@ -115,7 +100,7 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_scalars(self)
+        check_fields(self)
         if not isinstance(self.placements, (list, tuple)) or not all(
             isinstance(p, Placement) for p in self.placements
         ):
@@ -128,6 +113,12 @@ class SceneSpec:
         if self.height * self.width > MAX_PIXELS:
             raise FormatError(
                 f"height x width must be at most {MAX_PIXELS} pixels, got {self.height}x{self.width}"
+            )
+        count = len(self.categories)
+        if count * self.height * self.width > MAX_CELLS:
+            raise FormatError(
+                f"categories x height x width must be at most {MAX_CELLS} cells, "
+                f"got {count}x{self.height}x{self.width}"
             )
         if not self.placements:
             raise FormatError("scene needs at least one placement")
