@@ -199,6 +199,9 @@ def _refine_one(task: tuple[str, str, str, TripletSet | None, RefineConfig, Spat
         write_rsgf(out / "probs" / f"{category}.rsgf", final_state.probs[index])
 
     _, terms = spatial_loss(final_state, triplets, loss_cfg)
+    weights = terms.weights.tolist()
+    # The gate's weights before the first step; with no step, the final ones.
+    initial_weights = trace.weights[0].tolist() if len(trace) else weights
     flags = satisfied_flags(labels, scene.categories, triplets)
     constraints = [
         {
@@ -206,11 +209,12 @@ def _refine_one(task: tuple[str, str, str, TripletSet | None, RefineConfig, Spat
             "relation": t.relation.value,
             "object": t.object,
             "loss": loss,
+            "initial_weight": initial_weight,
             "weight": weight,
             "satisfied": satisfied,
         }
-        for t, loss, weight, satisfied in zip(
-            triplets, terms.losses.tolist(), terms.weights.tolist(), flags.tolist()
+        for t, loss, initial_weight, weight, satisfied in zip(
+            triplets, terms.losses.tolist(), initial_weights, weights, flags.tolist()
         )
     ]
     report = evaluate_scene(labels, scene, triplets, name=name, flags=flags)
@@ -291,10 +295,6 @@ def cmd_refine(args: argparse.Namespace) -> int:
             raise FormatError(f"output {out_dir} is the input bundle {bundle}: refine would overwrite its input")
         tasks.append((name, str(bundle), str(out_dir), triplets, cfg, loss_cfg))
     reports = _parallel_map(_refine_one, tasks, args.jobs)
-    if not single:
-        with writing_to(out_root):
-            out_root.mkdir(parents=True, exist_ok=True)
-        write_json_object(out_root / "manifest.json", {"scenes": [{"name": n, "path": n} for n, _ in pairs]})
     tag = "baseline" if cfg.alpha == 0.0 else f"alpha={cfg.alpha}"
     mean_miou = sum(r["miou"] for r in reports) / len(reports)
     print(f"refined {len(reports)} scene(s) [{tag}], mean mIoU {mean_miou:.4f}")

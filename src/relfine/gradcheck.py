@@ -31,21 +31,19 @@ FD_STEP = 1e-4
 MAX_GRADCHECK_PIXELS = 32 * 32
 
 
-def finite_difference_gradient(
-    objective: Callable[[np.ndarray], float], point: np.ndarray, h: float = FD_STEP
-) -> np.ndarray:
+def finite_difference_gradient(objective: Callable[[np.ndarray], float], point: np.ndarray) -> np.ndarray:
     """Central differences of a scalar objective, one coordinate at a time."""
     grad = np.zeros_like(point)
     flat = grad.reshape(-1)
     base = point.copy().reshape(-1)
     for i in range(base.size):
         saved = base[i]
-        base[i] = saved + h
+        base[i] = saved + FD_STEP
         upper = objective(base.reshape(point.shape))
-        base[i] = saved - h
+        base[i] = saved - FD_STEP
         lower = objective(base.reshape(point.shape))
         base[i] = saved
-        flat[i] = (upper - lower) / (2.0 * h)
+        flat[i] = (upper - lower) / (2.0 * FD_STEP)
     return grad
 
 

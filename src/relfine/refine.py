@@ -120,9 +120,8 @@ def fidelity_loss(
 @dataclass(frozen=True, eq=False)
 class RefineTrace:
     """Losses at the start of each of S steps, before its update: (S,) columns
-    and (S, T) weights, one column per key "subject relation object"."""
+    and (S, T) weights, one column per triplet in the set's order."""
 
-    keys: tuple[str, ...]
     fidelity: np.ndarray
     spatial: np.ndarray
     total: np.ndarray
@@ -132,11 +131,11 @@ class RefineTrace:
         return len(self.total)
 
     def to_list(self) -> list[dict]:
-        """One dict per step, counted from 1, with its weights keyed by constraint."""
-        columns = zip(self.fidelity.tolist(), self.spatial.tolist(), self.total.tolist(), self.weights.tolist())
+        """One dict of losses per step, counted from 1."""
+        columns = zip(self.fidelity.tolist(), self.spatial.tolist(), self.total.tolist())
         return [
-            {"step": step, "fidelity": fid, "spatial": spa, "total": total, "weights": dict(zip(self.keys, row))}
-            for step, (fid, spa, total, row) in enumerate(columns, start=1)
+            {"step": step, "fidelity": fid, "spatial": spa, "total": total}
+            for step, (fid, spa, total) in enumerate(columns, start=1)
         ]
 
 
@@ -221,7 +220,6 @@ def refine(
         except FloatingPointError as exc:
             raise FormatError(f"refinement diverged at step {step}: {exc}; {_DIVERGED}") from None
 
-    keys = tuple(f"{t.subject} {t.relation.value} {t.object}" for t in triplets)
     fidelity, spatial, total = (np.array([row[k] for row in rows], dtype=np.float64) for k in range(3))
-    weights = np.array([row[3] for row in rows], dtype=np.float64).reshape(len(rows), len(keys))
-    return state, RefineTrace(keys, fidelity, spatial, total, weights)
+    weights = np.array([row[3] for row in rows], dtype=np.float64).reshape(len(rows), len(triplets))
+    return state, RefineTrace(fidelity, spatial, total, weights)

@@ -45,6 +45,9 @@ from .relations import (
 #: Readable, filename-safe names handed out by the random spec sampler.
 CATEGORY_POOL = ("amber", "blue", "coral", "dune", "elm", "fern", "gold", "heath")
 
+#: Smallest rectangle side `random_grid_spec` draws, in pixels.
+MIN_EXTENT = 4
+
 #: Largest scene grid, in pixels (height x width). One float64 map of 4096²
 #: pixels is 128 MiB and refinement keeps several per category; every grid
 #: the tests, demos and benchmark use is at most 256².
@@ -56,7 +59,7 @@ MAX_PIXELS = 4096 * 4096
 #: process, x86-64 Linux, single-threaded BLAS): about 99 bytes per cell
 #: over a 33 MiB base. So 2 GiB holds (2048 - 33) MiB / 99 B, about 21.3
 #: million cells, rounded down here. `gen-scenes` and `eval` peak lower
-#: (376 and 213 MiB at 1024²).
+#: (200 and 213 MiB at 1024²).
 MAX_CELLS = 20 * 2**20
 
 
@@ -187,7 +190,7 @@ def generate_scene(spec: SceneSpec) -> Scene:
     Placements paint in order (later ones overwrite). Confusion mixes mass
     between its two categories inside the union of both rectangles before
     noise is added; maps are then clamped to [0, 1] and renormalized per
-    pixel.
+    pixel, in place, uniform where every map clamps to 0.
     """
     roster = spec.categories
     labels_arr = np.zeros((spec.height, spec.width), dtype=np.int64)
@@ -204,19 +207,20 @@ def generate_scene(spec: SceneSpec) -> Scene:
         i = roster.index(c.first)
         j = roster.index(c.second)
         region = _placement_mask(spec, c.first) | _placement_mask(spec, c.second)
-        mixed_i = (1.0 - c.strength) * probs[i] + c.strength * probs[j]
-        mixed_j = (1.0 - c.strength) * probs[j] + c.strength * probs[i]
-        probs[i] = np.where(region, mixed_i, probs[i])
-        probs[j] = np.where(region, mixed_j, probs[j])
+        first, second = probs[i][region], probs[j][region]
+        probs[i][region] = (1.0 - c.strength) * first + c.strength * second
+        probs[j][region] = (1.0 - c.strength) * second + c.strength * first
 
     if spec.noise_sigma > 0:
         rng = np.random.default_rng(spec.seed)
-        probs = probs + rng.normal(0.0, spec.noise_sigma, probs.shape)
+        probs += rng.normal(0.0, spec.noise_sigma, probs.shape)
 
-    probs = np.clip(probs, 0.0, 1.0)
-    totals = probs.sum(axis=0, keepdims=True)
-    uniform = np.full_like(probs, 1.0 / len(roster))
-    probs = np.where(totals > 0.0, probs / np.where(totals > 0.0, totals, 1.0), uniform)
+    np.clip(probs, 0.0, 1.0, out=probs)
+    totals = probs.sum(axis=0)
+    empty = totals == 0.0
+    totals[empty] = 1.0
+    probs /= totals
+    probs[:, empty] = 1.0 / len(roster)
 
     init_probs = {name: ProbabilityMap(probs[index]) for index, name in enumerate(roster)}
     return Scene(
@@ -235,7 +239,6 @@ def random_grid_spec(
     width: int = 32,
     noise_sigma: float = 0.15,
     confusion_strength: float | None = 0.5,
-    min_extent: int = 4,
 ) -> SceneSpec:
     """Sample a band-aligned scene: one rectangle per category, laid out on a
     cell grid where every band shares its span.
@@ -250,7 +253,7 @@ def random_grid_spec(
         raise FormatError(f"n_categories must lie in [1, {len(CATEGORY_POOL)}]")
     rng = np.random.default_rng(seed)
     bands = int(np.ceil(np.sqrt(n_categories)))
-    if height < bands * (min_extent + 1) or width < bands * (min_extent + 1):
+    if height < bands * (MIN_EXTENT + 1) or width < bands * (MIN_EXTENT + 1):
         raise FormatError(f"{height}x{width} too small for {bands}x{bands} bands")
 
     def spans(total: int) -> list[tuple[int, int]]:
@@ -258,7 +261,7 @@ def random_grid_spec(
         out = []
         for band_start, band_end in zip(edges[:-1], edges[1:]):
             room = band_end - band_start
-            extent = int(rng.integers(min_extent, room))
+            extent = int(rng.integers(MIN_EXTENT, room))
             offset = int(rng.integers(0, room - extent + 1))
             out.append((band_start + offset, band_start + offset + extent))
         return out

@@ -316,6 +316,47 @@ def test_refine_scene_set_and_eval_round_trip(tmp_path):
     assert csv_path.read_text().startswith("bucket,scenes,baseline_miou,refined_miou,delta")
 
 
+def test_refine_report_trace_rows_hold_losses_and_constraints_hold_both_weights(tmp_path):
+    from relfine import RefineConfig, load_scene_bundle, refine, spatial_loss
+
+    bundle = _generated_scene_set(tmp_path) / "scene_000"
+    out = tmp_path / "refined"
+    assert main(["refine", "--scene", str(bundle), "--out", str(out), "--use-gt-triplets"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [sorted(row) for row in report["trace"]] == [["fidelity", "spatial", "step", "total"]] * 15
+
+    scene = load_scene_bundle(bundle)
+    state, trace = refine(scene.init_probs, scene.gt_triplets, RefineConfig())
+    final = spatial_loss(state, scene.gt_triplets)[1].weights
+    constraints = report["constraints"]
+    assert constraints and [c["initial_weight"] for c in constraints] == trace.weights[0].tolist()
+    assert [c["weight"] for c in constraints] == final.tolist()
+    assert trace.weights[0].tolist() != final.tolist()
+
+
+@pytest.mark.parametrize("flag", [["--steps", "0"], ["--alpha", "0"]])
+def test_refine_without_a_moving_step_reports_the_initial_weight_as_final(tmp_path, flag):
+    bundle = _generated_scene_set(tmp_path) / "scene_000"
+    out = tmp_path / "refined"
+    assert main(["refine", "--scene", str(bundle), "--out", str(out), "--use-gt-triplets", *flag]) == 0
+    constraints = json.loads((out / "report.json").read_text())["constraints"]
+    assert constraints and all(c["initial_weight"] == c["weight"] for c in constraints)
+
+
+def test_refined_scene_set_holds_no_manifest_and_is_no_input(tmp_path, capsys):
+    scenes = _generated_scene_set(tmp_path)
+    base_out, ref_out = tmp_path / "base", tmp_path / "refined"
+    for out, alpha in ((base_out, "0"), (ref_out, "0.1")):
+        assert main(["refine", "--scene", str(scenes), "--out", str(out), "--use-gt-triplets", "--alpha", alpha]) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["scene_000", "scene_001"]
+    assert main(["eval", "--scenes", str(scenes), "--pred", str(ref_out), "--baseline", str(base_out)]) == 0
+    capsys.readouterr()
+    for argv in (["refine", "--scene", str(ref_out), "--out", str(tmp_path / "again"), "--use-gt-triplets"],
+                 ["eval", "--scenes", str(ref_out), "--pred", str(ref_out)]):
+        assert main(argv) == 2
+        assert f"{ref_out}: neither a scene bundle" in capsys.readouterr().err
+
+
 def test_refine_checks_each_scene_once_and_satisfaction_is_the_flags_mean(tmp_path, monkeypatch):
     scenes = _generated_scene_set(tmp_path)
     calls = []

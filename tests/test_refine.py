@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from relfine.logic import SpatialLossConfig, compile_constraints
 from relfine.refine import (
     AdamState,
     RefineConfig,
+    RefineTrace,
     adam_step,
     fidelity_loss,
     objective,
@@ -221,29 +223,32 @@ def test_refine_alpha_zero_stops_at_adam_fixed_point():
         assert np.array_equal(column, np.repeat(column[:1], cfg.steps, axis=0))
     rows = trace.to_list()
     assert [row["step"] for row in rows] == list(range(1, cfg.steps + 1))
-    assert len({id(row["weights"]) for row in rows}) == cfg.steps
+    assert len({id(row) for row in rows}) == cfg.steps
     assert np.array_equal(state.logits, init_state(scene.init_probs).logits)
 
 
 def test_refine_trace_columns_and_report_layout():
     scene = fixture_scene()
     triplets = scene.gt_triplets
-    keys = tuple(f"{t.subject} {t.relation.value} {t.object}" for t in triplets)
     steps = RefineConfig().steps
     _, trace = refine(scene.init_probs, triplets)
-    assert trace.keys == keys
-    assert trace.weights.shape == (steps, len(keys))
+    assert trace.weights.shape == (steps, len(triplets))
     assert [c.shape for c in (trace.fidelity, trace.spatial, trace.total)] == [(steps,)] * 3
     rows = trace.to_list()
-    assert [list(row) for row in rows] == [["step", "fidelity", "spatial", "total", "weights"]] * steps
-    assert rows[2]["weights"] == dict(zip(keys, trace.weights[2].tolist()))
+    assert [list(row) for row in rows] == [["step", "fidelity", "spatial", "total"]] * steps
     assert all(type(rows[-1][name]) is float for name in ("fidelity", "spatial", "total"))
     _, empty = refine(scene.init_probs, empty_triplet_set(scene.categories))
     assert empty.weights.shape == (steps, 0)
-    assert empty.to_list()[0]["weights"] == {}
     _, none = refine(scene.init_probs, triplets, RefineConfig(steps=0))
-    assert none.weights.shape == (0, len(keys))
+    assert none.weights.shape == (0, len(triplets))
     assert none.to_list() == []
+
+
+def test_refine_trace_holds_no_triplet_keys():
+    scene = fixture_scene()
+    _, trace = refine(scene.init_probs, scene.gt_triplets)
+    assert [f.name for f in fields(RefineTrace)] == ["fidelity", "spatial", "total", "weights"]
+    assert not hasattr(trace, "keys")
 
 
 def _count_adam_steps(monkeypatch) -> list[int]:

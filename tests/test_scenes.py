@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,43 @@ def test_noisy_maps_are_normalized():
     stack = np.stack([scene.init_probs[c].values for c in scene.categories])
     assert np.abs(stack.sum(axis=0) - 1.0).max() < 1e-12
     assert stack.min() >= 0.0 and stack.max() <= 1.0
+
+
+def _stack(scene) -> np.ndarray:
+    return np.stack([scene.init_probs[c].values for c in scene.categories])
+
+
+def test_pixels_whose_maps_all_clip_to_zero_are_uniform():
+    spec = random_grid_spec(5, n_categories=4, noise_sigma=3.0, confusion_strength=None)
+    scene = generate_scene(spec)
+    count = len(scene.categories)
+    # The maps before clipping: one-hot ground truth plus the seeded noise.
+    one_hot = scene.gt_labels.labels == np.arange(count)[:, None, None]
+    raw = one_hot + np.random.default_rng(spec.seed).normal(0.0, spec.noise_sigma, one_hot.shape)
+    fallback = (raw <= 0.0).all(axis=0)
+    assert fallback.sum() > 0
+    stack = _stack(scene)
+    assert np.all(stack[:, fallback] == 1.0 / count)
+    assert np.abs(stack.sum(axis=0) - 1.0).max() < 1e-12
+
+
+# sha256 of the stacked init_probs, recorded before generate_scene built its
+# maps in place: with and without confusion, at noise sigma 0, 0.15 and 3.0.
+_INIT_PROBS_SHA256 = [
+    ((1, 2, 0.0, 0.5), "d96b22de2398fdbe288a851f380bb88673ffd323572eea9433bf20bf3bc63544"),
+    ((2, 5, 0.0, None), "9a4e03033b0ba62165fb2557506f021fa69905bfd38e83a6473a6cb3c6dbf31d"),
+    ((3, 3, 0.15, 0.7), "bdc55531748c95a2f8e9b5d92bf60166548a2e6312ff1c98a948b891027da907"),
+    ((4, 8, 0.15, None), "47f7b6aeee1fb3fde65f681b25e1623d800ee04c2fe59134ac5b3404ff67902c"),
+    ((5, 4, 3.0, 0.5), "4110f767c862b699d169d7c5f63525ed0b1dd590afada6709445abd982f1ca0e"),
+    ((6, 1, 3.0, None), "d303171a72b5c7bcddbdc6fa8c979b029658bd770dcad7013ef3521137712ae7"),
+]
+
+
+@pytest.mark.parametrize("args, digest", _INIT_PROBS_SHA256, ids=[f"seed{args[0]}" for args, _ in _INIT_PROBS_SHA256])
+def test_init_probs_are_pinned_by_sha256(args, digest):
+    seed, n_categories, sigma, strength = args
+    spec = random_grid_spec(seed, n_categories=n_categories, noise_sigma=sigma, confusion_strength=strength)
+    assert hashlib.sha256(_stack(generate_scene(spec)).tobytes()).hexdigest() == digest
 
 
 def test_later_placements_overwrite_earlier():
