@@ -55,7 +55,6 @@ from .refine import (
 )
 from .relations import (
     CalibrationAudit,
-    CalibrationOptions,
     CalibrationResult,
     ContradictionPair,
     Relation,

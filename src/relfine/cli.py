@@ -39,10 +39,9 @@ from .evaluate import (
 )
 from .gradcheck import DEFAULT_SIZES, DEFAULT_TOLERANCE, run_gradcheck
 from .grid import read_labels, require_shape, write_labels_pgm, write_rsgf
-from .logic import Reduction, SpatialLossConfig, spatial_loss
+from .logic import SpatialLossConfig, spatial_loss
 from .refine import RefineConfig, refine
 from .relations import (
-    CalibrationOptions,
     TripletSet,
     calibrate,
     geometric_oracle,
@@ -165,8 +164,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             raise FormatError("--geometric needs --labels PATH")
         labels = read_labels(args.labels, len(triplets.categories))
         oracle = geometric_oracle(labels, triplets.categories)
-    opts = CalibrationOptions(drop_background=not args.keep_background)
-    result = calibrate(triplets, oracle, opts)
+    result = calibrate(triplets, oracle, drop_background=not args.keep_background)
 
     for stage, count in result.audit.to_dict().items():
         print(f"{stage:>20}: {count}")
@@ -280,8 +278,6 @@ def cmd_refine(args: argparse.Namespace) -> int:
         "learning_rate": args.learning_rate,
     }
     cfg = replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
-    if args.reduction is not None:
-        loss_cfg = replace(loss_cfg, reduction=args.reduction)
 
     scene_root, out_root = Path(args.scene), Path(args.out)
     pairs, single = _scene_set(scene_root)
@@ -441,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help=f"spatial weight (default {RefineConfig().alpha})")
     p.add_argument("--steps", type=int, help=f"optimization steps (default {RefineConfig().steps})")
     p.add_argument("--learning-rate", type=float, help=f"Adam learning rate (default {RefineConfig().learning_rate})")
-    p.add_argument("--reduction", choices=get_args(Reduction))
     p.add_argument("--jobs", type=_job_count, default=1, help="parallel refinement across scenes")
     p.set_defaults(handler="cmd_refine")
 

@@ -20,7 +20,7 @@ compare this kernel against lives in tests/reference_kernels.py.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Literal, Sequence, get_args
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,8 +29,6 @@ from .grid import DEFAULT_EPSILON
 from .relations import Relation, SpatialTriplet, TripletSet
 from .state import SegmentationState
 
-Reduction = Literal["sum", "mean"]
-_REDUCTIONS: tuple[Reduction, ...] = get_args(Reduction)
 _RELATIONS = tuple(Relation)
 
 
@@ -40,15 +38,13 @@ class SpatialLossConfig:
 
     epsilon guards the weighted-mean denominators; log_clamp bounds the loss
     away from the log singularity at full violation; sigmoid bias/scale gate
-    the constraint weights toward confidently predicted anchors; reduction
-    picks between the raw per-pixel sum and its mean.
+    the constraint weights toward confidently predicted anchors.
     """
 
     epsilon: float = DEFAULT_EPSILON
     log_clamp: float = 1e-7
     sigmoid_bias: float = 0.7
     sigmoid_scale: float = 10.0
-    reduction: Reduction = "sum"
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -56,8 +52,6 @@ class SpatialLossConfig:
             raise FormatError("epsilon, log_clamp and sigmoid_scale must be positive")
         if not 0.0 < self.sigmoid_bias < 1.0:
             raise FormatError(f"sigmoid_bias must lie in (0, 1), got {self.sigmoid_bias}")
-        if self.reduction not in _REDUCTIONS:
-            raise FormatError(f"reduction must be {' or '.join(map(repr, _REDUCTIONS))}, got {self.reduction!r}")
 
 
 def outside_band(length: int, relation: Relation, mean_coord: float) -> np.ndarray:
@@ -169,8 +163,6 @@ def compiled_spatial_loss(
     cfg = cfg or SpatialLossConfig()
     penalty = -np.log(np.maximum(1.0 - state.probs, cfg.log_clamp))
     losses = outside_sums(penalty, compiled.subjects, compiled.rows, compiled.cols)
-    if cfg.reduction == "mean":
-        losses /= state.height * state.width
     return float(compiled.weights @ losses), replace(compiled, losses=losses)
 
 
@@ -201,13 +193,10 @@ def logit_gradient_from_terms(
     and d(total)/d(z_k) = p_k * (g_k - sum_c g_c * p_c) at every pixel.
     """
     cfg = cfg or SpatialLossConfig()
-    n, height, width = state.probs.shape
-    scatter = np.zeros((n, len(terms)))
+    scatter = np.zeros((len(state.probs), len(terms)))
     scatter[terms.subjects, np.arange(len(terms))] = terms.weights
     inner = np.maximum(1.0 - state.probs, cfg.log_clamp)
     g = ((scatter @ terms.rows)[:, :, None] + (scatter @ terms.cols)[:, None, :]) / inner
     g[inner == cfg.log_clamp] = 0.0
-    if cfg.reduction == "mean":
-        g /= height * width
     dot = (g * state.probs).sum(axis=0, keepdims=True)
     return state.probs * (g - dot)

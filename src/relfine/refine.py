@@ -31,6 +31,15 @@ from .relations import TripletSet
 from .state import SegmentationState, init_state
 
 
+#: Most steps one refine may run. Its trace and report.json grow with every
+#: step, the repeated fixed-point rows too: a 16² scene with 8 categories and
+#: 84 triplets peaked at 2.6 KiB of RSS per step at alpha 1 and 2.1 KiB at
+#: alpha 0 (whole process, x86-64 Linux, 10,000 to 200,000 steps), more with
+#: more triplets. So the 2 GiB a worker gets under `scenes.MAX_CELLS` holds
+#: (2048 - 33) MiB / 2.6 KiB, about 794,000 steps, rounded down here.
+MAX_STEPS = 750_000
+
+
 @dataclass(frozen=True)
 class RefineConfig:
     alpha: float = 0.1
@@ -44,8 +53,8 @@ class RefineConfig:
         check_fields(self)
         if self.alpha < 0:
             raise FormatError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.steps < 0:
-            raise FormatError(f"steps must be nonnegative, got {self.steps}")
+        if not 0 <= self.steps <= MAX_STEPS:
+            raise FormatError(f"steps must lie in [0, {MAX_STEPS}], got {self.steps}")
         if self.learning_rate <= 0 or self.adam_eps <= 0:
             raise FormatError("learning_rate and adam_eps must be positive")
         for beta in (self.adam_beta1, self.adam_beta2):
@@ -97,7 +106,6 @@ def adam_step(
 def fidelity_loss(
     state: SegmentationState,
     init_probs: np.ndarray,
-    reduction: str = "sum",
 ) -> tuple[float, np.ndarray]:
     """Pixelwise cross-entropy to the initial maps, with its logit gradient.
 
@@ -109,12 +117,7 @@ def fidelity_loss(
     q = np.asarray(init_probs, dtype=np.float64)
     if q.shape != state.probs.shape:
         raise FormatError(f"target shape {q.shape} != state shape {state.probs.shape}")
-    loss = float(-(q * state.log_probs).sum())
-    grad = state.probs - q
-    if reduction == "mean":
-        pixels = state.height * state.width
-        return loss / pixels, grad / pixels
-    return loss, grad
+    return float(-(q * state.log_probs).sum()), state.probs - q
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +153,7 @@ def _losses(
     loss_cfg: SpatialLossConfig,
 ) -> tuple[float, float, float, ConstraintTerms, np.ndarray]:
     """`objective` without the spatial gradient: probes of its total need none."""
-    fid, grad = fidelity_loss(state, targets, reduction=loss_cfg.reduction)
+    fid, grad = fidelity_loss(state, targets)
     spa, terms = compiled_spatial_loss(state, compiled, loss_cfg)
     total = fid + alpha * spa
     if not math.isfinite(total):  # Python floats overflow to inf without raising

@@ -300,11 +300,6 @@ def resolve_contradictions(
 
 
 @dataclass(frozen=True)
-class CalibrationOptions:
-    drop_background: bool = True
-
-
-@dataclass(frozen=True)
 class CalibrationAudit:
     """Per-stage counts recorded while calibrating one triplet set."""
 
@@ -329,17 +324,17 @@ class CalibrationResult:
 def calibrate(
     initial: TripletSet,
     oracle: RelationOracle,
-    opts: CalibrationOptions | None = None,
+    drop_background: bool = True,
 ) -> CalibrationResult:
-    """Run the full pipeline: augment, validate, detect and resolve.
+    """Run the full pipeline: augment, validate, detect and resolve, after
+    dropping the triplets that name the background when `drop_background`.
 
     The returned set is contradiction-free and a subset of the augmented
     input; the audit carries the per-stage counts.
     """
-    opts = opts or CalibrationOptions()
     work = initial
     background_dropped = 0
-    if opts.drop_background:
+    if drop_background:
         kept = [t for t in work if BACKGROUND not in (t.subject, t.object)]
         background_dropped = len(work) - len(kept)
         work = work._derive(kept)

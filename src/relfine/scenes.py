@@ -59,7 +59,7 @@ MAX_PIXELS = 4096 * 4096
 #: process, x86-64 Linux, single-threaded BLAS): about 99 bytes per cell
 #: over a 33 MiB base. So 2 GiB holds (2048 - 33) MiB / 99 B, about 21.3
 #: million cells, rounded down here. `gen-scenes` and `eval` peak lower
-#: (200 and 213 MiB at 1024²).
+#: (210 and 213 MiB at 1024²).
 MAX_CELLS = 20 * 2**20
 
 
@@ -176,21 +176,14 @@ def derive_gt_triplets(labels: LabelMap, roster: Sequence[str]) -> TripletSet:
     return TripletSet(tuple(triplets), tuple(roster))
 
 
-def _placement_mask(spec: SceneSpec, category: str) -> np.ndarray:
-    mask = np.zeros((spec.height, spec.width), dtype=bool)
-    for p in spec.placements:
-        if p.category == category:
-            mask[p.row0 : p.row1, p.col0 : p.col1] = True
-    return mask
-
-
 def generate_scene(spec: SceneSpec) -> Scene:
     """Paint labels, derive triplets, and corrupt one-hot maps into init_probs.
 
-    Placements paint in order (later ones overwrite). Confusion mixes mass
-    between its two categories inside the union of both rectangles before
-    noise is added; maps are then clamped to [0, 1] and renormalized per
-    pixel, in place, uniform where every map clamps to 0.
+    Placements paint in order (later ones overwrite). Confusion mixes the
+    whole maps of its two categories before noise is added; both are 0
+    outside their rectangles, so mass moves only inside them. Maps are then
+    clamped to [0, 1] and renormalized per pixel, in place, uniform where
+    every map clamps to 0.
     """
     roster = spec.categories
     labels_arr = np.zeros((spec.height, spec.width), dtype=np.int64)
@@ -206,10 +199,9 @@ def generate_scene(spec: SceneSpec) -> Scene:
         c = spec.confusion
         i = roster.index(c.first)
         j = roster.index(c.second)
-        region = _placement_mask(spec, c.first) | _placement_mask(spec, c.second)
-        first, second = probs[i][region], probs[j][region]
-        probs[i][region] = (1.0 - c.strength) * first + c.strength * second
-        probs[j][region] = (1.0 - c.strength) * second + c.strength * first
+        first, second = probs[i].copy(), probs[j].copy()
+        probs[i] = (1.0 - c.strength) * first + c.strength * second
+        probs[j] = (1.0 - c.strength) * second + c.strength * first
 
     if spec.noise_sigma > 0:
         rng = np.random.default_rng(spec.seed)

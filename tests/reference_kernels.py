@@ -85,7 +85,7 @@ def constraint_loss(
 
     loss = -sum log(max(1 - M*(1-mask), clamp)); the gradient with respect to
     the subject map is (1-mask)/inner where the clamp is inactive and 0 where
-    it saturates. reduction="mean" divides both by the pixel count.
+    it saturates.
     """
     cfg = cfg or SpatialLossConfig()
     if subject_map.shape != pmask.mask.shape:
@@ -97,9 +97,6 @@ def constraint_loss(
     clamped = np.maximum(inner, cfg.log_clamp)
     loss = float(-np.log(clamped).sum())
     grad = np.where(inner > cfg.log_clamp, outside / clamped, 0.0)
-    if cfg.reduction == "mean":
-        pixels = subject_map.values.size
-        return loss / pixels, grad / pixels
     return loss, grad
 
 

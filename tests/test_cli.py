@@ -15,6 +15,7 @@ import pytest
 
 from relfine import cli, evaluate
 from relfine.cli import main
+from relfine.refine import MAX_STEPS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DEMO_CONFIG = Path(__file__).parent.parent / "demos" / "fixture_config.json"
@@ -759,6 +760,42 @@ def test_refine_config_seed_key_is_unknown(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "config.json" in err and "unknown keys ['seed']" in err
+
+
+def test_refine_reduction_flag_is_unknown(tmp_path, capsys):
+    scenes = _generated_scene_set(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:  # argparse's own exit 2
+        main(["refine", "--scene", str(scenes), "--out", str(out), "--use-gt-triplets", "--reduction", "mean"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --reduction mean" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_refine_config_reduction_key_is_unknown(tmp_path, capsys):
+    scenes = _generated_scene_set(tmp_path)
+    config = write_config(tmp_path / "run.json", [], loss={"reduction": "sum"})
+    out = tmp_path / "out"
+    code = main(["refine", "--scene", str(scenes), "--out", str(out), "--use-gt-triplets", "--config", str(config)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "run.json: section 'loss'" in err and "unknown keys ['reduction']" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_refine_steps_above_max_steps_exit_code_and_no_output(tmp_path, capsys, source):
+    scenes = _generated_scene_set(tmp_path)
+    steps = MAX_STEPS + 1
+    out = tmp_path / "out"
+    argv = ["refine", "--scene", str(scenes), "--out", str(out), "--use-gt-triplets"]
+    if source == "flag":
+        argv += ["--steps", str(steps)]
+    else:
+        argv += ["--config", str(write_config(tmp_path / "run.json", [], refine={"steps": steps}))]
+    assert main(argv) == 2
+    assert f"steps must lie in [0, {MAX_STEPS}], got {steps}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _with(doc: dict, path: tuple, value) -> dict:

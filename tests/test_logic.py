@@ -126,14 +126,6 @@ def test_constraint_loss_clamp():
     assert grad[0, 0] == 0.0  # clamped pixel carries no gradient
 
 
-def test_constraint_loss_mean_reduction():
-    subject = make_probability_map(1, 2, [0.5, 0.5])
-    cfg = SpatialLossConfig(reduction="mean")
-    loss, grad = constraint_loss(subject, mask_of([[0, 1]]), cfg)
-    assert loss == pytest.approx(-math.log(0.5) / 2)
-    assert grad.tolist() == [[1.0, 0.0]]
-
-
 def test_constraint_loss_shape_mismatch():
     subject = make_probability_map(1, 2, [0.5, 0.5])
     with pytest.raises(FormatError, match="shape"):
@@ -415,7 +407,7 @@ def test_separable_kernel_matches_dense_reference():
             if s != o
         }
         triplets = [SpatialTriplet(*k) for k in sorted(keys)]
-        cfg = SpatialLossConfig(reduction="mean" if instance % 2 else "sum")
+        cfg = SpatialLossConfig()
 
         compiled = compile_constraints(state, triplets, cfg)
         total, terms = compiled_spatial_loss(state, compiled, cfg)

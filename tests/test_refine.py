@@ -12,6 +12,7 @@ from relfine.errors import FormatError
 from relfine.grid import make_probability_map
 from relfine.logic import SpatialLossConfig, compile_constraints
 from relfine.refine import (
+    MAX_STEPS,
     AdamState,
     RefineConfig,
     RefineTrace,
@@ -132,19 +133,6 @@ def test_fidelity_hand_example():
     assert grad[:, 0, 0].tolist() == pytest.approx([0.4, -0.4], abs=1e-6)
 
 
-def test_fidelity_mean_reduction_scales_by_pixels():
-    maps = {
-        "a": make_probability_map(2, 2, [0.25, 0.5, 0.75, 0.5]),
-        "b": make_probability_map(2, 2, [0.75, 0.5, 0.25, 0.5]),
-    }
-    state = init_state(maps)
-    q = np.full((2, 2, 2), 0.5)
-    loss_sum, grad_sum = fidelity_loss(state, q, reduction="sum")
-    loss_mean, grad_mean = fidelity_loss(state, q, reduction="mean")
-    assert loss_mean == pytest.approx(loss_sum / 4)
-    assert np.allclose(grad_mean, grad_sum / 4, rtol=0, atol=1e-15)
-
-
 # --------------------------------------------------------------------------
 # adam
 
@@ -191,6 +179,13 @@ def test_adam_rejects_bad_step_index():
 
 # --------------------------------------------------------------------------
 # refine
+
+
+def test_steps_outside_zero_to_max_steps_are_rejected():
+    assert RefineConfig(steps=MAX_STEPS).steps == MAX_STEPS
+    for steps in (-1, MAX_STEPS + 1):
+        with pytest.raises(FormatError, match=rf"^steps must lie in \[0, {MAX_STEPS}\], got {steps}$"):
+            RefineConfig(steps=steps)
 
 
 def test_refine_zero_steps_returns_initial_state():

@@ -9,7 +9,6 @@ import pytest
 from relfine.errors import FormatError, UnknownCategoryError, write_json_object
 from relfine.grid import LabelMap
 from relfine.relations import (
-    CalibrationOptions,
     ContradictionPair,
     STAGES,
     Relation,
@@ -346,7 +345,7 @@ def test_calibrate_drops_background_by_default():
     result = calibrate(s, PermissiveOracle())
     assert result.audit.background_dropped == 1
     assert all("background" not in (t.subject, t.object) for t in result.triplets)
-    kept = calibrate(s, PermissiveOracle(), CalibrationOptions(drop_background=False))
+    kept = calibrate(s, PermissiveOracle(), drop_background=False)
     assert kept.audit.background_dropped == 0
     assert ("cat", Relation.RIGHT, "background") in kept.triplets.keys()
 

@@ -137,6 +137,30 @@ def test_init_probs_are_pinned_by_sha256(args, digest):
     assert hashlib.sha256(_stack(generate_scene(spec)).tobytes()).hexdigest() == digest
 
 
+# b paints over a corner of a, and c sits apart from both; recorded while
+# confusion still mixed only inside the union of a's and b's rectangles.
+_OVERLAP_SHA256 = [
+    (0.0, "008827065f12a1c689aa3a5bcf85f6369b60a72574c0c50215a239685ead0a06"),
+    (0.2, "f7f708fc768d398c411eb5ed768a955015bd726f0c4901a699d8a9a647ca7a7a"),
+]
+
+
+@pytest.mark.parametrize("sigma, digest", _OVERLAP_SHA256, ids=["clean", "noisy"])
+def test_confusion_of_overlapping_placements_is_pinned_by_sha256(sigma, digest):
+    placements = (Placement("a", 1, 1, 6, 7), Placement("c", 0, 8, 3, 12), Placement("b", 4, 4, 9, 11))
+    spec = simple_spec(height=10, width=12, placements=placements, noise_sigma=sigma,
+                       confusion=Confusion("a", "b", 0.3), seed=7)
+    scene = generate_scene(spec)
+    assert hashlib.sha256(_stack(scene).tobytes()).hexdigest() == digest
+    if sigma == 0.0:
+        labels = scene.gt_labels.labels
+        a, b = scene.init_probs["a"].values, scene.init_probs["b"].values
+        assert np.allclose(a[labels == 1], 0.7) and np.allclose(b[labels == 1], 0.3)
+        assert np.allclose(a[labels == 3], 0.3) and np.allclose(b[labels == 3], 0.7)
+        elsewhere = np.isin(labels, (0, 2))  # background and c
+        assert not a[elsewhere].any() and not b[elsewhere].any()
+
+
 def test_later_placements_overwrite_earlier():
     spec = simple_spec(placements=(Placement("a", 0, 0, 4, 4), Placement("b", 0, 0, 2, 2)))
     scene = generate_scene(spec)

@@ -19,7 +19,6 @@ from relfine.errors import FormatError
 from relfine.relations import (
     BACKGROUND,
     STAGES,
-    CalibrationOptions,
     Relation,
     SpatialTriplet,
     TripletSet,
@@ -76,7 +75,7 @@ def test_every_derived_set_passes_the_full_check(monkeypatch):
         initial, oracle = random_case(rng)
         for drop_background in (True, False):
             derived.clear()
-            result = calibrate(initial, oracle, CalibrationOptions(drop_background=drop_background))
+            result = calibrate(initial, oracle, drop_background=drop_background)
             # The background-filtered set enters augmentation; every stage's
             # result is recorded after its input.
             assert len(derived) == 2 * len(STAGE_FUNCTIONS)
@@ -142,7 +141,7 @@ def test_spatial_triplet_construction_and_dataclass_behaviour():
 
 def test_derived_sets_survive_a_pickle_round_trip():
     initial, oracle = random_case(np.random.default_rng(11))
-    result = calibrate(initial, oracle, CalibrationOptions(drop_background=False))
+    result = calibrate(initial, oracle, drop_background=False)
     for s in (initial, result.triplets):
         copy = pickle.loads(pickle.dumps(s))
         assert copy == s and copy.keys() == s.keys()
