@@ -11,14 +11,13 @@ import numpy as np
 
 from relfine import (
     Relation,
-    SpatialLossConfig,
     SpatialTriplet,
     compile_constraints,
     fuzzy_implication,
     init_state,
     make_probability_map,
 )
-from relfine.logic import compiled_spatial_loss, logit_gradient_from_terms
+from relfine.logic import GATE_BIAS, GATE_SCALE, compiled_spatial_loss, logit_gradient_from_terms
 
 
 def show(title, grid, fmt="{:4.1f}"):
@@ -91,12 +90,11 @@ print("=" * 64)
 
 show("subject map (mostly right of the object, strays at columns 0-1):", state.probs[2])
 
-cfg = SpatialLossConfig()
-right = compile_constraints(state, [SpatialTriplet("subject", Relation.RIGHT, "object")], cfg)
-total, terms = compiled_spatial_loss(state, right, cfg)
+right = compile_constraints(state, [SpatialTriplet("subject", Relation.RIGHT, "object")])
+total, terms = compiled_spatial_loss(state, right)
 print(f"\nloss for 'subject must sit right of object': {terms.losses[0]:.4f}")
 print(f"weight {terms.weights[0]:.4f}, weighted loss {total:.4f}")
-grad = logit_gradient_from_terms(state, terms, cfg)
+grad = logit_gradient_from_terms(state, terms)
 show("gradient of the weighted loss on the subject's logits:", grad[2], "{:5.2f}")
 print("Descent lowers the subject's logits where it strays outside the allowed")
 print("half plane; the gradient is zero inside it and where the subject is absent.")
@@ -117,10 +115,10 @@ for description, values in [
         "anchor": make_probability_map(1, 6, anchor),
         "other": make_probability_map(1, 6, 1.0 - anchor),
     })
-    weight = compile_constraints(pair, [SpatialTriplet("other", Relation.RIGHT, "anchor")], cfg).weights[0]
+    weight = compile_constraints(pair, [SpatialTriplet("other", Relation.RIGHT, "anchor")]).weights[0]
     print(f"   {description:38s} weight = {weight:.4f}")
 print(f"""
-Scores pass through sigmoid(scale*(v - bias)) with bias={cfg.sigmoid_bias},
-scale={cfg.sigmoid_scale:g} before averaging, so constraints anchored on
+Scores pass through sigmoid(scale*(v - bias)) with bias={GATE_BIAS},
+scale={GATE_SCALE:g} before averaging, so constraints anchored on
 confidently predicted objects dominate and empty anchors fade out.
 """)

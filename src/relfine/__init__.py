@@ -37,13 +37,7 @@ from .grid import (
     write_labels_pgm,
     write_rsgf,
 )
-from .logic import (
-    ConstraintTerms,
-    SpatialLossConfig,
-    compile_constraints,
-    fuzzy_implication,
-    spatial_loss,
-)
+from .logic import ConstraintTerms, compile_constraints, fuzzy_implication, spatial_loss
 from .refine import (
     AdamState,
     RefineConfig,

@@ -39,7 +39,7 @@ from .evaluate import (
 )
 from .gradcheck import DEFAULT_SIZES, DEFAULT_TOLERANCE, run_gradcheck
 from .grid import read_labels, require_shape, write_labels_pgm, write_rsgf
-from .logic import SpatialLossConfig, spatial_loss
+from .logic import spatial_loss
 from .refine import RefineConfig, refine
 from .relations import (
     TripletSet,
@@ -87,7 +87,7 @@ def _parallel_map(fn: Callable[[T], U], items: Sequence[T], jobs: int) -> list[U
 # Run configuration
 # ---------------------------------------------------------------------------
 
-_CONFIG_SECTIONS = frozenset({"output_dir", "scenes", "refine", "loss"})
+_CONFIG_SECTIONS = frozenset({"output_dir", "scenes", "refine"})
 
 
 class RunConfig:
@@ -120,7 +120,6 @@ class RunConfig:
             self.scene_specs.append((name, spec_from_dict(entry, where=f"{where} ({name})")))
 
         self.refine_cfg = from_fields(RefineConfig, doc.get("refine", {}), f"{path}: section 'refine'")
-        self.loss_cfg = from_fields(SpatialLossConfig, doc.get("loss", {}), f"{path}: section 'loss'")
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +179,13 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _refine_one(task: tuple[str, str, str, TripletSet | None, RefineConfig, SpatialLossConfig]) -> dict:
-    name, bundle_dir, out_dir, triplets, cfg, loss_cfg = task
+def _refine_one(task: tuple[str, str, str, TripletSet | None, RefineConfig]) -> dict:
+    name, bundle_dir, out_dir, triplets, cfg = task
     scene = load_scene_bundle(bundle_dir)
     if triplets is None:
         triplets = scene.gt_triplets
 
-    final_state, trace = refine(scene.init_probs, triplets, cfg, loss_cfg)
+    final_state, trace = refine(scene.init_probs, triplets, cfg)
     labels = argmax_labels(final_state)
 
     out = Path(out_dir)
@@ -196,7 +195,7 @@ def _refine_one(task: tuple[str, str, str, TripletSet | None, RefineConfig, Spat
     for index, category in enumerate(final_state.categories):
         write_rsgf(out / "probs" / f"{category}.rsgf", final_state.probs[index])
 
-    _, terms = spatial_loss(final_state, triplets, loss_cfg)
+    _, terms = spatial_loss(final_state, triplets)
     weights = terms.weights.tolist()
     # The gate's weights before the first step; with no step, the final ones.
     initial_weights = trace.weights[0].tolist() if len(trace) else weights
@@ -219,7 +218,7 @@ def _refine_one(task: tuple[str, str, str, TripletSet | None, RefineConfig, Spat
     doc = {
         "scene": name,
         "baseline": cfg.alpha == 0.0,
-        "config": {"refine": asdict(cfg), "loss": asdict(loss_cfg)},
+        "config": {"refine": asdict(cfg)},
         "trace": trace.to_list(),
         "constraints": constraints,
         "metrics": report.to_dict(),
@@ -267,11 +266,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
         raise FormatError("refine needs --triplets PATH or --use-gt-triplets")
 
     # Config file provides the base settings; explicit flags win over it.
-    if args.config:
-        config = RunConfig(args.config)
-        cfg, loss_cfg = config.refine_cfg, config.loss_cfg
-    else:
-        cfg, loss_cfg = RefineConfig(), SpatialLossConfig()
+    cfg = RunConfig(args.config).refine_cfg if args.config else RefineConfig()
     overrides = {
         "alpha": args.alpha,
         "steps": args.steps,
@@ -289,7 +284,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
         out_dir = out_root if single else out_root / name
         if _same_path(out_dir, bundle):
             raise FormatError(f"output {out_dir} is the input bundle {bundle}: refine would overwrite its input")
-        tasks.append((name, str(bundle), str(out_dir), triplets, cfg, loss_cfg))
+        tasks.append((name, str(bundle), str(out_dir), triplets, cfg))
     reports = _parallel_map(_refine_one, tasks, args.jobs)
     tag = "baseline" if cfg.alpha == 0.0 else f"alpha={cfg.alpha}"
     mean_miou = sum(r["miou"] for r in reports) / len(reports)
@@ -433,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--triplets", help="calibrated triplet JSON")
     group.add_argument("--use-gt-triplets", action="store_true", help="refine with the bundle's own triplets")
-    p.add_argument("--config", help="run config with refine/loss sections")
+    p.add_argument("--config", help="run config with a refine section")
     p.add_argument("--alpha", type=float, help=f"spatial weight (default {RefineConfig().alpha})")
     p.add_argument("--steps", type=int, help=f"optimization steps (default {RefineConfig().steps})")
     p.add_argument("--learning-rate", type=float, help=f"Adam learning rate (default {RefineConfig().learning_rate})")

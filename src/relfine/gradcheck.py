@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FormatError, require_int, require_real
-from .logic import SpatialLossConfig, compile_constraints
+from .logic import compile_constraints
 from .refine import _losses, objective
 from .relations import Relation, SpatialTriplet, TripletSet
 from .state import SegmentationState
@@ -94,7 +94,6 @@ def check_instance(
     targets: np.ndarray,
     triplets: TripletSet,
     alpha: float = 0.1,
-    loss_cfg: SpatialLossConfig | None = None,
     corrupt: bool = False,
 ) -> float:
     """Max-norm relative error between analytic and finite-difference gradients.
@@ -102,13 +101,12 @@ def check_instance(
     `corrupt` perturbs one analytic component, a negative control that must
     make the check fail.
     """
-    loss_cfg = loss_cfg or SpatialLossConfig()
-    compiled = compile_constraints(state, triplets, loss_cfg)
+    compiled = compile_constraints(state, triplets)
 
     def total(logits: np.ndarray) -> float:
-        return _losses(state.with_logits(logits), targets, compiled, alpha, loss_cfg)[2]
+        return _losses(state.with_logits(logits), targets, compiled, alpha)[2]
 
-    analytic = objective(state, targets, compiled, alpha, loss_cfg)[4]
+    analytic = objective(state, targets, compiled, alpha)[4]
     if corrupt:
         analytic.flat[0] += 1e-2
 
@@ -123,7 +121,6 @@ def run_gradcheck(
     instances: int = 20,
     alpha: float = 0.1,
     tolerance: float = DEFAULT_TOLERANCE,
-    loss_cfg: SpatialLossConfig | None = None,
     corrupt: bool = False,
 ) -> list[GradCheckResult]:
     """Randomized gradient checks across grid sizes and category counts.
@@ -156,7 +153,7 @@ def run_gradcheck(
         state, targets, triplets = _random_instance(rng, height, width, n_categories, n_constraints)
         try:
             with np.errstate(over="raise", invalid="raise"):
-                error = check_instance(state, targets, triplets, alpha, loss_cfg, corrupt=corrupt)
+                error = check_instance(state, targets, triplets, alpha, corrupt=corrupt)
         except FloatingPointError as exc:
             raise FormatError(f"gradcheck instance {instance}: {exc}; lower --alpha") from None
         results.append(

@@ -23,6 +23,9 @@ DEFAULT_EPSILON = 1e-6
 
 RSGF_MAGIC = b"RSGF1"
 
+#: Most categories a label map file holds: PGM P5 stores one label per byte.
+MAX_LABEL_CATEGORIES = 256
+
 
 def _as_readonly(values: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(values)
@@ -43,7 +46,7 @@ class ProbabilityMap:
         bad = (values < 0.0) | (values > 1.0) | ~np.isfinite(values)
         if bad.any():
             i, j = np.argwhere(bad)[0]
-            raise FormatError(f"value out of range at ({i},{j}): {values[i, j]!r}")
+            raise FormatError(f"value out of range at ({i},{j}): {float(values[i, j])}")
         object.__setattr__(self, "values", _as_readonly(values))
 
     @property
@@ -190,8 +193,8 @@ def read_grid(path: str | Path) -> np.ndarray:
 
 def write_labels_pgm(path: str | Path, labels: LabelMap) -> None:
     """Write a label map as a binary PGM (P5), one byte per pixel."""
-    if labels.num_categories > 256:
-        raise FormatError("PGM P5 label maps support at most 256 categories")
+    if labels.num_categories > MAX_LABEL_CATEGORIES:
+        raise FormatError(f"PGM P5 label maps support at most {MAX_LABEL_CATEGORIES} categories")
     header = f"P5\n{labels.width} {labels.height}\n255\n".encode("ascii")
     with writing_to(path):
         Path(path).write_bytes(header + labels.labels.astype(np.uint8).tobytes(order="C"))

@@ -24,34 +24,21 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import FormatError, UnknownCategoryError, check_fields
+from .errors import UnknownCategoryError
 from .grid import DEFAULT_EPSILON
 from .relations import Relation, SpatialTriplet, TripletSet
 from .state import SegmentationState
 
 _RELATIONS = tuple(Relation)
 
-
-@dataclass(frozen=True)
-class SpatialLossConfig:
-    """Hyperparameters of the constraint loss.
-
-    epsilon guards the weighted-mean denominators; log_clamp bounds the loss
-    away from the log singularity at full violation; sigmoid bias/scale gate
-    the constraint weights toward confidently predicted anchors.
-    """
-
-    epsilon: float = DEFAULT_EPSILON
-    log_clamp: float = 1e-7
-    sigmoid_bias: float = 0.7
-    sigmoid_scale: float = 10.0
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if self.epsilon <= 0 or self.log_clamp <= 0 or self.sigmoid_scale <= 0:
-            raise FormatError("epsilon, log_clamp and sigmoid_scale must be positive")
-        if not 0.0 < self.sigmoid_bias < 1.0:
-            raise FormatError(f"sigmoid_bias must lie in (0, 1), got {self.sigmoid_bias}")
+#: Floor of 1 - P inside the penalty's log: bounds a fully violating pixel's
+#: loss at -log(1e-7), about 16.1, away from the singularity at P = 1.
+LOG_CLAMP = 1e-7
+#: The weight gate sigma(GATE_SCALE * (M - GATE_BIAS)) leans each constraint
+#: weight toward the object's confidently predicted pixels. On maps in [0, 1]
+#: its exponent lies in [-3, 7], so exp() cannot overflow.
+GATE_BIAS = 0.7
+GATE_SCALE = 10.0
 
 
 def outside_band(length: int, relation: Relation, mean_coord: float) -> np.ndarray:
@@ -130,46 +117,33 @@ class ConstraintTerms:
         return len(self.subjects)
 
 
-def compile_constraints(
-    state: SegmentationState,
-    triplets: TripletSet | Sequence[SpatialTriplet],
-    cfg: SpatialLossConfig | None = None,
-) -> ConstraintTerms:
+def compile_constraints(state: SegmentationState, triplets: TripletSet | Sequence[SpatialTriplet]) -> ConstraintTerms:
     """Freeze each triplet's band and weight against the current object maps,
     reducing every category's map at once. A weight is the object map's
-    sigmoid-gated mean sum(M*s) / (sum s + eps) with s = sigma(scale*(M - bias)),
+    sigmoid-gated mean sum(M*s) / (sum s + eps) with s = sigma(GATE_SCALE*(M - GATE_BIAS)),
     which leans on confidently predicted pixels and is 0 for an empty map."""
-    cfg = cfg or SpatialLossConfig()
     probs = state.probs
     subjects, relations, objects = encode_triplets(state.categories, triplets)
-    with np.errstate(over="ignore"):  # an overflowing exp saturates the gate to 0, as intended
-        gate = 1.0 / (1.0 + np.exp(-cfg.sigmoid_scale * (probs - cfg.sigmoid_bias)))
-    weights = (probs * gate).sum(axis=(1, 2)) / (gate.sum(axis=(1, 2)) + cfg.epsilon)
-    rows, cols = outside_bands(probs, relations, objects, cfg.epsilon)
+    gate = 1.0 / (1.0 + np.exp(-GATE_SCALE * (probs - GATE_BIAS)))
+    weights = (probs * gate).sum(axis=(1, 2)) / (gate.sum(axis=(1, 2)) + DEFAULT_EPSILON)
+    rows, cols = outside_bands(probs, relations, objects, DEFAULT_EPSILON)
     return ConstraintTerms(subjects, weights[objects], rows, cols)
 
 
-def compiled_spatial_loss(
-    state: SegmentationState,
-    compiled: ConstraintTerms,
-    cfg: SpatialLossConfig | None = None,
-) -> tuple[float, ConstraintTerms]:
+def compiled_spatial_loss(state: SegmentationState, compiled: ConstraintTerms) -> tuple[float, ConstraintTerms]:
     """Evaluate frozen constraints against the state's current subject maps.
 
     Inside pixels cost log 1 = 0, so each loss is the outside sum of the
-    penalty -log max(1 - P, clamp). Returns the weighted total and `compiled`
+    penalty -log max(1 - P, LOG_CLAMP). Returns the weighted total and `compiled`
     with its losses filled in.
     """
-    cfg = cfg or SpatialLossConfig()
-    penalty = -np.log(np.maximum(1.0 - state.probs, cfg.log_clamp))
+    penalty = -np.log(np.maximum(1.0 - state.probs, LOG_CLAMP))
     losses = outside_sums(penalty, compiled.subjects, compiled.rows, compiled.cols)
     return float(compiled.weights @ losses), replace(compiled, losses=losses)
 
 
 def spatial_loss(
-    state: SegmentationState,
-    triplets: TripletSet | Sequence[SpatialTriplet],
-    cfg: SpatialLossConfig | None = None,
+    state: SegmentationState, triplets: TripletSet | Sequence[SpatialTriplet]
 ) -> tuple[float, ConstraintTerms]:
     """Weighted sum of per-triplet losses: masks from each object's current
     map, loss from the subject's map, weight from the object's map.
@@ -177,26 +151,20 @@ def spatial_loss(
     The sum is unnormalized and follows triplet order, so results are
     bit-reproducible.
     """
-    cfg = cfg or SpatialLossConfig()
-    return compiled_spatial_loss(state, compile_constraints(state, triplets, cfg), cfg)
+    return compiled_spatial_loss(state, compile_constraints(state, triplets))
 
 
-def logit_gradient_from_terms(
-    state: SegmentationState,
-    terms: ConstraintTerms,
-    cfg: SpatialLossConfig | None = None,
-) -> np.ndarray:
+def logit_gradient_from_terms(state: SegmentationState, terms: ConstraintTerms) -> np.ndarray:
     """Chain the weighted per-map gradients through the pixelwise softmax.
 
     With R, K the weighted bands summed per subject along rows and columns,
     the map gradient is g = (R + K) / (1 - P), 0 where the clamp saturates,
     and d(total)/d(z_k) = p_k * (g_k - sum_c g_c * p_c) at every pixel.
     """
-    cfg = cfg or SpatialLossConfig()
     scatter = np.zeros((len(state.probs), len(terms)))
     scatter[terms.subjects, np.arange(len(terms))] = terms.weights
-    inner = np.maximum(1.0 - state.probs, cfg.log_clamp)
+    inner = np.maximum(1.0 - state.probs, LOG_CLAMP)
     g = ((scatter @ terms.rows)[:, :, None] + (scatter @ terms.cols)[:, None, :]) / inner
-    g[inner == cfg.log_clamp] = 0.0
+    g[inner == LOG_CLAMP] = 0.0
     dot = (g * state.probs).sum(axis=0, keepdims=True)
     return state.probs * (g - dot)

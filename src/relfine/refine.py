@@ -20,13 +20,7 @@ import numpy as np
 
 from .errors import FormatError, check_fields
 from .grid import ProbabilityMap
-from .logic import (
-    ConstraintTerms,
-    SpatialLossConfig,
-    compile_constraints,
-    compiled_spatial_loss,
-    logit_gradient_from_terms,
-)
+from .logic import ConstraintTerms, compile_constraints, compiled_spatial_loss, logit_gradient_from_terms
 from .relations import TripletSet
 from .state import SegmentationState, init_state
 
@@ -150,11 +144,10 @@ def _losses(
     targets: np.ndarray,
     compiled: ConstraintTerms,
     alpha: float,
-    loss_cfg: SpatialLossConfig,
 ) -> tuple[float, float, float, ConstraintTerms, np.ndarray]:
     """`objective` without the spatial gradient: probes of its total need none."""
     fid, grad = fidelity_loss(state, targets)
-    spa, terms = compiled_spatial_loss(state, compiled, loss_cfg)
+    spa, terms = compiled_spatial_loss(state, compiled)
     total = fid + alpha * spa
     if not math.isfinite(total):  # Python floats overflow to inf without raising
         raise FloatingPointError(f"objective {total}")
@@ -166,7 +159,6 @@ def objective(
     targets: np.ndarray,
     compiled: ConstraintTerms,
     alpha: float,
-    loss_cfg: SpatialLossConfig,
 ) -> tuple[float, float, float, ConstraintTerms, np.ndarray]:
     """The objective fidelity + alpha * spatial and its logit gradient.
 
@@ -175,9 +167,9 @@ def objective(
     them. Raises FloatingPointError when the total is not finite, before any
     gradient is formed; at alpha=0 the spatial gradient is never formed.
     """
-    fid, spa, total, terms, grad = _losses(state, targets, compiled, alpha, loss_cfg)
+    fid, spa, total, terms, grad = _losses(state, targets, compiled, alpha)
     if alpha != 0.0:
-        grad = grad + alpha * logit_gradient_from_terms(state, terms, loss_cfg)
+        grad = grad + alpha * logit_gradient_from_terms(state, terms)
     return fid, spa, total, terms, grad
 
 
@@ -185,7 +177,6 @@ def refine(
     init_probs: Mapping[str, ProbabilityMap],
     triplets: TripletSet,
     cfg: RefineConfig | None = None,
-    loss_cfg: SpatialLossConfig | None = None,
 ) -> tuple[SegmentationState, RefineTrace]:
     """Run the optimization loop and return the final state plus its trace.
 
@@ -202,7 +193,6 @@ def refine(
     learning_rate too large for float64 brings about.
     """
     cfg = cfg or RefineConfig()
-    loss_cfg = loss_cfg or SpatialLossConfig()
 
     state = init_state(init_probs)
     targets = state.probs.copy()
@@ -212,8 +202,8 @@ def refine(
     for step in range(1, cfg.steps + 1):
         try:
             with np.errstate(over="raise", invalid="raise"):
-                compiled = compile_constraints(state, triplets, loss_cfg)
-                fid_loss, spa_loss, total, terms, grad = objective(state, targets, compiled, cfg.alpha, loss_cfg)
+                compiled = compile_constraints(state, triplets)
+                fid_loss, spa_loss, total, terms, grad = objective(state, targets, compiled, cfg.alpha)
                 rows.append((fid_loss, spa_loss, total, terms.weights))
                 if not (grad.any() or moments.m.any() or moments.v.any()):
                     rows.extend([rows[-1]] * (cfg.steps - step))

@@ -24,6 +24,7 @@ from .errors import (
     writing_to,
 )
 from .grid import (
+    MAX_LABEL_CATEGORIES,
     LabelMap,
     ProbabilityMap,
     read_labels,
@@ -118,6 +119,10 @@ class SceneSpec:
                 f"height x width must be at most {MAX_PIXELS} pixels, got {self.height}x{self.width}"
             )
         count = len(self.categories)
+        if count > MAX_LABEL_CATEGORIES:
+            raise FormatError(
+                f"a scene holds at most {MAX_LABEL_CATEGORIES} categories, background included, got {count}"
+            )
         if count * self.height * self.width > MAX_CELLS:
             raise FormatError(
                 f"categories x height x width must be at most {MAX_CELLS} cells, "
@@ -334,8 +339,8 @@ def save_scene_bundle(path: str | Path, scene: Scene) -> None:
 
 def load_scene_bundle(path: str | Path) -> Scene:
     """The scene saved at `path`. A bundle file that is missing or cannot be
-    read, or a grid whose shape is not spec.json's height x width, raises
-    FormatError naming it."""
+    read, a grid whose shape is not spec.json's height x width, or a
+    probability grid with a value outside [0, 1] raises FormatError naming it."""
     root = Path(path)
     spec_path = root / "spec.json"
     spec = spec_from_dict(load_json_object(spec_path), where=str(spec_path))
@@ -352,7 +357,11 @@ def load_scene_bundle(path: str | Path) -> Scene:
     init_probs = {}
     for name in roster:
         grid_path = root / "probs" / f"{name}.rsgf"
-        init_probs[name] = ProbabilityMap(require_shape(grid_path, read_rsgf(grid_path), shape, spec_path))
+        values = require_shape(grid_path, read_rsgf(grid_path), shape, spec_path)
+        try:
+            init_probs[name] = ProbabilityMap(values)
+        except FormatError as exc:
+            raise FormatError(f"{grid_path}: {exc}") from None
     return Scene(
         spec=spec,
         gt_labels=gt_labels,

@@ -4,7 +4,7 @@ relfine.logic compiles all triplets at once into 1-D bands over the stacked
 (C, H, W) maps. This module computes the same quantities the slow, readable
 way, one triplet and one full H x W mask at a time, and shares no code with
 the compiled kernel: the masks come from this module's own comparisons of a
-coordinate grid against the anchor's mean, and only SpatialLossConfig is
+coordinate grid against the anchor's mean, and only the loss constants are
 taken from relfine.logic. Tests compare the two implementations.
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from relfine.errors import FormatError
 from relfine.grid import DEFAULT_EPSILON, ProbabilityMap
-from relfine.logic import SpatialLossConfig
+from relfine.logic import GATE_BIAS, GATE_SCALE, LOG_CLAMP
 from relfine.relations import Relation
 from relfine.state import SegmentationState
 
@@ -59,7 +59,7 @@ def weighted_mean_coordinate(pmap: ProbabilityMap, axis: str, epsilon: float = D
 def pseudo_mask(
     anchor_map: ProbabilityMap,
     relation: Relation,
-    cfg: SpatialLossConfig | None = None,
+    epsilon: float = DEFAULT_EPSILON,
     anchor: str = "",
 ) -> PseudoMask:
     """Threshold the relation's coordinate grid at the anchor map's mean.
@@ -68,45 +68,38 @@ def pseudo_mask(
     grid and left/above collapse to the first column/row; the constraint
     weight of such an anchor is ~0 downstream, making this harmless.
     """
-    cfg = cfg or SpatialLossConfig()
-    mean = weighted_mean_coordinate(anchor_map, relation.axis, cfg.epsilon)
+    mean = weighted_mean_coordinate(anchor_map, relation.axis, epsilon)
     rows, cols = np.indices(anchor_map.shape)
     coords = rows if relation.axis == "row" else cols
     inside = coords >= mean if relation in (Relation.RIGHT, Relation.BELOW) else coords <= mean
     return PseudoMask(anchor=anchor, relation=relation, mask=inside.astype(np.float64), mean_coord=mean)
 
 
-def constraint_loss(
-    subject_map: ProbabilityMap,
-    pmask: PseudoMask,
-    cfg: SpatialLossConfig | None = None,
-) -> tuple[float, np.ndarray]:
+def constraint_loss(subject_map: ProbabilityMap, pmask: PseudoMask) -> tuple[float, np.ndarray]:
     """Negative log of the per-pixel implication product, plus its gradient.
 
     loss = -sum log(max(1 - M*(1-mask), clamp)); the gradient with respect to
     the subject map is (1-mask)/inner where the clamp is inactive and 0 where
     it saturates.
     """
-    cfg = cfg or SpatialLossConfig()
     if subject_map.shape != pmask.mask.shape:
         raise FormatError(
             f"subject map shape {subject_map.shape} != pseudo mask shape {pmask.mask.shape}"
         )
     outside = 1.0 - pmask.mask
     inner = 1.0 - subject_map.values * outside
-    clamped = np.maximum(inner, cfg.log_clamp)
+    clamped = np.maximum(inner, LOG_CLAMP)
     loss = float(-np.log(clamped).sum())
-    grad = np.where(inner > cfg.log_clamp, outside / clamped, 0.0)
+    grad = np.where(inner > LOG_CLAMP, outside / clamped, 0.0)
     return loss, grad
 
 
-def constraint_weight(anchor_map: ProbabilityMap, cfg: SpatialLossConfig | None = None) -> float:
+def constraint_weight(anchor_map: ProbabilityMap) -> float:
     """Sigmoid-gated mean of the anchor map's scores, in [0, 1).
 
     Scores pass through sigma(scale*(v - bias)) so the mean concentrates on
     confidently predicted pixels; an all-zero anchor weighs nothing.
     """
-    cfg = cfg or SpatialLossConfig()
     values = anchor_map.values
-    gate = 1.0 / (1.0 + np.exp(-cfg.sigmoid_scale * (values - cfg.sigmoid_bias)))
-    return float((values * gate).sum() / (gate.sum() + cfg.epsilon))
+    gate = 1.0 / (1.0 + np.exp(-GATE_SCALE * (values - GATE_BIAS)))
+    return float((values * gate).sum() / (gate.sum() + DEFAULT_EPSILON))

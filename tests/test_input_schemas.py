@@ -2,8 +2,8 @@
 
 `Placement`, `Confusion` and `SceneSpec` check and normalise their own
 fields, so a spec built in Python gets the checks a `spec.json` gets, and
-`errors.from_fields` builds any of them, and the `refine`/`loss` config
-sections, from JSON. The source checks at the end guard against a second
+`errors.from_fields` builds any of them, and the `refine` config section,
+from JSON. The source checks at the end guard against a second
 statement of a field creeping back in.
 """
 
@@ -131,8 +131,8 @@ def test_run_config_names_the_repeated_scene(tmp_path, capsys, entries, index, n
 def test_config_section_messages_name_the_section(tmp_path, capsys):
     config = tmp_path / "config.json"
     for section, message in [({"refine": {"x": 1}}, "section 'refine': unknown keys ['x']"),
-                             ({"loss": 5}, "section 'loss': must be an object, got 5"),
-                             ({"loss": {"epsilon": -1.0}}, "section 'loss': epsilon")]:
+                             ({"refine": 5}, "section 'refine': must be an object, got 5"),
+                             ({"refine": {"alpha": -1.0}}, "section 'refine': alpha")]:
         config.write_text(json.dumps({"scenes": [_scene()], **section}))
         assert main(["gen-scenes", str(config)]) == 2
         assert f"error: {config}: {message}" in capsys.readouterr().err

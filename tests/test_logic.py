@@ -8,7 +8,7 @@ import pytest
 from relfine.errors import FormatError, UnknownCategoryError
 from relfine.grid import ProbabilityMap, make_probability_map
 from relfine.logic import (
-    SpatialLossConfig,
+    LOG_CLAMP,
     compile_constraints,
     compiled_spatial_loss,
     fuzzy_implication,
@@ -19,7 +19,7 @@ from relfine.relations import Relation, SpatialTriplet, TripletSet
 from relfine.state import SegmentationState
 from reference_kernels import PseudoMask, constraint_loss, constraint_weight, prob_map, pseudo_mask
 
-CFG_EXACT = SpatialLossConfig(epsilon=1e-300)  # epsilon small enough to act as zero
+EPSILON_EXACT = 1e-300  # small enough to act as zero
 
 
 def mask_of(values, relation=Relation.RIGHT, mean=0.0, anchor="x"):
@@ -32,28 +32,28 @@ def mask_of(values, relation=Relation.RIGHT, mean=0.0, anchor="x"):
 
 def test_pseudo_mask_right_hand_example():
     anchor = make_probability_map(1, 4, [1, 1, 0, 0])
-    pm = pseudo_mask(anchor, Relation.RIGHT, CFG_EXACT)
+    pm = pseudo_mask(anchor, Relation.RIGHT, EPSILON_EXACT)
     assert pm.mean_coord == pytest.approx(0.5)
     assert pm.mask.tolist() == [[0.0, 1.0, 1.0, 1.0]]
 
 
 def test_pseudo_mask_left_mirror():
     anchor = make_probability_map(1, 4, [1, 1, 0, 0])
-    pm = pseudo_mask(anchor, Relation.LEFT, CFG_EXACT)
+    pm = pseudo_mask(anchor, Relation.LEFT, EPSILON_EXACT)
     assert pm.mask.tolist() == [[1.0, 0.0, 0.0, 0.0]]
 
 
 def test_pseudo_mask_uniform_anchor_splits_at_center():
     anchor = make_probability_map(3, 5, [1.0] * 15)
-    pm = pseudo_mask(anchor, Relation.RIGHT, CFG_EXACT)
+    pm = pseudo_mask(anchor, Relation.RIGHT, EPSILON_EXACT)
     expected = [[1.0 if j >= 2 else 0.0 for j in range(5)] for _ in range(3)]
     assert pm.mask.tolist() == expected
 
 
 def test_pseudo_mask_vertical_relations():
     anchor = make_probability_map(4, 1, [1, 0, 0, 0])
-    below = pseudo_mask(anchor, Relation.BELOW, CFG_EXACT)
-    above = pseudo_mask(anchor, Relation.ABOVE, CFG_EXACT)
+    below = pseudo_mask(anchor, Relation.BELOW, EPSILON_EXACT)
+    above = pseudo_mask(anchor, Relation.ABOVE, EPSILON_EXACT)
     assert below.mask.tolist() == [[1.0], [1.0], [1.0], [1.0]]  # rows >= 0
     assert above.mask.tolist() == [[1.0], [0.0], [0.0], [0.0]]  # rows <= 0
 
@@ -61,15 +61,15 @@ def test_pseudo_mask_vertical_relations():
 def test_pseudo_mask_boundary_pixel_in_both_sides():
     # Mean lands exactly on column 1: that column belongs to left and right.
     anchor = make_probability_map(1, 3, [0, 1, 0])
-    right = pseudo_mask(anchor, Relation.RIGHT, CFG_EXACT)
-    left = pseudo_mask(anchor, Relation.LEFT, CFG_EXACT)
+    right = pseudo_mask(anchor, Relation.RIGHT, EPSILON_EXACT)
+    left = pseudo_mask(anchor, Relation.LEFT, EPSILON_EXACT)
     assert right.mask[0, 1] == 1.0 and left.mask[0, 1] == 1.0
     assert (right.mask + left.mask >= 1.0).all()
 
 
 def test_pseudo_mask_empty_anchor():
     anchor = make_probability_map(2, 3, [0.0] * 6)
-    pm = pseudo_mask(anchor, Relation.RIGHT, CFG_EXACT)
+    pm = pseudo_mask(anchor, Relation.RIGHT, EPSILON_EXACT)
     assert pm.mean_coord == 0.0
     assert pm.mask.all()
 
@@ -119,9 +119,8 @@ def test_constraint_loss_hand_example():
 
 def test_constraint_loss_clamp():
     subject = make_probability_map(1, 1, [1.0])
-    cfg = SpatialLossConfig()
-    loss, grad = constraint_loss(subject, mask_of([[0]]), cfg)
-    assert loss == pytest.approx(-math.log(cfg.log_clamp))
+    loss, grad = constraint_loss(subject, mask_of([[0]]))
+    assert loss == pytest.approx(-math.log(LOG_CLAMP))
     assert loss == pytest.approx(16.118, abs=5e-3)
     assert grad[0, 0] == 0.0  # clamped pixel carries no gradient
 
@@ -203,6 +202,17 @@ def test_constraint_weight_constant_maps_ignore_grid_size():
         small = constraint_weight(make_probability_map(1, 2, [value] * 2))
         large = constraint_weight(make_probability_map(8, 8, [value] * 64))
         assert small == pytest.approx(large, abs=1e-4)
+
+
+def test_compiled_weight_gate_neither_overflows_nor_goes_invalid_at_0_and_1():
+    # On probabilities in [0, 1] the gate's exponent lies in [-3, 7].
+    logits = np.array([[[0.0, -1e3]], [[-1e3, 0.0]]])
+    state = SegmentationState.from_logits(("a", "b"), logits)
+    assert state.probs.tolist() == [[[1.0, 0.0]], [[0.0, 1.0]]]
+    triplets = [SpatialTriplet("a", Relation.LEFT, "b"), SpatialTriplet("b", Relation.RIGHT, "a")]
+    with np.errstate(over="raise", invalid="raise"):
+        compiled = compile_constraints(state, triplets)
+    assert compiled.weights.tolist() == [constraint_weight(prob_map(state, name)) for name in ("b", "a")]
 
 
 # --------------------------------------------------------------------------
@@ -296,9 +306,8 @@ def test_logit_gradient_single_pixel_matches_finite_differences():
     # with a handcrafted mask instead via a 1x2 grid.
     state = _two_category_state([[0.6, 0.4]], [[0.4, 0.6]])
     triplets = TripletSet((SpatialTriplet("cat", Relation.RIGHT, "person"),), ("cat", "person"))
-    cfg = SpatialLossConfig()
-    compiled = compile_constraints(state, triplets, cfg)
-    analytic = logit_gradient_from_terms(state, compiled_spatial_loss(state, compiled, cfg)[1])
+    compiled = compile_constraints(state, triplets)
+    analytic = logit_gradient_from_terms(state, compiled_spatial_loss(state, compiled)[1])
 
     h = 1e-4
     fd = np.zeros_like(state.logits)
@@ -308,7 +317,7 @@ def test_logit_gradient_single_pixel_matches_finite_differences():
                 z = state.logits.copy()
                 z[c, 0, j] += sign * h
                 probe = state.with_logits(z)
-                loss, _ = compiled_spatial_loss(probe, compiled, cfg)
+                loss, _ = compiled_spatial_loss(probe, compiled)
                 fd[c, 0, j] += sign * loss
     fd /= 2 * h
     assert np.abs(analytic - fd).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
@@ -326,9 +335,8 @@ def test_logit_gradient_random_instances_match_finite_differences():
             s, o = rng.choice(len(categories), size=2, replace=False)
             keys.add((categories[s], relations[rng.integers(0, 4)], categories[o]))
         triplets = TripletSet(tuple(SpatialTriplet(*k) for k in sorted(keys)), categories)
-        cfg = SpatialLossConfig()
-        compiled = compile_constraints(state, triplets, cfg)
-        analytic = logit_gradient_from_terms(state, compiled_spatial_loss(state, compiled, cfg)[1])
+        compiled = compile_constraints(state, triplets)
+        analytic = logit_gradient_from_terms(state, compiled_spatial_loss(state, compiled)[1])
 
         h = 1e-4
         fd = np.zeros_like(state.logits)
@@ -339,7 +347,7 @@ def test_logit_gradient_random_instances_match_finite_differences():
                 z = base.copy()
                 z[i] += sign * h
                 probe = state.with_logits(z.reshape(state.logits.shape))
-                loss, _ = compiled_spatial_loss(probe, compiled, cfg)
+                loss, _ = compiled_spatial_loss(probe, compiled)
                 flat[i] += sign * loss
         fd /= 2 * h
         scale = max(float(np.abs(fd).max()), 1e-12)
@@ -375,14 +383,14 @@ def test_total_invariant_to_per_pixel_logit_shift():
 # separable kernel against the per-triplet reference
 
 
-def _dense_reference(state, triplets, cfg):
+def _dense_reference(state, triplets):
     """Total and logit gradient built term by term from H x W pseudo masks."""
     total = 0.0
     g = np.zeros_like(state.probs)
     for t in triplets:
         anchor = prob_map(state, t.object)
-        weight = constraint_weight(anchor, cfg)
-        loss, grad = constraint_loss(prob_map(state, t.subject), pseudo_mask(anchor, t.relation, cfg), cfg)
+        weight = constraint_weight(anchor)
+        loss, grad = constraint_loss(prob_map(state, t.subject), pseudo_mask(anchor, t.relation))
         total += weight * loss
         g[state.categories.index(t.subject)] += weight * grad
     dot = (g * state.probs).sum(axis=0, keepdims=True)
@@ -407,23 +415,22 @@ def test_separable_kernel_matches_dense_reference():
             if s != o
         }
         triplets = [SpatialTriplet(*k) for k in sorted(keys)]
-        cfg = SpatialLossConfig()
 
-        compiled = compile_constraints(state, triplets, cfg)
-        total, terms = compiled_spatial_loss(state, compiled, cfg)
+        compiled = compile_constraints(state, triplets)
+        total, terms = compiled_spatial_loss(state, compiled)
         for i, t in enumerate(triplets):
             anchor = prob_map(state, t.object)
-            pm = pseudo_mask(anchor, t.relation, cfg)
+            pm = pseudo_mask(anchor, t.relation)
             rows = t.relation.axis == "row"
             band = pm.mask[:, 0] if rows else pm.mask[0, :]
             assert np.array_equal(compiled.rows[i] if rows else compiled.cols[i], 1.0 - band)
             assert not (compiled.cols[i] if rows else compiled.rows[i]).any()
-            assert compiled.weights[i] == constraint_weight(anchor, cfg)
-            ref_loss, _ = constraint_loss(prob_map(state, t.subject), pm, cfg)
+            assert compiled.weights[i] == constraint_weight(anchor)
+            ref_loss, _ = constraint_loss(prob_map(state, t.subject), pm)
             assert abs(terms.losses[i] - ref_loss) <= 1e-12 * abs(ref_loss)
 
-        grad = logit_gradient_from_terms(state, terms, cfg)
-        ref_total, ref_grad = _dense_reference(state, triplets, cfg)
+        grad = logit_gradient_from_terms(state, terms)
+        ref_total, ref_grad = _dense_reference(state, triplets)
         assert abs(total - ref_total) <= 1e-12 * abs(ref_total)
         scale = max(float(np.abs(ref_grad).max()), 1e-300)
         assert float(np.abs(grad - ref_grad).max()) <= 1e-12 * scale

@@ -124,12 +124,6 @@ CONFIG = Obj({
         "adam_beta2": (real(0.0, 1.0), False),
         "adam_eps": (real(0.0, math.inf), False),
     }), False),
-    "loss": (Obj({
-        "epsilon": (real(0.0, math.inf), False),
-        "log_clamp": (real(0.0, math.inf), False),
-        "sigmoid_bias": (real(0.0, 1.0), False),
-        "sigmoid_scale": (real(0.0, math.inf), False),
-    }), False),
 })
 RELATION = one_of("left", "right", "above", "below")
 TRIPLETS = Obj({
@@ -238,7 +232,6 @@ def inputs(tmp_path_factory) -> Path:
         "scenes": [scene],
         "refine": {"alpha": 0.1, "steps": 2, "learning_rate": 0.01, "adam_beta1": 0.9,
                    "adam_beta2": 0.999, "adam_eps": 1e-8},
-        "loss": {"epsilon": 1e-6, "log_clamp": 1e-7, "sigmoid_bias": 0.7, "sigmoid_scale": 10.0},
     }
     (root / "config.json").write_text(json.dumps(config))
     (root / "triplets.json").write_text(json.dumps({

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import importlib
 import math
-import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 
 from relfine.errors import FormatError
 from relfine.grid import make_probability_map
-from relfine.logic import SpatialLossConfig, compile_constraints
+from relfine.logic import compile_constraints
 from relfine.refine import (
     MAX_STEPS,
     AdamState,
@@ -304,11 +303,10 @@ def test_refine_final_total_below_initial_total():
     for seed in (FIXTURE_SEED, 7, 19):
         scene = generate_scene(random_grid_spec(seed, n_categories=3, noise_sigma=0.15, confusion_strength=0.5))
         cfg = RefineConfig()
-        loss_cfg = SpatialLossConfig()
-        state, trace = refine(scene.init_probs, scene.gt_triplets, cfg, loss_cfg)
+        state, trace = refine(scene.init_probs, scene.gt_triplets, cfg)
         targets = init_state(scene.init_probs).probs
-        compiled = compile_constraints(state, scene.gt_triplets, loss_cfg)
-        final_total = objective(state, targets, compiled, cfg.alpha, loss_cfg)[2]
+        compiled = compile_constraints(state, scene.gt_triplets)
+        final_total = objective(state, targets, compiled, cfg.alpha)[2]
         assert final_total < trace.total[0]
 
 
@@ -317,7 +315,6 @@ def test_refine_descends_exactly_the_objective_gradient(monkeypatch):
     # at the logits Adam is about to update and freshly compiled constraints.
     scene = fixture_scene()
     cfg = RefineConfig(alpha=0.1, steps=3)
-    loss_cfg = SpatialLossConfig()
     records = []
 
     def recording_adam_step(params, grads, *args):
@@ -325,14 +322,14 @@ def test_refine_descends_exactly_the_objective_gradient(monkeypatch):
         return adam_step(params, grads, *args)
 
     monkeypatch.setattr(importlib.import_module("relfine.refine"), "adam_step", recording_adam_step)
-    refine(scene.init_probs, scene.gt_triplets, cfg, loss_cfg)
+    refine(scene.init_probs, scene.gt_triplets, cfg)
     assert len(records) == 3
 
     targets = init_state(scene.init_probs).probs
     for params, grads in records:
         state = SegmentationState.from_logits(scene.categories, params)
-        compiled = compile_constraints(state, scene.gt_triplets, loss_cfg)
-        assert np.array_equal(objective(state, targets, compiled, cfg.alpha, loss_cfg)[4], grads)
+        compiled = compile_constraints(state, scene.gt_triplets)
+        assert np.array_equal(objective(state, targets, compiled, cfg.alpha)[4], grads)
 
 
 def test_refine_weights_recomputed_each_step():
@@ -351,14 +348,3 @@ def test_refine_fixture_scene_reproduces_golden_miou():
     state, _ = refine(scene.init_probs, scene.gt_triplets)
     value = miou(argmax_labels(state), scene.gt_labels, len(scene.categories))
     assert value == 0.7080482241772564
-
-
-def test_refine_steep_weight_gate_is_not_divergence():
-    # A steep sigmoid gate overflows exp() on pixels far below the bias; the
-    # gate saturates to 0 there, which is no divergence and warns of nothing.
-    scene = fixture_scene()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _, trace = refine(scene.init_probs, scene.gt_triplets, loss_cfg=SpatialLossConfig(sigmoid_scale=1e4))
-    assert len(trace) == RefineConfig().steps
-    assert all(math.isfinite(total) for total in trace.total.tolist())

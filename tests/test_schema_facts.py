@@ -24,7 +24,6 @@ import relfine
 from relfine import cli, errors, scenes
 from relfine.cli import main
 from relfine.errors import FormatError
-from relfine.logic import SpatialLossConfig
 from relfine.refine import RefineConfig
 from relfine.relations import Stage
 from relfine.scenes import MAX_CELLS, MAX_PIXELS, Placement, SceneSpec
@@ -54,7 +53,7 @@ SCENE = {
 def test_config_integers_and_flags_give_the_same_report_bytes(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"scenes": [SCENE], "output_dir": "scenes",
-                                  "refine": {"alpha": 1}, "loss": {"sigmoid_scale": 10}}))
+                                  "refine": {"alpha": 1}}))
     assert main(["gen-scenes", str(config)]) == 0
     capsys.readouterr()
     outputs = []
@@ -66,14 +65,12 @@ def test_config_integers_and_flags_give_the_same_report_bytes(tmp_path, capsys):
     assert outputs[0] == outputs[1]
     assert "[alpha=1.0]" in outputs[0][0]
     echo = json.loads(outputs[0][1])["config"]
-    assert (echo["refine"]["alpha"], echo["loss"]["sigmoid_scale"]) == (1.0, 10.0)
+    assert echo["refine"]["alpha"] == 1.0
 
 
 def test_config_dataclasses_store_plain_floats_and_ints():
     cfg = RefineConfig(alpha=1, steps=np.int64(3), learning_rate=1, adam_beta1=0, adam_beta2=0, adam_eps=1)
     assert [type(v) for v in vars(cfg).values()] == [float, int, float, float, float, float]
-    loss = SpatialLossConfig(epsilon=1, log_clamp=1, sigmoid_bias=np.float32(0.5), sigmoid_scale=10)
-    assert [type(v) for v in vars(loss).values()] == [float, float, float, float]
 
 
 # --------------------------------------------------------------------------
@@ -104,7 +101,7 @@ def test_no_post_init_names_its_own_scalar_fields():
         strings = {n.value for n in ast.walk(post_init[0]) if isinstance(n, ast.Constant)}
         assert not strings & scalar, (name, sorted(strings & scalar))
         checked.append(name)
-    assert {"refine.RefineConfig", "logic.SpatialLossConfig", "scenes.SceneSpec", "scenes.Placement"} <= set(checked)
+    assert {"refine.RefineConfig", "scenes.SceneSpec", "scenes.Placement"} <= set(checked)
 
 
 def test_every_json_dataclass_calls_the_one_annotation_driven_check():
@@ -114,8 +111,7 @@ def test_every_json_dataclass_calls_the_one_annotation_driven_check():
         name for name, cls in _dataclasses() for f in cls.body
         if isinstance(f, ast.FunctionDef) and f.name == "__post_init__" and "check_fields(self)" in ast.unparse(f)
     }
-    json_classes = {"scenes.Placement", "scenes.Confusion", "scenes.SceneSpec", "refine.RefineConfig",
-                    "logic.SpatialLossConfig"}
+    json_classes = {"scenes.Placement", "scenes.Confusion", "scenes.SceneSpec", "refine.RefineConfig"}
     assert json_classes <= callers, sorted(json_classes - callers)
 
 
