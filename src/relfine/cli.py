@@ -196,9 +196,6 @@ def _refine_one(task: tuple[str, str, str, TripletSet | None, RefineConfig]) -> 
         write_rsgf(out / "probs" / f"{category}.rsgf", final_state.probs[index])
 
     _, terms = spatial_loss(final_state, triplets)
-    weights = terms.weights.tolist()
-    # The gate's weights before the first step; with no step, the final ones.
-    initial_weights = trace.weights[0].tolist() if len(trace) else weights
     flags = satisfied_flags(labels, scene.categories, triplets)
     constraints = [
         {
@@ -211,7 +208,8 @@ def _refine_one(task: tuple[str, str, str, TripletSet | None, RefineConfig]) -> 
             "satisfied": satisfied,
         }
         for t, loss, initial_weight, weight, satisfied in zip(
-            triplets, terms.losses.tolist(), initial_weights, weights, flags.tolist()
+            triplets, terms.losses.tolist(), trace.initial_weights.tolist(), terms.weights.tolist(),
+            flags.tolist(),
         )
     ]
     report = evaluate_scene(labels, scene, triplets, name=name, flags=flags)

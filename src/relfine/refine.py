@@ -6,8 +6,8 @@ its one definition, with its analytic logit gradient: `refine` descends it
 and `relfine gradcheck` checks it. Adam runs a fixed number of steps over the
 logits, every quantity recomputed from the current maps at each step, until
 it reaches an exact fixed point: a step whose gradient and both moments are
-all zero leaves the logits unchanged, so it and every later step would repeat
-the same trace row, and the loop stops there.
+all zero leaves the logits unchanged, so every later step would repeat it,
+and the loop stops there. The trace holds the steps that ran.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ from .relations import TripletSet
 from .state import SegmentationState, init_state
 
 
-#: Most steps one refine may run. Its trace and report.json grow with every
-#: step, the repeated fixed-point rows too: a 16² scene with 8 categories and
-#: 84 triplets peaked at 2.6 KiB of RSS per step at alpha 1 and 2.1 KiB at
-#: alpha 0 (whole process, x86-64 Linux, 10,000 to 200,000 steps), more with
-#: more triplets. So the 2 GiB a worker gets under `scenes.MAX_CELLS` holds
-#: (2048 - 33) MiB / 2.6 KiB, about 794,000 steps, rounded down here.
-MAX_STEPS = 750_000
+#: Most steps one refine may run. Its trace and report.json grow by one row
+#: per step that ran: 1.40 KiB of peak RSS per step at alpha 1 on 16² scenes
+#: with 84 triplets and with 2, report written (whole process, x86-64 Linux,
+#: 10,000 to 50,000 steps). So the 2 GiB a worker gets under
+#: `scenes.MAX_CELLS` holds (2048 - 33) MiB / 1.40 KiB, about 1,473,000
+#: steps, rounded down here.
+MAX_STEPS = 1_400_000
 
 
 @dataclass(frozen=True)
@@ -116,13 +116,13 @@ def fidelity_loss(
 
 @dataclass(frozen=True, eq=False)
 class RefineTrace:
-    """Losses at the start of each of S steps, before its update: (S,) columns
-    and (S, T) weights, one column per triplet in the set's order."""
+    """Losses at the start of each step that ran, before its update, as (n,)
+    columns, and the initial state's (T,) gate weights in the set's order."""
 
     fidelity: np.ndarray
     spatial: np.ndarray
     total: np.ndarray
-    weights: np.ndarray
+    initial_weights: np.ndarray
 
     def __len__(self) -> int:
         return len(self.total)
@@ -182,13 +182,13 @@ def refine(
 
     Masks and weights are recompiled from the current maps every step. A step
     whose gradient and Adam moments are all exactly zero is a fixed point of
-    the update: its trace row is repeated for the remaining steps and the loop
-    stops before calling `adam_step`. With alpha=0 that happens at step 1,
-    since the fidelity gradient p - q starts at exactly zero, so the run
-    reproduces the unconstrained baseline for the cost of one row; its
-    spatial loss is recorded but never touches the update. An empty triplet
-    set stops at step 1 at any alpha. Deterministic: same inputs and config
-    give bit-identical traces and states. Raises FormatError when a step's
+    the update: its trace row is the last and the loop stops before calling
+    `adam_step`. With alpha=0 that happens at step 1, since the fidelity
+    gradient p - q starts at exactly zero, so the run reproduces the
+    unconstrained baseline for the cost of one row; its spatial loss is
+    recorded but never touches the update. An empty triplet set stops at
+    step 1 at any alpha. Deterministic: same inputs and config give
+    bit-identical traces and states. Raises FormatError when a step's
     arithmetic overflows or its objective is not finite, which an alpha or
     learning_rate too large for float64 brings about.
     """
@@ -197,16 +197,18 @@ def refine(
     state = init_state(init_probs)
     targets = state.probs.copy()
     moments = AdamState.zeros_like(state.logits)
-    rows: list[tuple[float, float, float, np.ndarray]] = []
+    compiled = compile_constraints(state, triplets)  # step 1's, and the trace's initial weights
+    initial_weights = compiled.weights
+    rows: list[tuple[float, float, float]] = []
 
     for step in range(1, cfg.steps + 1):
         try:
             with np.errstate(over="raise", invalid="raise"):
-                compiled = compile_constraints(state, triplets)
-                fid_loss, spa_loss, total, terms, grad = objective(state, targets, compiled, cfg.alpha)
-                rows.append((fid_loss, spa_loss, total, terms.weights))
+                if step > 1:
+                    compiled = compile_constraints(state, triplets)
+                fid_loss, spa_loss, total, _, grad = objective(state, targets, compiled, cfg.alpha)
+                rows.append((fid_loss, spa_loss, total))
                 if not (grad.any() or moments.m.any() or moments.v.any()):
-                    rows.extend([rows[-1]] * (cfg.steps - step))
                     break
                 logits, moments = adam_step(state.logits, grad, moments, step, cfg)
                 state = state.with_logits(logits)
@@ -214,5 +216,4 @@ def refine(
             raise FormatError(f"refinement diverged at step {step}: {exc}; {_DIVERGED}") from None
 
     fidelity, spatial, total = (np.array([row[k] for row in rows], dtype=np.float64) for k in range(3))
-    weights = np.array([row[3] for row in rows], dtype=np.float64).reshape(len(rows), len(triplets))
-    return state, RefineTrace(fidelity, spatial, total, weights)
+    return state, RefineTrace(fidelity, spatial, total, initial_weights)

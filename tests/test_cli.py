@@ -277,7 +277,7 @@ def test_refine_baseline_flag_and_outputs(tmp_path):
                  "--use-gt-triplets", "--alpha", "0"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["baseline"] is True
-    assert len(report["trace"]) == 15
+    assert len(report["trace"]) == 1
     assert (out / "labels.pgm").exists()
     assert (out / "probs" / "a.rsgf").exists()
 
@@ -331,9 +331,21 @@ def test_refine_report_trace_rows_hold_losses_and_constraints_hold_both_weights(
     state, trace = refine(scene.init_probs, scene.gt_triplets, RefineConfig())
     final = spatial_loss(state, scene.gt_triplets)[1].weights
     constraints = report["constraints"]
-    assert constraints and [c["initial_weight"] for c in constraints] == trace.weights[0].tolist()
+    assert constraints and [c["initial_weight"] for c in constraints] == trace.initial_weights.tolist()
     assert [c["weight"] for c in constraints] == final.tolist()
-    assert trace.weights[0].tolist() != final.tolist()
+    assert trace.initial_weights.tolist() != final.tolist()
+
+
+def test_refine_report_holds_one_row_per_step_that_ran(tmp_path):
+    # The baseline stops at its fixed point after one step; the report keeps
+    # that row alone and echoes the requested count.
+    bundle = _generated_scene_set(tmp_path) / "scene_000"
+    out = tmp_path / "baseline"
+    assert main(["refine", "--scene", str(bundle), "--out", str(out), "--use-gt-triplets",
+                 "--alpha", "0", "--steps", "200000"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [row["step"] for row in report["trace"]] == [1]
+    assert report["config"]["refine"]["steps"] == 200000
 
 
 @pytest.mark.parametrize("flag", [["--steps", "0"], ["--alpha", "0"]])

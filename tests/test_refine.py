@@ -195,6 +195,17 @@ def test_refine_zero_steps_returns_initial_state():
     assert len(trace) == 0
 
 
+def test_refine_initial_weights_are_the_initial_gate_weights():
+    scene = fixture_scene()
+    expected = compile_constraints(init_state(scene.init_probs), scene.gt_triplets).weights
+    for cfg in (RefineConfig(steps=0), RefineConfig(alpha=0.0), RefineConfig(alpha=0.1)):
+        _, trace = refine(scene.init_probs, scene.gt_triplets, cfg)
+        assert trace.initial_weights.shape == (len(scene.gt_triplets),)
+        assert trace.initial_weights.tobytes() == expected.tobytes()
+    _, empty = refine(scene.init_probs, empty_triplet_set(scene.categories))
+    assert empty.initial_weights.shape == (0,)
+
+
 def test_refine_alpha_zero_matches_baseline_and_ignores_triplets():
     scene = fixture_scene()
     cfg = RefineConfig(alpha=0.0)
@@ -212,13 +223,13 @@ def test_refine_alpha_zero_stops_at_adam_fixed_point():
     scene = fixture_scene()
     cfg = RefineConfig(alpha=0.0)
     state, trace = refine(scene.init_probs, scene.gt_triplets, cfg)
-    assert len(trace) == cfg.steps
-    for column in (trace.fidelity, trace.spatial, trace.total, trace.weights):
-        assert np.array_equal(column, np.repeat(column[:1], cfg.steps, axis=0))
-    rows = trace.to_list()
-    assert [row["step"] for row in rows] == list(range(1, cfg.steps + 1))
-    assert len({id(row) for row in rows}) == cfg.steps
-    assert np.array_equal(state.logits, init_state(scene.init_probs).logits)
+    # The trace holds the one step that ran: the losses of the initial state.
+    assert [row["step"] for row in trace.to_list()] == [1]
+    initial = init_state(scene.init_probs)
+    compiled = compile_constraints(initial, scene.gt_triplets)
+    expected = objective(initial, initial.probs.copy(), compiled, cfg.alpha)[:3]
+    assert (trace.fidelity[0], trace.spatial[0], trace.total[0]) == expected
+    assert np.array_equal(state.logits, initial.logits)
 
 
 def test_refine_trace_columns_and_report_layout():
@@ -226,22 +237,23 @@ def test_refine_trace_columns_and_report_layout():
     triplets = scene.gt_triplets
     steps = RefineConfig().steps
     _, trace = refine(scene.init_probs, triplets)
-    assert trace.weights.shape == (steps, len(triplets))
+    assert trace.initial_weights.shape == (len(triplets),)
     assert [c.shape for c in (trace.fidelity, trace.spatial, trace.total)] == [(steps,)] * 3
     rows = trace.to_list()
     assert [list(row) for row in rows] == [["step", "fidelity", "spatial", "total"]] * steps
     assert all(type(rows[-1][name]) is float for name in ("fidelity", "spatial", "total"))
     _, empty = refine(scene.init_probs, empty_triplet_set(scene.categories))
-    assert empty.weights.shape == (steps, 0)
+    assert empty.initial_weights.shape == (0,)
+    assert [c.shape for c in (empty.fidelity, empty.spatial, empty.total)] == [(1,)] * 3
     _, none = refine(scene.init_probs, triplets, RefineConfig(steps=0))
-    assert none.weights.shape == (0, len(triplets))
+    assert none.initial_weights.shape == (len(triplets),)
     assert none.to_list() == []
 
 
 def test_refine_trace_holds_no_triplet_keys():
     scene = fixture_scene()
     _, trace = refine(scene.init_probs, scene.gt_triplets)
-    assert [f.name for f in fields(RefineTrace)] == ["fidelity", "spatial", "total", "weights"]
+    assert [f.name for f in fields(RefineTrace)] == ["fidelity", "spatial", "total", "initial_weights"]
     assert not hasattr(trace, "keys")
 
 
@@ -264,7 +276,7 @@ def test_refine_empty_triplets_never_call_adam(monkeypatch):
     calls = _count_adam_steps(monkeypatch)
     state, trace = refine(scene.init_probs, empty_triplet_set(scene.categories), RefineConfig(alpha=0.1))
     assert calls == []
-    assert len(trace) == RefineConfig().steps
+    assert len(trace) == 1
     assert np.array_equal(state.logits, init_state(scene.init_probs).logits)
 
 
@@ -332,11 +344,25 @@ def test_refine_descends_exactly_the_objective_gradient(monkeypatch):
         assert np.array_equal(objective(state, targets, compiled, cfg.alpha)[4], grads)
 
 
-def test_refine_weights_recomputed_each_step():
+def test_refine_weights_recomputed_each_step(monkeypatch):
+    # One compile per step that ran, each from the current maps. relfine
+    # rebinds the attribute `relfine.refine` to the function, so the module
+    # is taken from the import system.
     scene = fixture_scene()
+    first_weights: list[float] = []
+
+    def recording(state, triplets):
+        compiled = compile_constraints(state, triplets)
+        first_weights.append(float(compiled.weights[0]))
+        return compiled
+
+    monkeypatch.setattr(importlib.import_module("relfine.refine"), "compile_constraints", recording)
     _, trace = refine(scene.init_probs, scene.gt_triplets)
-    series = trace.weights[:, 0].tolist()
-    assert len(set(series)) > 1
+    assert len(first_weights) == len(trace) == RefineConfig().steps
+    assert len(set(first_weights)) > 1
+    first_weights.clear()
+    _, trace = refine(scene.init_probs, scene.gt_triplets, RefineConfig(alpha=0.0))
+    assert len(first_weights) == len(trace) == 1
 
 
 def test_refine_fixture_scene_reproduces_golden_miou():
