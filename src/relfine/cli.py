@@ -13,7 +13,7 @@ import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar, get_args
 
@@ -21,7 +21,6 @@ from .errors import (
     FormatError,
     RelfineError,
     SceneSetMismatchError,
-    from_fields,
     load_json_object,
     require_keys,
     require_safe_name,
@@ -87,7 +86,16 @@ def _parallel_map(fn: Callable[[T], U], items: Sequence[T], jobs: int) -> list[U
 # Run configuration
 # ---------------------------------------------------------------------------
 
-_CONFIG_SECTIONS = frozenset({"output_dir", "scenes", "refine"})
+_CONFIG_SECTIONS = frozenset({"output_dir", "scenes"})
+
+
+def _scene_name(value: object, where: str, names: set[str]) -> str:
+    """`value` as a filename-safe scene name not yet in `names`, which it joins."""
+    name = require_safe_name(value, f"{where}: 'name'")
+    if name in names:
+        raise FormatError(f"{where}: duplicate scene name {name!r}")
+    names.add(name)
+    return name
 
 
 class RunConfig:
@@ -113,13 +121,8 @@ class RunConfig:
             if not isinstance(entry, dict):
                 raise FormatError(f"{where} must be an object")
             entry = dict(entry)
-            name = require_safe_name(entry.pop("name", f"scene_{index:03d}"), f"{where}: 'name'")
-            if name in names:
-                raise FormatError(f"{where}: duplicate scene name {name!r}")
-            names.add(name)
+            name = _scene_name(entry.pop("name", f"scene_{index:03d}"), where, names)
             self.scene_specs.append((name, spec_from_dict(entry, where=f"{where} ({name})")))
-
-        self.refine_cfg = from_fields(RefineConfig, doc.get("refine", {}), f"{path}: section 'refine'")
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +247,7 @@ def _scene_set(path: Path) -> tuple[list[tuple[str, Path]], bool]:
         if not isinstance(entry, dict) or "name" not in entry or "path" not in entry:
             raise FormatError(f"{manifest}: scenes[{index}] needs 'name' and 'path'")
         where = f"{manifest}: scenes[{index}]"
-        name = require_safe_name(entry["name"], f"{where}: 'name'")
-        if name in names:
-            raise FormatError(f"{where}: duplicate scene name {name!r}")
-        names.add(name)
+        name = _scene_name(entry["name"], where, names)
         pairs.append((name, path / require_safe_name(entry["path"], f"{where}: 'path'")))
     if not pairs:
         raise FormatError(f"{path}: scene set is empty")
@@ -263,14 +263,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
     if args.triplets is None and not args.use_gt_triplets:
         raise FormatError("refine needs --triplets PATH or --use-gt-triplets")
 
-    # Config file provides the base settings; explicit flags win over it.
-    cfg = RunConfig(args.config).refine_cfg if args.config else RefineConfig()
-    overrides = {
-        "alpha": args.alpha,
-        "steps": args.steps,
-        "learning_rate": args.learning_rate,
-    }
-    cfg = replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
+    cfg = RefineConfig(alpha=args.alpha, steps=args.steps, learning_rate=args.learning_rate)
 
     scene_root, out_root = Path(args.scene), Path(args.out)
     pairs, single = _scene_set(scene_root)
@@ -413,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--oracle", help="scripted oracle JSON file")
     group.add_argument("--geometric", action="store_true", help="answer from a label map instead")
-    p.add_argument("--labels", help="label map (PGM P5 or RSGF1) for --geometric")
+    p.add_argument("--labels", help="label map (PGM P5, RSGF1 or JSON grid) for --geometric")
     p.add_argument("--swap-args", action="store_true", help="input log lists object before subject")
     p.add_argument("--keep-background", action="store_true", help="keep background triplets")
     p.add_argument("--out-triplets", help="write the calibrated set here")
@@ -426,10 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--triplets", help="calibrated triplet JSON")
     group.add_argument("--use-gt-triplets", action="store_true", help="refine with the bundle's own triplets")
-    p.add_argument("--config", help="run config with a refine section")
-    p.add_argument("--alpha", type=float, help=f"spatial weight (default {RefineConfig().alpha})")
-    p.add_argument("--steps", type=int, help=f"optimization steps (default {RefineConfig().steps})")
-    p.add_argument("--learning-rate", type=float, help=f"Adam learning rate (default {RefineConfig().learning_rate})")
+    defaults = RefineConfig()
+    p.add_argument("--alpha", type=float, default=defaults.alpha, help="spatial weight (default %(default)s)")
+    p.add_argument("--steps", type=int, default=defaults.steps, help="optimization steps (default %(default)s)")
+    p.add_argument("--learning-rate", type=float, default=defaults.learning_rate,
+                   help="Adam learning rate (default %(default)s)")
     p.add_argument("--jobs", type=_job_count, default=1, help="parallel refinement across scenes")
     p.set_defaults(handler="cmd_refine")
 

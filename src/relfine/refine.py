@@ -33,15 +33,18 @@ from .state import SegmentationState, init_state
 #: steps, rounded down here.
 MAX_STEPS = 1_400_000
 
+#: Adam's decay rates and denominator guard, the defaults of Kingma & Ba
+#: (2015). The objective's scale reaches Adam only through ADAM_EPS.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class RefineConfig:
     alpha: float = 0.1
     steps: int = 15
     learning_rate: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -49,11 +52,8 @@ class RefineConfig:
             raise FormatError(f"alpha must be nonnegative, got {self.alpha}")
         if not 0 <= self.steps <= MAX_STEPS:
             raise FormatError(f"steps must lie in [0, {MAX_STEPS}], got {self.steps}")
-        if self.learning_rate <= 0 or self.adam_eps <= 0:
-            raise FormatError("learning_rate and adam_eps must be positive")
-        for beta in (self.adam_beta1, self.adam_beta2):
-            if not 0.0 <= beta < 1.0:
-                raise FormatError(f"Adam betas must lie in [0, 1), got {beta}")
+        if self.learning_rate <= 0:
+            raise FormatError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,16 +82,16 @@ def adam_step(
         raise FormatError(f"params shape {params.shape} != grads shape {grads.shape}")
     # Fresh m, v, step and denominator arrays, updated in place; each
     # operation and its operands are the textbook formula's, so the bits are too.
-    m = np.multiply(cfg.adam_beta1, moments.m)
-    step = np.multiply(1.0 - cfg.adam_beta1, grads)
+    m = np.multiply(ADAM_BETA1, moments.m)
+    step = np.multiply(1.0 - ADAM_BETA1, grads)
     m += step
     v = np.square(grads)
-    v *= 1.0 - cfg.adam_beta2
-    v += np.multiply(cfg.adam_beta2, moments.v, out=step)
-    denom = np.divide(v, 1.0 - cfg.adam_beta2**t)
+    v *= 1.0 - ADAM_BETA2
+    v += np.multiply(ADAM_BETA2, moments.v, out=step)
+    denom = np.divide(v, 1.0 - ADAM_BETA2**t)
     np.sqrt(denom, out=denom)
-    denom += cfg.adam_eps
-    np.divide(m, 1.0 - cfg.adam_beta1**t, out=step)
+    denom += ADAM_EPS
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
     step *= cfg.learning_rate
     step /= denom
     return np.subtract(params, step, out=step), AdamState(m=m, v=v)

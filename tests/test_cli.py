@@ -357,6 +357,26 @@ def test_refine_without_a_moving_step_reports_the_initial_weight_as_final(tmp_pa
     assert constraints and all(c["initial_weight"] == c["weight"] for c in constraints)
 
 
+def test_bare_refine_equals_the_default_flags(tmp_path, capsys):
+    scenes = _generated_scene_set(tmp_path)
+    capsys.readouterr()
+    flags = ["--alpha", "0.1", "--steps", "15", "--learning-rate", "0.01"]
+    for out, extra in (("bare", []), ("flags", flags)):
+        assert main(["refine", "--scene", str(scenes), "--out", str(tmp_path / out), "--use-gt-triplets", *extra]) == 0
+    bare, flagged = _digests(tmp_path / "bare"), _digests(tmp_path / "flags")
+    assert len(bare) == 2 * 5 and bare == flagged
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second and "[alpha=0.1]" in first
+
+
+def test_refine_report_echoes_exactly_the_three_settings(tmp_path):
+    bundle = _generated_scene_set(tmp_path) / "scene_000"
+    out = tmp_path / "refined"
+    assert main(["refine", "--scene", str(bundle), "--out", str(out), "--use-gt-triplets", "--steps", "3"]) == 0
+    echo = json.loads((out / "report.json").read_text())["config"]["refine"]
+    assert echo == {"alpha": 0.1, "learning_rate": 0.01, "steps": 3}
+
+
 def test_refine_report_config_holds_only_the_refine_section(tmp_path):
     bundle = _generated_scene_set(tmp_path) / "scene_000"
     out = tmp_path / "refined"
@@ -724,7 +744,7 @@ def test_fixture_config_round_trip_under_a_minute(tmp_path):
     assert main(["refine", "--scene", str(scenes), "--out", str(base),
                  "--use-gt-triplets", "--alpha", "0"]) == 0
     assert main(["refine", "--scene", str(scenes), "--out", str(refined),
-                 "--use-gt-triplets", "--config", str(DEMO_CONFIG), "--jobs", "2"]) == 0
+                 "--use-gt-triplets", "--jobs", "2"]) == 0
     assert main(["eval", "--scenes", str(scenes), "--pred", str(refined),
                  "--baseline", str(base), "--out", str(tmp_path / "report.json"),
                  "--csv", str(tmp_path / "buckets.csv")]) == 0
@@ -774,15 +794,6 @@ def test_eval_threshold_outside_unit_interval(tmp_path, capsys):
     assert main(["eval", "--scenes", str(scenes), "--pred", str(pred), "--threshold", "1"]) == 0
 
 
-def test_refine_config_seed_key_is_unknown(tmp_path, capsys):
-    config = write_config(tmp_path / "config.json", [small_scene()], refine={"alpha": 0.1, "seed": 0})
-    code = main(["refine", "--scene", str(tmp_path), "--out", str(tmp_path / "out"),
-                 "--use-gt-triplets", "--config", str(config)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "config.json" in err and "unknown keys ['seed']" in err
-
-
 def test_refine_reduction_flag_is_unknown(tmp_path, capsys):
     scenes = _generated_scene_set(tmp_path)
     out = tmp_path / "out"
@@ -793,27 +804,29 @@ def test_refine_reduction_flag_is_unknown(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_refine_config_reduction_key_is_unknown(tmp_path, capsys):
+def test_refine_config_flag_is_unknown(tmp_path, capsys):
     scenes = _generated_scene_set(tmp_path)
-    config = write_config(tmp_path / "run.json", [], loss={"reduction": "sum"})
+    config = write_config(tmp_path / "run.json", [])
     out = tmp_path / "out"
-    code = main(["refine", "--scene", str(scenes), "--out", str(out), "--use-gt-triplets", "--config", str(config)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "run.json: unknown keys ['loss']" in err, err
+    with pytest.raises(SystemExit) as exc:  # argparse's own exit 2
+        main(["refine", "--scene", str(scenes), "--out", str(out), "--use-gt-triplets", "--config", str(config)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --config {config}" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_refine_steps_above_max_steps_exit_code_and_no_output(tmp_path, capsys, source):
+def test_run_config_refine_section_is_unknown(tmp_path, capsys):
+    config = write_config(tmp_path / "config.json", [small_scene()], refine={"alpha": 0.1})
+    assert main(["gen-scenes", str(config)]) == 2
+    assert f"error: {config}: unknown keys ['refine']\n" == capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [config]
+
+
+def test_refine_steps_above_max_steps_exit_code_and_no_output(tmp_path, capsys):
     scenes = _generated_scene_set(tmp_path)
     steps = MAX_STEPS + 1
     out = tmp_path / "out"
-    argv = ["refine", "--scene", str(scenes), "--out", str(out), "--use-gt-triplets"]
-    if source == "flag":
-        argv += ["--steps", str(steps)]
-    else:
-        argv += ["--config", str(write_config(tmp_path / "run.json", [], refine={"steps": steps}))]
+    argv = ["refine", "--scene", str(scenes), "--out", str(out), "--use-gt-triplets", "--steps", str(steps)]
     assert main(argv) == 2
     assert f"steps must lie in [0, {MAX_STEPS}], got {steps}" in capsys.readouterr().err
     assert not out.exists()
@@ -856,22 +869,31 @@ HUGE_INTEGER = 10**400  # finite as an int, too large for a float
 
 
 @pytest.mark.parametrize(
-    "mutate, field",
+    "mutate, flags, field",
     [
-        (lambda doc: doc["scenes"][0].update(noise_sigma=HUGE_INTEGER), "noise_sigma"),
-        (lambda doc: doc["scenes"][0]["confusion"].update(strength=HUGE_INTEGER), "strength"),
-        (lambda doc: doc.update(refine={"alpha": HUGE_INTEGER}), "alpha"),
+        (lambda doc: doc["scenes"][0].update(noise_sigma=HUGE_INTEGER), [], "noise_sigma"),
+        (lambda doc: doc["scenes"][0]["confusion"].update(strength=HUGE_INTEGER), [], "strength"),
+        # argparse reads the flag's 401 digits as inf
+        (lambda doc: None, ["--alpha", str(HUGE_INTEGER)], "alpha"),
     ],
     ids=["noise_sigma", "strength", "alpha"],
 )
-def test_real_field_too_large_for_a_float_exit_code(tmp_path, capsys, mutate, field):
+def test_real_field_too_large_for_a_float_exit_code(tmp_path, capsys, mutate, flags, field):
     doc = {"output_dir": "scenes", "scenes": [small_scene()]}
     mutate(doc)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
-    assert main(["gen-scenes", str(config)]) == 2
+    code = main(["gen-scenes", str(config)])
+    if flags:
+        assert code == 0
+        capsys.readouterr()
+        code = main(["refine", "--scene", str(tmp_path / "scenes"), "--out", str(tmp_path / "out"),
+                     "--use-gt-triplets", *flags])
+    assert code == 2
     err = capsys.readouterr().err
-    assert "config.json" in err and f"{field} must be a finite number" in err, err
+    assert f"{field} must be a finite number" in err, err
+    if not flags:
+        assert "config.json" in err, err
 
 
 @pytest.mark.parametrize(
@@ -886,22 +908,22 @@ def test_scene_grid_over_the_pixel_cap_exit_code(tmp_path, capsys, height, width
 
 
 WRONG_SECTION_TYPES = [
-    ("refine", "alpha", "x"),
-    ("refine", "alpha", True),
-    ("refine", "alpha", float("inf")),
-    ("refine", "steps", 2.5),
-    ("refine", "steps", False),
-    ("refine", "learning_rate", None),
-    ("refine", "adam_beta1", "0.9"),
+    ("output_dir", 5),
+    ("output_dir", None),
+    ("output_dir", ["x"]),
+    ("scenes", 5),
+    ("scenes", {"x": 1}),
+    ("scenes", "x"),
 ]
 
 
 def test_config_section_fields_of_wrong_type_exit_code(tmp_path, capsys):
-    for section, field, value in WRONG_SECTION_TYPES:
-        config = write_config(tmp_path / "config.json", [small_scene()], **{section: {field: value}})
-        assert main(["gen-scenes", str(config)]) == 2, (section, field, value)
+    for section, value in WRONG_SECTION_TYPES:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({section: value}))
+        assert main(["gen-scenes", str(config)]) == 2, (section, value)
         err = capsys.readouterr().err
-        assert "config.json" in err and f"section {section!r}" in err and field in err, err
+        assert "config.json" in err and repr(section) in err, err
 
 
 def test_a_roster_past_the_label_map_cap_exits_at_the_spec_check(tmp_path, capsys):

@@ -7,7 +7,14 @@ import pytest
 
 from relfine import gradcheck
 from relfine.errors import FormatError
-from relfine.gradcheck import check_instance, finite_difference_gradient, run_gradcheck
+from relfine.gradcheck import (
+    DEFAULT_TOLERANCE,
+    _random_instance,
+    check_instance,
+    finite_difference_gradient,
+    run_gradcheck,
+)
+from relfine.logic import LOG_CLAMP
 from relfine.relations import Relation, SpatialTriplet, TripletSet
 from relfine.state import SegmentationState
 
@@ -75,3 +82,36 @@ def test_finite_difference_probes_form_no_spatial_gradient(monkeypatch):
     results = run_gradcheck(seed=0, instances=5)
     assert all(r.passed for r in results)
     assert len(calls) == 5
+
+
+def _gradient_without_the_clamp_branch(state, terms):
+    """`logit_gradient_from_terms` less `g[inner == LOG_CLAMP] = 0.0`: where
+    the clamp saturates, the loss is flat, yet this keeps 1/LOG_CLAMP's slope."""
+    scatter = np.zeros((len(state.probs), len(terms)))
+    scatter[terms.subjects, np.arange(len(terms))] = terms.weights
+    inner = np.maximum(1.0 - state.probs, LOG_CLAMP)
+    g = ((scatter @ terms.rows)[:, :, None] + (scatter @ terms.cols)[:, None, :]) / inner
+    dot = (g * state.probs).sum(axis=0, keepdims=True)
+    return state.probs * (g - dot)
+
+
+def test_gradcheck_fails_a_kernel_without_the_clamp_branch(monkeypatch):
+    # Logits x20 saturate the softmax, so many pixels sit at the clamp.
+    rng = np.random.default_rng(0)
+    instances = []
+    for index in range(20):
+        height, width = ((2, 3), (4, 4), (5, 7), (8, 8))[index % 4]
+        n_categories, n_constraints = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        state, targets, triplets = _random_instance(rng, height, width, n_categories, n_constraints)
+        instances.append((state.with_logits(20 * state.logits), targets, triplets))
+    assert sum(int((1.0 - state.probs <= LOG_CLAMP).sum()) for state, _, _ in instances) > 0
+
+    def errors() -> list[float]:
+        return [check_instance(state, targets, triplets, alpha=0.1) for state, targets, triplets in instances]
+
+    assert max(errors()) < DEFAULT_TOLERANCE
+    # `relfine.refine` is the function the package re-exports, so the module
+    # is fetched by name to patch the one `objective` calls.
+    monkeypatch.setattr(importlib.import_module("relfine.refine"), "logit_gradient_from_terms",
+                        _gradient_without_the_clamp_branch)
+    assert max(errors()) >= DEFAULT_TOLERANCE

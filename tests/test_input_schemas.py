@@ -2,9 +2,8 @@
 
 `Placement`, `Confusion` and `SceneSpec` check and normalise their own
 fields, so a spec built in Python gets the checks a `spec.json` gets, and
-`errors.from_fields` builds any of them, and the `refine` config section,
-from JSON. The source checks at the end guard against a second
-statement of a field creeping back in.
+`errors.from_fields` builds any of them from JSON. The source checks at the
+end guard against a second statement of a field creeping back in.
 """
 
 from __future__ import annotations
@@ -130,12 +129,11 @@ def test_run_config_names_the_repeated_scene(tmp_path, capsys, entries, index, n
 
 def test_config_section_messages_name_the_section(tmp_path, capsys):
     config = tmp_path / "config.json"
-    for section, message in [({"refine": {"x": 1}}, "section 'refine': unknown keys ['x']"),
-                             ({"refine": 5}, "section 'refine': must be an object, got 5"),
-                             ({"refine": {"alpha": -1.0}}, "section 'refine': alpha")]:
+    for section, message in [({"scenes": 5}, "'scenes' must be a list"),
+                             ({"output_dir": 5}, "'output_dir' must be a string, got 5")]:
         config.write_text(json.dumps({"scenes": [_scene()], **section}))
         assert main(["gen-scenes", str(config)]) == 2
-        assert f"error: {config}: {message}" in capsys.readouterr().err
+        assert f"error: {config}: {message}\n" == capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------

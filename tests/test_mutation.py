@@ -23,7 +23,6 @@ from typing import Callable, Iterator
 import pytest
 
 from relfine.cli import main
-from relfine.refine import MAX_STEPS
 
 SEED = 20240613
 BIG = 10**400
@@ -116,14 +115,6 @@ SPEC = Obj(SPEC_FIELDS)
 CONFIG = Obj({
     "output_dir": (name, False),
     "scenes": (Arr(Obj({"name": (name, False), **SPEC_FIELDS})), False),
-    "refine": (Obj({
-        "alpha": (real(0.0, math.inf), False),
-        "steps": (integer(0, MAX_STEPS), False),
-        "learning_rate": (real(0.0, math.inf), False),
-        "adam_beta1": (real(0.0, 1.0), False),
-        "adam_beta2": (real(0.0, 1.0), False),
-        "adam_eps": (real(0.0, math.inf), False),
-    }), False),
 })
 RELATION = one_of("left", "right", "above", "below")
 TRIPLETS = Obj({
@@ -227,12 +218,7 @@ def inputs(tmp_path_factory) -> Path:
         "confusion": {"first": "a", "second": "b", "strength": 0.3},
         "seed": 3,
     }
-    config = {
-        "output_dir": "scenes",
-        "scenes": [scene],
-        "refine": {"alpha": 0.1, "steps": 2, "learning_rate": 0.01, "adam_beta1": 0.9,
-                   "adam_beta2": 0.999, "adam_eps": 1e-8},
-    }
+    config = {"output_dir": "scenes", "scenes": [scene]}
     (root / "config.json").write_text(json.dumps(config))
     (root / "triplets.json").write_text(json.dumps({
         "categories": ["background", "a", "b"],
@@ -257,8 +243,7 @@ def _commands(root: Path, out: Path) -> dict[str, list[list[str]]]:
     calibrate = ["calibrate", "--triplets", triplets, "--out-triplets", str(out / "calibrated.json")]
     pred = out / "pred"
     return {
-        "config.json": [["gen-scenes", config, "--output", str(out / "scenes")],
-                        [*refine, "--use-gt-triplets", "--config", config]],
+        "config.json": [["gen-scenes", config, "--output", str(out / "scenes")]],
         "triplets.json": [[*calibrate, "--oracle", oracle], [*refine, "--triplets", triplets]],
         "oracle.json": [[*calibrate, "--oracle", oracle]],
         "scenes/s/spec.json": [[*refine, "--use-gt-triplets", "--steps", "1"]],

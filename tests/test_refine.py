@@ -11,6 +11,7 @@ from relfine.errors import FormatError
 from relfine.grid import make_probability_map
 from relfine.logic import compile_constraints
 from relfine.refine import (
+    ADAM_EPS,
     MAX_STEPS,
     AdamState,
     RefineConfig,
@@ -152,7 +153,7 @@ def test_adam_first_step_is_learning_rate_sized():
     for g in (0.5, -3.0, 1e-3):
         params = np.array([0.0])
         updated, _ = adam_step(params, np.array([g]), AdamState.zeros_like(params), 1, cfg)
-        expected = -cfg.learning_rate * g / (abs(g) + cfg.adam_eps)
+        expected = -cfg.learning_rate * g / (abs(g) + ADAM_EPS)
         assert updated[0] == pytest.approx(expected, rel=1e-12)
         assert updated[0] == pytest.approx(-math.copysign(cfg.learning_rate, g), rel=1e-4)
 

@@ -52,25 +52,23 @@ SCENE = {
 
 def test_config_integers_and_flags_give_the_same_report_bytes(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"scenes": [SCENE], "output_dir": "scenes",
-                                  "refine": {"alpha": 1}}))
+    config.write_text(json.dumps({"scenes": [SCENE], "output_dir": "scenes"}))
     assert main(["gen-scenes", str(config)]) == 0
     capsys.readouterr()
-    outputs = []
-    for name, flags in [("from_config", ["--config", str(config)]), ("from_flag", ["--alpha", "1"])]:
-        out = tmp_path / name
-        assert main(["refine", "--scene", str(tmp_path / "scenes"), "--out", str(out), "--use-gt-triplets",
-                     *flags]) == 0
-        outputs.append((capsys.readouterr().out, (out / "s" / "report.json").read_bytes()))
-    assert outputs[0] == outputs[1]
-    assert "[alpha=1.0]" in outputs[0][0]
-    echo = json.loads(outputs[0][1])["config"]
-    assert echo["refine"]["alpha"] == 1.0
+    bundle = tmp_path / "scenes" / "s"
+    assert main(["refine", "--scene", str(bundle), "--out", str(tmp_path / "from_flag"), "--use-gt-triplets",
+                 "--alpha", "1"]) == 0
+    assert "[alpha=1.0]" in capsys.readouterr().out
+    from_api = tmp_path / "from_api"
+    cli._refine_one(("s", str(bundle), str(from_api), None, RefineConfig(alpha=1)))
+    report = (from_api / "report.json").read_bytes()
+    assert report == (tmp_path / "from_flag" / "report.json").read_bytes()
+    assert json.loads(report)["config"]["refine"]["alpha"] == 1.0
 
 
 def test_config_dataclasses_store_plain_floats_and_ints():
-    cfg = RefineConfig(alpha=1, steps=np.int64(3), learning_rate=1, adam_beta1=0, adam_beta2=0, adam_eps=1)
-    assert [type(v) for v in vars(cfg).values()] == [float, int, float, float, float, float]
+    cfg = RefineConfig(alpha=1, steps=np.int64(3), learning_rate=1)
+    assert [type(v) for v in vars(cfg).values()] == [float, int, float]
 
 
 # --------------------------------------------------------------------------
