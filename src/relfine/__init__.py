@@ -66,7 +66,6 @@ from .relations import (
     opposite,
     resolve_contradictions,
     save_triplets,
-    scripted_oracle,
     validate_polar,
 )
 from .scenes import (

@@ -27,15 +27,7 @@ from .errors import (
     write_json_object,
     writing_to,
 )
-from .evaluate import (
-    DEFAULT_SATISFACTION_THRESHOLD,
-    EvalReport,
-    GroupBy,
-    compare_runs,
-    evaluate_scene,
-    satisfied_flags,
-    write_bucket_csv,
-)
+from .evaluate import EvalReport, GroupBy, compare_runs, evaluate_scene, satisfied_flags, write_bucket_csv
 from .gradcheck import DEFAULT_SIZES, DEFAULT_TOLERANCE, run_gradcheck
 from .grid import read_labels, require_shape, write_labels_pgm, write_rsgf
 from .logic import spatial_loss
@@ -158,7 +150,7 @@ def cmd_gen_scenes(args: argparse.Namespace) -> int:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     if args.labels is not None and not args.geometric:
         raise FormatError("--labels needs --geometric: a scripted oracle answers from its file alone")
-    triplets = load_triplets(args.triplets, swap_args=args.swap_args)
+    triplets = load_triplets(args.triplets)
     if args.oracle:
         oracle = load_scripted_oracle(args.oracle)
     else:
@@ -166,7 +158,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             raise FormatError("--geometric needs --labels PATH")
         labels = read_labels(args.labels, len(triplets.categories))
         oracle = geometric_oracle(labels, triplets.categories)
-    result = calibrate(triplets, oracle, drop_background=not args.keep_background)
+    result = calibrate(triplets, oracle)
 
     for stage, count in result.audit.to_dict().items():
         print(f"{stage:>20}: {count}")
@@ -291,8 +283,6 @@ def cmd_refine(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.csv and not args.baseline:
         raise FormatError("--csv needs --baseline: the CSV holds baseline-vs-refined buckets")
-    if not 0.0 <= args.threshold <= 1.0:
-        raise FormatError(f"--threshold must lie in [0, 1], got {args.threshold}")
     scene_pairs, single = _scene_set(Path(args.scenes))
     pred_root = Path(args.pred)
 
@@ -307,7 +297,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 raise SceneSetMismatchError(f"no prediction for scene {name!r}: {labels_path} missing")
             pred = read_labels(labels_path, len(scene.categories))
             require_shape(labels_path, pred, scene.gt_labels.shape, f"scene {name!r}")
-            reports.append(evaluate_scene(pred, scene, threshold=args.threshold, name=name))
+            reports.append(evaluate_scene(pred, scene, name=name))
 
     def aggregate(reports: list[EvalReport]) -> dict[str, float]:
         keys = ("miou", "macc", "constraint_satisfaction")
@@ -407,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--oracle", help="scripted oracle JSON file")
     group.add_argument("--geometric", action="store_true", help="answer from a label map instead")
     p.add_argument("--labels", help="label map (PGM P5, RSGF1 or JSON grid) for --geometric")
-    p.add_argument("--swap-args", action="store_true", help="input log lists object before subject")
-    p.add_argument("--keep-background", action="store_true", help="keep background triplets")
     p.add_argument("--out-triplets", help="write the calibrated set here")
     p.add_argument("--out-audit", help="write per-stage audit counts here")
     p.set_defaults(handler="cmd_calibrate")
@@ -432,8 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="prediction directory (refine output)")
     p.add_argument("--baseline", help="second prediction directory for bucketed deltas")
     p.add_argument("--group-by", choices=get_args(GroupBy), default="categories")
-    p.add_argument("--threshold", type=float, default=DEFAULT_SATISFACTION_THRESHOLD,
-                   help="satisfaction threshold in [0, 1]")
     p.add_argument("--out", help="write the report JSON here")
     p.add_argument("--csv", help="write the bucket CSV here (needs --baseline)")
     p.set_defaults(handler="cmd_eval")

@@ -20,7 +20,9 @@ from .scenes import Scene
 
 GroupBy = Literal["categories", "constraints", "ratio"]
 
-DEFAULT_SATISFACTION_THRESHOLD = 0.95
+#: A triplet is satisfied when at least this share of its subject's
+#: predicted pixels lie on its side of the object.
+SATISFACTION_THRESHOLD = 0.95
 
 
 def _confusion(pred: LabelMap, gt: LabelMap, num_categories: int) -> np.ndarray:
@@ -68,7 +70,6 @@ def satisfied_flags(
     pred: LabelMap,
     roster: Sequence[str],
     triplets: TripletSet | Sequence[SpatialTriplet],
-    threshold: float = DEFAULT_SATISFACTION_THRESHOLD,
 ) -> np.ndarray:
     """triplet_satisfied for every triplet at once, as a (T,) bool array.
 
@@ -82,35 +83,25 @@ def satisfied_flags(
     outside = outside_sums(onehot, subjects, rows, cols)
     pixels = onehot.sum(axis=(1, 2))[subjects]
     share = np.divide(pixels - outside, pixels, out=np.zeros_like(pixels), where=pixels != 0.0)
-    return (pixels == 0.0) | (share >= threshold)
+    return (pixels == 0.0) | (share >= SATISFACTION_THRESHOLD)
 
 
-def triplet_satisfied(
-    pred: LabelMap,
-    roster: Sequence[str],
-    triplet: SpatialTriplet,
-    threshold: float = DEFAULT_SATISFACTION_THRESHOLD,
-) -> bool:
+def triplet_satisfied(pred: LabelMap, roster: Sequence[str], triplet: SpatialTriplet) -> bool:
     """Discrete check of one triplet against predicted labels.
 
-    Satisfied when at least `threshold` of the subject's predicted pixels lie
-    in the half plane on the triplet's side of the object's one-hot mask mean.
-    Purely discrete: no soft maps and no epsilon in the mean, so a pixel at
-    the exact mean counts for both opposing sides. A subject with no
+    Satisfied when at least SATISFACTION_THRESHOLD of the subject's predicted
+    pixels lie in the half plane on the triplet's side of the object's one-hot
+    mask mean. Purely discrete: no soft maps and no epsilon in the mean, so a
+    pixel at the exact mean counts for both opposing sides. A subject with no
     predicted pixels is vacuously satisfied.
     """
-    return bool(satisfied_flags(pred, roster, (triplet,), threshold)[0])
+    return bool(satisfied_flags(pred, roster, (triplet,))[0])
 
 
-def constraint_satisfaction(
-    pred: LabelMap,
-    roster: Sequence[str],
-    triplets: TripletSet,
-    threshold: float = DEFAULT_SATISFACTION_THRESHOLD,
-) -> float:
+def constraint_satisfaction(pred: LabelMap, roster: Sequence[str], triplets: TripletSet) -> float:
     """Fraction of triplets discretely satisfied by the predicted labels;
     1.0 for an empty set."""
-    return _satisfied_share(satisfied_flags(pred, roster, triplets, threshold))
+    return _satisfied_share(satisfied_flags(pred, roster, triplets))
 
 
 def _satisfied_share(flags: np.ndarray) -> float:
@@ -142,7 +133,6 @@ def evaluate_scene(
     pred: LabelMap,
     scene: Scene,
     triplets: TripletSet | None = None,
-    threshold: float = DEFAULT_SATISFACTION_THRESHOLD,
     name: str | None = None,
     flags: np.ndarray | None = None,
 ) -> EvalReport:
@@ -150,7 +140,7 @@ def evaluate_scene(
 
     The category count groups by ground truth: distinct non-background
     categories present in the label map. A caller that already holds
-    `satisfied_flags(pred, scene.categories, triplets, threshold)` passes it
+    `satisfied_flags(pred, scene.categories, triplets)` passes it
     as `flags`, and the triplets are not checked again.
     """
     active = triplets if triplets is not None else scene.gt_triplets
@@ -158,7 +148,7 @@ def evaluate_scene(
     counts = _confusion(pred, scene.gt_labels, len(roster))
     ious, mean_iou, mean_recall = _scores(counts, len(roster))
     if flags is None:
-        flags = satisfied_flags(pred, roster, active, threshold)
+        flags = satisfied_flags(pred, roster, active)
     elif len(flags) != len(active):
         raise ValueError(f"{len(flags)} satisfaction flags for {len(active)} triplets")
     return EvalReport(

@@ -321,23 +321,15 @@ class CalibrationResult:
     audit: CalibrationAudit
 
 
-def calibrate(
-    initial: TripletSet,
-    oracle: RelationOracle,
-    drop_background: bool = True,
-) -> CalibrationResult:
-    """Run the full pipeline: augment, validate, detect and resolve, after
-    dropping the triplets that name the background when `drop_background`.
+def calibrate(initial: TripletSet, oracle: RelationOracle) -> CalibrationResult:
+    """Run the full pipeline: drop the triplets that name the background,
+    then augment, validate, detect and resolve.
 
     The returned set is contradiction-free and a subset of the augmented
-    input; the audit carries the per-stage counts.
+    input; the audit carries the per-stage counts, the background triplets
+    dropped among them.
     """
-    work = initial
-    background_dropped = 0
-    if drop_background:
-        kept = [t for t in work if BACKGROUND not in (t.subject, t.object)]
-        background_dropped = len(work) - len(kept)
-        work = work._derive(kept)
+    work = initial._derive([t for t in initial if BACKGROUND not in (t.subject, t.object)])
 
     augmented = augment_bidirectional(work)
     validated = validate_polar(augmented, oracle)
@@ -346,7 +338,7 @@ def calibrate(
 
     audit = CalibrationAudit(
         initial=len(initial),
-        background_dropped=background_dropped,
+        background_dropped=len(initial) - len(work),
         augmented=len(augmented),
         validated=len(validated),
         contradiction_pairs=len(pairs),
@@ -418,10 +410,6 @@ class ScriptedOracle:
         return self._choose.get((subject, first, second, object), "neither")
 
 
-def scripted_oracle(holds: HoldsTable, choose: ChooseTable | None = None) -> ScriptedOracle:
-    return ScriptedOracle(holds, choose or {})
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange
 # ---------------------------------------------------------------------------
@@ -455,12 +443,10 @@ def _table(doc: dict, name: str, path: str | Path) -> list:
     return entries
 
 
-def load_triplets(path: str | Path, swap_args: bool = False) -> TripletSet:
-    """Load a triplet set; swap_args flips subject and object on every entry.
-
-    The swap accommodates recorded logs whose argument order is inverted
-    relative to the convention used here. Exact duplicates (same subject,
-    relation, object) collapse to one entry keeping the earliest stage tag.
+def load_triplets(path: str | Path) -> TripletSet:
+    """Load a triplet set. Each entry reads subject first: "subject" is at
+    "relation" of "object". Exact duplicates (same subject, relation, object)
+    collapse to one entry keeping the earliest stage tag.
     """
     doc = load_json_object(path)
     require_keys(doc, frozenset(), _TRIPLET_FILE_KEYS, str(path))
@@ -490,8 +476,6 @@ def load_triplets(path: str | Path, swap_args: bool = False) -> TripletSet:
             stage = entry.get("stage", "initial")
             if stage not in STAGES:
                 raise FormatError(f"unknown stage {stage!r}")
-            if swap_args:
-                subject, obj = obj, subject
             t = SpatialTriplet(subject, relation, obj, stage)
         except FormatError as exc:
             raise FormatError(f"{path}: triplets[{index}]: {exc}") from None

@@ -784,14 +784,27 @@ def test_eval_csv_needs_baseline(tmp_path, capsys):
     assert not csv_path.exists()
 
 
-def test_eval_threshold_outside_unit_interval(tmp_path, capsys):
+def test_eval_threshold_flag_is_unknown(tmp_path, capsys):
     scenes = _generated_scene_set(tmp_path)
     pred = _gt_predictions(tmp_path, scenes)
-    for threshold in ("1.5", "-0.1", "nan"):
-        assert main(["eval", "--scenes", str(scenes), "--pred", str(pred),
-                     "--threshold", threshold]) == 2
-        assert "--threshold must lie in [0, 1]" in capsys.readouterr().err
-    assert main(["eval", "--scenes", str(scenes), "--pred", str(pred), "--threshold", "1"]) == 0
+    out = tmp_path / "eval.json"
+    with pytest.raises(SystemExit) as exc:  # argparse's own exit 2
+        main(["eval", "--scenes", str(scenes), "--pred", str(pred), "--out", str(out), "--threshold", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threshold 0.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--swap-args", "--keep-background"])
+def test_calibrate_removed_flags_are_unknown(tmp_path, capsys, flag):
+    out = tmp_path / "calibrated.json"
+    audit = tmp_path / "audit.json"
+    with pytest.raises(SystemExit) as exc:  # argparse's own exit 2
+        main([*_calibrate_args(tmp_path), "--out-triplets", str(out), "--out-audit", str(audit), flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag}" in captured.err and captured.out == ""
+    assert not out.exists() and not audit.exists()
 
 
 def test_refine_reduction_flag_is_unknown(tmp_path, capsys):
@@ -1110,9 +1123,24 @@ def test_parser_defaults_are_the_library_defaults():
     from relfine import gradcheck
 
     parser = cli.build_parser()
-    evaluate_args = parser.parse_args(["eval", "--scenes", "s", "--pred", "p"])
-    assert evaluate_args.threshold == evaluate.DEFAULT_SATISFACTION_THRESHOLD
     assert parser.parse_args(["gradcheck"]).tolerance == gradcheck.DEFAULT_TOLERANCE
+
+
+@pytest.mark.parametrize("command", ["gen-scenes", "calibrate", "refine", "eval", "gradcheck"])
+def test_subcommand_help_renders(command, capsys):
+    # argparse formats help strings only when --help runs, so a bad format
+    # string or a stale flag shows only here.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # the same at any terminal width
+    assert text.startswith(f"usage: relfine {command}") and "%(" not in text
+    for removed in ("--threshold", "--swap-args", "--keep-background", "--config", "--reduction"):
+        assert removed not in text, (command, removed)
+    if command == "refine":
+        defaults = RefineConfig()
+        for value in (defaults.alpha, defaults.steps, defaults.learning_rate):
+            assert f"(default {value})" in text
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from relfine.errors import SceneSetMismatchError, UnknownCategoryError
 from relfine.evaluate import (
+    SATISFACTION_THRESHOLD,
     EvalReport,
     compare_runs,
     constraint_satisfaction,
@@ -149,24 +150,9 @@ def test_satisfaction_unknown_category_raises():
         constraint_satisfaction(pred, ROSTER, triplets)
 
 
-def test_satisfaction_monotone_in_threshold():
-    rng = np.random.default_rng(6)
-    pred = labels(rng.integers(0, 3, size=(8, 8)), 3)
-    triplets = tset(
-        SpatialTriplet("A", Relation.LEFT, "B"),
-        SpatialTriplet("B", Relation.RIGHT, "A"),
-        SpatialTriplet("A", Relation.ABOVE, "B"),
-    )
-    values = [
-        constraint_satisfaction(pred, ROSTER, triplets, threshold)
-        for threshold in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
-    ]
-    assert all(b <= a for a, b in zip(values, values[1:]))
-
-
-def loop_satisfied(pred, roster, triplet, threshold):
+def loop_satisfied(pred, roster, triplet):
     """One triplet on the H x W grid: the object's one-hot mean with no
-    epsilon, outside_band's tie rule, and inside / pixels >= threshold."""
+    epsilon, outside_band's tie rule, and inside / pixels >= the threshold."""
     subject = pred.labels == roster.index(triplet.subject)
     obj = pred.labels == roster.index(triplet.object)
     pixels = int(subject.sum())
@@ -178,12 +164,22 @@ def loop_satisfied(pred, roster, triplet, threshold):
     mean = int(coords[obj].sum()) / mass if mass else 0.0
     outside = outside_band(pred.shape[0 if row else 1], triplet.relation, mean)[coords] > 0
     inside = int((subject & ~outside).sum())
-    return inside / pixels >= threshold
+    return inside / pixels >= SATISFACTION_THRESHOLD
 
 
 def test_satisfied_flags_equal_per_triplet_loop():
+    # A's 20 pixels lie left of B's column until some move right of it. With
+    # one moved the share is exactly 0.95, satisfied by the >= tie; with two
+    # it is 0.9.
+    triplet = SpatialTriplet("A", Relation.LEFT, "B")
+    for moved, expected in ((1, True), (2, False)):
+        arr = np.array([[1, 1, 1, 1, 2, 0]] * 5)
+        arr[:moved, 0], arr[:moved, 5] = 0, 1
+        pred = labels(arr, 3)
+        assert satisfied_flags(pred, ROSTER, [triplet]).tolist() == [expected]
+        assert loop_satisfied(pred, ROSTER, triplet) is expected
+
     rng = np.random.default_rng(31)
-    thresholds = (0.0, 0.5, 2 / 3, 0.95, 1.0)
     for _ in range(100):
         maps = int(rng.integers(2, 7))
         height, width = (int(v) for v in rng.integers(1, 12, size=2))
@@ -198,8 +194,6 @@ def test_satisfied_flags_equal_per_triplet_loop():
         pred = labels(arr, maps)
         # A roster may name more categories than the label map holds.
         roster = tuple(f"k{c}" for c in range(maps + int(rng.integers(0, 2))))
-        pick = int(rng.integers(0, len(thresholds) + 1))
-        threshold = thresholds[pick] if pick < len(thresholds) else float(rng.random())
         keep = 0.0 if rng.random() < 0.1 else 0.5  # an empty triplet list now and then
         triplets = [
             SpatialTriplet(s, relation, o)
@@ -209,13 +203,28 @@ def test_satisfied_flags_equal_per_triplet_loop():
             for relation in Relation
             if rng.random() < keep
         ]
-        flags = satisfied_flags(pred, roster, triplets, threshold)
+        flags = satisfied_flags(pred, roster, triplets)
         assert flags.dtype == bool and flags.shape == (len(triplets),)
-        expected = [loop_satisfied(pred, roster, t, threshold) for t in triplets]
+        expected = [loop_satisfied(pred, roster, t) for t in triplets]
         assert flags.tolist() == expected
-        assert [triplet_satisfied(pred, roster, t, threshold) for t in triplets] == expected
-        satisfaction = constraint_satisfaction(pred, roster, TripletSet(tuple(triplets), roster), threshold)
+        assert [triplet_satisfied(pred, roster, t) for t in triplets] == expected
+        satisfaction = constraint_satisfaction(pred, roster, TripletSet(tuple(triplets), roster))
         assert satisfaction == (sum(expected) / len(expected) if expected else 1.0)
+
+
+def test_satisfaction_threshold_is_not_a_parameter():
+    pred = labels([[1, 2]], 3)
+    triplet = SpatialTriplet("A", Relation.LEFT, "B")
+    scene = generate_scene(SceneSpec(height=8, width=8, placements=(Placement("a", 1, 1, 4, 4),)))
+    calls = (
+        lambda: satisfied_flags(pred, ROSTER, [triplet], threshold=0.5),
+        lambda: triplet_satisfied(pred, ROSTER, triplet, threshold=0.5),
+        lambda: constraint_satisfaction(pred, ROSTER, tset(triplet), threshold=0.5),
+        lambda: evaluate_scene(scene.gt_labels, scene, threshold=0.5),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match="threshold"):
+            call()
 
 
 # --------------------------------------------------------------------------

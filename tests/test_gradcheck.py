@@ -84,6 +84,36 @@ def test_finite_difference_probes_form_no_spatial_gradient(monkeypatch):
     assert len(calls) == 5
 
 
+def _band_instances() -> list[tuple[SegmentationState, np.ndarray, TripletSet]]:
+    """20 instances drawn as `run_gradcheck(seed=0, sizes=...)` draws them, at
+    sizes where every constraint has a nonempty band."""
+    rng = np.random.default_rng(0)
+    instances = []
+    for index in range(20):
+        height, width = ((2, 3), (4, 4), (5, 7), (8, 8))[index % 4]
+        n_categories, n_constraints = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        instances.append(_random_instance(rng, height, width, n_categories, n_constraints))
+    return instances
+
+
+def _patch_spatial_gradient(monkeypatch, kernel) -> None:
+    # `relfine.refine` is the function the package re-exports, so the module
+    # is fetched by name to patch the one `objective` calls.
+    monkeypatch.setattr(importlib.import_module("relfine.refine"), "logit_gradient_from_terms", kernel)
+
+
+def test_gradcheck_fails_a_spatial_gradient_off_by_a_thousandth(monkeypatch):
+    instances = _band_instances()
+
+    def errors() -> list[float]:
+        return [check_instance(state, targets, triplets, alpha=1.0) for state, targets, triplets in instances]
+
+    assert max(errors()) < DEFAULT_TOLERANCE
+    kernel = importlib.import_module("relfine.refine").logit_gradient_from_terms
+    _patch_spatial_gradient(monkeypatch, lambda state, terms: 1.001 * kernel(state, terms))
+    assert min(errors()) >= DEFAULT_TOLERANCE
+
+
 def _gradient_without_the_clamp_branch(state, terms):
     """`logit_gradient_from_terms` less `g[inner == LOG_CLAMP] = 0.0`: where
     the clamp saturates, the loss is flat, yet this keeps 1/LOG_CLAMP's slope."""
@@ -97,21 +127,13 @@ def _gradient_without_the_clamp_branch(state, terms):
 
 def test_gradcheck_fails_a_kernel_without_the_clamp_branch(monkeypatch):
     # Logits x20 saturate the softmax, so many pixels sit at the clamp.
-    rng = np.random.default_rng(0)
-    instances = []
-    for index in range(20):
-        height, width = ((2, 3), (4, 4), (5, 7), (8, 8))[index % 4]
-        n_categories, n_constraints = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        state, targets, triplets = _random_instance(rng, height, width, n_categories, n_constraints)
-        instances.append((state.with_logits(20 * state.logits), targets, triplets))
+    instances = [(state.with_logits(20 * state.logits), targets, triplets)
+                 for state, targets, triplets in _band_instances()]
     assert sum(int((1.0 - state.probs <= LOG_CLAMP).sum()) for state, _, _ in instances) > 0
 
     def errors() -> list[float]:
         return [check_instance(state, targets, triplets, alpha=0.1) for state, targets, triplets in instances]
 
     assert max(errors()) < DEFAULT_TOLERANCE
-    # `relfine.refine` is the function the package re-exports, so the module
-    # is fetched by name to patch the one `objective` calls.
-    monkeypatch.setattr(importlib.import_module("relfine.refine"), "logit_gradient_from_terms",
-                        _gradient_without_the_clamp_branch)
+    _patch_spatial_gradient(monkeypatch, _gradient_without_the_clamp_branch)
     assert max(errors()) >= DEFAULT_TOLERANCE

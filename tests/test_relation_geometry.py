@@ -11,9 +11,10 @@ breaks that agreement.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from relfine.evaluate import satisfied_flags
+from relfine.logic import encode_triplets, outside_bands, outside_sums
 from relfine.relations import BACKGROUND, Relation, SpatialTriplet, geometric_oracle, opposite
 from relfine.scenes import generate_scene, random_grid_spec
 
@@ -29,6 +30,15 @@ def test_relation_geometry_is_stated_once():
         assert (opposite(r).axis, opposite(r).after) == (r.axis, not r.after)
 
 
+def all_pixels_inside(labels, roster, triplets) -> list[bool]:
+    """Per triplet, whether no subject pixel lies in the loss's outside band,
+    with the bands taken over the one-hot label maps with no epsilon."""
+    subjects, relations, objects = encode_triplets(roster, triplets)
+    onehot = (labels.labels == np.arange(len(roster))[:, None, None]).astype(np.float64)
+    rows, cols = outside_bands(onehot, relations, objects, 0.0)
+    return (outside_sums(onehot, subjects, rows, cols) == 0.0).tolist()
+
+
 @pytest.mark.parametrize("size", [24, 40, 64])
 def test_geometric_oracle_agrees_with_the_all_pixels_check(size):
     checks = yes = 0
@@ -39,7 +49,7 @@ def test_geometric_oracle_agrees_with_the_all_pixels_check(size):
         triplets = [SpatialTriplet(s, r, o) for s in names for o in names if s != o for r in Relation]
         oracle = geometric_oracle(scene.gt_labels, roster)
         answers = [oracle.holds(*t.key) == "yes" for t in triplets]
-        flags = satisfied_flags(scene.gt_labels, roster, triplets, threshold=1.0).tolist()
+        flags = all_pixels_inside(scene.gt_labels, roster, triplets)
         disagree = [str(t) for t, a, f in zip(triplets, answers, flags) if a != f]
         assert not disagree, (seed, disagree)
         checks += len(triplets)

@@ -25,7 +25,6 @@ from relfine.relations import (
     opposite,
     resolve_contradictions,
     save_triplets,
-    scripted_oracle,
     validate_polar,
 )
 
@@ -146,7 +145,7 @@ def test_validate_keeps_double_yes():
         ("building", Relation.BELOW, "sky"): "yes",
         ("sky", Relation.ABOVE, "building"): "yes",
     }
-    out = validate_polar(tset(triplet("building", Relation.BELOW, "sky")), scripted_oracle(holds))
+    out = validate_polar(tset(triplet("building", Relation.BELOW, "sky")), ScriptedOracle(holds, {}))
     assert len(out) == 1
     assert out.triplets[0].stage == "validated"
 
@@ -158,7 +157,7 @@ def test_validate_drops_failed_reflection():
             ("a", Relation.LEFT, "b"): "yes",
             ("b", Relation.RIGHT, "a"): reflection,
         }
-        out = validate_polar(tset(triplet("a", Relation.LEFT, "b")), scripted_oracle(holds))
+        out = validate_polar(tset(triplet("a", Relation.LEFT, "b")), ScriptedOracle(holds, {}))
         assert len(out) == 0
 
 
@@ -182,7 +181,7 @@ def test_validate_output_is_subset_of_input():
             holds[t.key] = answers[rng.integers(0, 3)]
             rev = t.reversed()
             holds[rev.key] = answers[rng.integers(0, 3)]
-        out = validate_polar(triplets, scripted_oracle(holds))
+        out = validate_polar(triplets, ScriptedOracle(holds, {}))
         assert out.keys() <= triplets.keys()
 
 
@@ -267,7 +266,7 @@ def test_detect_matches_all_pairs_scan():
 def test_resolve_keeps_oracle_choice():
     s = tset(triplet("a", Relation.RIGHT, "b"), triplet("b", Relation.RIGHT, "a"))
     pairs = detect_contradictions(s)
-    out = resolve_contradictions(s, pairs, scripted_oracle({}, {
+    out = resolve_contradictions(s, pairs, ScriptedOracle({}, {
         ("a", Relation.RIGHT, Relation.LEFT, "b"): "first",
     }))
     assert out.keys() == {("a", Relation.RIGHT, "b")}
@@ -277,7 +276,7 @@ def test_resolve_keeps_oracle_choice():
 def test_resolve_neither_discards_both():
     s = tset(triplet("a", Relation.RIGHT, "b"), triplet("a", Relation.LEFT, "b"))
     pairs = detect_contradictions(s)
-    out = resolve_contradictions(s, pairs, scripted_oracle({}, {}))
+    out = resolve_contradictions(s, pairs, ScriptedOracle({}, {}))
     assert len(out) == 0
 
 
@@ -295,7 +294,7 @@ def test_resolve_dropped_stays_dropped():
     )
     pairs = detect_contradictions(s)
     assert len(pairs) == 2
-    oracle = scripted_oracle({}, {
+    oracle = ScriptedOracle({}, {
         # Pair 1 (cyclic, asked from a's perspective): keep <a,R,b>.
         # Pair 2 (directional, same query key) would also keep <a,R,b>; make
         # the shared query drop it instead via the second option.
@@ -345,9 +344,16 @@ def test_calibrate_drops_background_by_default():
     result = calibrate(s, PermissiveOracle())
     assert result.audit.background_dropped == 1
     assert all("background" not in (t.subject, t.object) for t in result.triplets)
-    kept = calibrate(s, PermissiveOracle(), drop_background=False)
-    assert kept.audit.background_dropped == 0
-    assert ("cat", Relation.RIGHT, "background") in kept.triplets.keys()
+
+
+def test_calibration_switches_are_not_parameters(tmp_path):
+    s = tset(triplet("cat", Relation.RIGHT, "background"), roster=("background", "cat"))
+    with pytest.raises(TypeError, match="drop_background"):
+        calibrate(s, PermissiveOracle(), drop_background=False)
+    path = tmp_path / "t.json"
+    save_triplets(path, s)
+    with pytest.raises(TypeError, match="swap_args"):
+        load_triplets(path, swap_args=True)
 
 
 def _random_set_and_oracle(rng):
@@ -448,7 +454,7 @@ def test_geometric_oracle_antisymmetry():
 
 
 def test_scripted_oracle_lookup_and_defaults():
-    oracle = scripted_oracle(
+    oracle = ScriptedOracle(
         {("cat", Relation.RIGHT, "person"): "yes"},
         {("sky", Relation.ABOVE, Relation.BELOW, "building"): "neither"},
     )
@@ -497,16 +503,6 @@ def test_save_triplets_writes_the_bytes_of_write_json_object(tmp_path):
         save_triplets(tmp_path / "saved.json", triplets)
         write_json_object(tmp_path / "expected.json", doc)
         assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "expected.json").read_bytes(), case
-
-
-def test_load_triplets_swap_args(tmp_path):
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps({
-        "categories": ["cat", "person"],
-        "triplets": [{"subject": "person", "relation": "right", "object": "cat"}],
-    }))
-    swapped = load_triplets(path, swap_args=True)
-    assert swapped.keys() == {("cat", Relation.RIGHT, "person")}
 
 
 def test_load_triplets_collapses_duplicates_keeping_earliest_stage(tmp_path):

@@ -20,11 +20,11 @@ from relfine.relations import (
     BACKGROUND,
     STAGES,
     Relation,
+    ScriptedOracle,
     SpatialTriplet,
     TripletSet,
     calibrate,
     opposite,
-    scripted_oracle,
 )
 
 STAGE_FUNCTIONS = ("augment_bidirectional", "validate_polar", "resolve_contradictions")
@@ -51,7 +51,7 @@ def random_case(rng: np.random.Generator) -> tuple[TripletSet, relations.Scripte
         for s, r, o in candidates
         if rng.random() < 0.9
     }
-    return TripletSet(triplets, tuple(roster)), scripted_oracle(holds, choose)
+    return TripletSet(triplets, tuple(roster)), ScriptedOracle(holds, choose)
 
 
 def test_every_derived_set_passes_the_full_check(monkeypatch):
@@ -73,18 +73,17 @@ def test_every_derived_set_passes_the_full_check(monkeypatch):
                             "resolution_dropped", "final"), 0)
     for _ in range(1000):
         initial, oracle = random_case(rng)
-        for drop_background in (True, False):
-            derived.clear()
-            result = calibrate(initial, oracle, drop_background=drop_background)
-            # The background-filtered set enters augmentation; every stage's
-            # result is recorded after its input.
-            assert len(derived) == 2 * len(STAGE_FUNCTIONS)
-            assert derived[-1] is result.triplets
-            for s in derived:
-                assert s.categories == initial.categories
-                assert TripletSet(s.triplets, s.categories) == s
-            for key in totals:
-                totals[key] += getattr(result.audit, key)
+        derived.clear()
+        result = calibrate(initial, oracle)
+        # The background-filtered set enters augmentation; every stage's
+        # result is recorded after its input.
+        assert len(derived) == 2 * len(STAGE_FUNCTIONS)
+        assert derived[-1] is result.triplets
+        for s in derived:
+            assert s.categories == initial.categories
+            assert TripletSet(s.triplets, s.categories) == s
+        for key in totals:
+            totals[key] += getattr(result.audit, key)
     # The cases reach every branch: background to drop, triplets that fail
     # validation, contradictions, and resolutions that drop or keep.
     assert all(count > 0 for count in totals.values()), totals
@@ -141,7 +140,9 @@ def test_spatial_triplet_construction_and_dataclass_behaviour():
 
 def test_derived_sets_survive_a_pickle_round_trip():
     initial, oracle = random_case(np.random.default_rng(11))
-    result = calibrate(initial, oracle, drop_background=False)
+    result = calibrate(initial, oracle)
+    # Background filtering leaves a nonempty derived set to pickle.
+    assert (result.audit.background_dropped, len(result.triplets)) == (8, 2)
     for s in (initial, result.triplets):
         copy = pickle.loads(pickle.dumps(s))
         assert copy == s and copy.keys() == s.keys()
