@@ -31,7 +31,6 @@ from .grid import (
     LabelMap,
     ProbabilityMap,
     make_probability_map,
-    read_grid,
     read_labels,
     read_rsgf,
     write_labels_pgm,
@@ -59,7 +58,6 @@ from .relations import (
     augment_bidirectional,
     calibrate,
     detect_contradictions,
-    empty_triplet_set,
     geometric_oracle,
     load_scripted_oracle,
     load_triplets,

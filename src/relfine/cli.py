@@ -396,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--oracle", help="scripted oracle JSON file")
     group.add_argument("--geometric", action="store_true", help="answer from a label map instead")
-    p.add_argument("--labels", help="label map (PGM P5, RSGF1 or JSON grid) for --geometric")
+    p.add_argument("--labels", help="PGM P5 label map for --geometric")
     p.add_argument("--out-triplets", help="write the calibrated set here")
     p.add_argument("--out-audit", help="write per-stage audit counts here")
     p.set_defaults(handler="cmd_calibrate")

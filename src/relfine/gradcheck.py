@@ -22,7 +22,7 @@ from .refine import _losses, objective
 from .relations import Relation, SpatialTriplet, TripletSet
 from .state import SegmentationState
 
-DEFAULT_SIZES: tuple[tuple[int, int], ...] = ((1, 1), (2, 3), (4, 4), (5, 7), (8, 8))
+DEFAULT_SIZES: tuple[tuple[int, int], ...] = ((2, 3), (4, 4), (5, 7), (8, 8))
 DEFAULT_TOLERANCE = 1e-4
 FD_STEP = 1e-4
 #: Largest instance grid, in pixels. A check takes two objective evaluations

@@ -15,7 +15,7 @@ from typing import Sequence, TypeVar
 
 import numpy as np
 
-from .errors import FormatError, load_json_object, require_int, require_keys, writing_to
+from .errors import FormatError, writing_to
 
 #: Denominator guard for weighted means, small enough that it never moves a
 #: half-plane boundary on grids up to 4096 px.
@@ -78,7 +78,10 @@ class LabelMap:
         if self.num_categories < 1:
             raise FormatError("label map needs at least one category")
         if labels.min() < 0 or labels.max() >= self.num_categories:
-            raise _out_of_range(self.num_categories, labels.min(), labels.max())
+            raise FormatError(
+                f"labels must lie in [0, {self.num_categories}), "
+                f"found range [{labels.min()}, {labels.max()}]"
+            )
         object.__setattr__(self, "labels", _as_readonly(labels.astype(np.int64)))
 
     @property
@@ -92,10 +95,6 @@ class LabelMap:
     @property
     def shape(self) -> tuple[int, int]:
         return self.labels.shape
-
-
-def _out_of_range(num_categories: int, low: object, high: object) -> FormatError:
-    return FormatError(f"labels must lie in [0, {num_categories}), found range [{low}, {high}]")
 
 
 Grid = TypeVar("Grid", np.ndarray, LabelMap)
@@ -127,8 +126,16 @@ def make_probability_map(height: int, width: int, values: Sequence[float]) -> Pr
 #
 # RSGF1 binary layout: 5-byte magic "RSGF1", two uint32 little-endian values
 # (height, width), then height*width float32 little-endian values, row-major.
-# The JSON alternative is {"height": H, "width": W, "values": [...]} with the
-# same row-major ordering.
+# Label maps are binary PGM (P5), one byte per pixel.
+
+
+def _read(path: str | Path) -> bytes:
+    """The bytes of a file; a failed read raises FormatError naming it."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read: {exc.strerror}") from None
 
 
 def write_rsgf(path: str | Path, values: np.ndarray) -> None:
@@ -153,44 +160,6 @@ def read_rsgf(path: str | Path) -> np.ndarray:
     return values.astype(np.float64)
 
 
-_GRID_JSON_KEYS = frozenset({"height", "width", "values"})
-
-
-def read_grid_json(path: str | Path) -> np.ndarray:
-    doc = load_json_object(path)
-    require_keys(doc, _GRID_JSON_KEYS, frozenset(), str(path))
-    height, width = (require_int(doc[key], f"{path}: {key!r}") for key in ("height", "width"))
-    if height < 1 or width < 1:
-        raise FormatError(f"{path}: 'height' and 'width' must be positive, got {height}x{width}")
-    if not isinstance(doc["values"], list) or not {type(v) for v in doc["values"]} <= {int, float}:
-        raise FormatError(f"{path}: 'values' must be a list of numbers")
-    try:
-        flat = np.asarray(doc["values"], dtype=np.float64)
-    except OverflowError:
-        raise FormatError(f"{path}: 'values' holds an integer too large for float64") from None
-    if flat.size != height * width:
-        raise FormatError(
-            f"{path}: dimension mismatch: expected {height * width} values, got {flat.size}"
-        )
-    return flat.reshape(height, width)
-
-
-def _read(path: str | Path, size: int = -1) -> bytes:
-    """The first `size` bytes of a file, all by default; a failed read raises FormatError naming it."""
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(size)
-    except OSError as exc:
-        raise FormatError(f"{path}: cannot read: {exc.strerror}") from None
-
-
-def read_grid(path: str | Path) -> np.ndarray:
-    """Load a grid from either format, sniffing the RSGF1 magic bytes."""
-    if _read(path, 5) == RSGF_MAGIC:
-        return read_rsgf(path)
-    return read_grid_json(path)
-
-
 def write_labels_pgm(path: str | Path, labels: LabelMap) -> None:
     """Write a label map as a binary PGM (P5), one byte per pixel."""
     if labels.num_categories > MAX_LABEL_CATEGORIES:
@@ -200,7 +169,8 @@ def write_labels_pgm(path: str | Path, labels: LabelMap) -> None:
         Path(path).write_bytes(header + labels.labels.astype(np.uint8).tobytes(order="C"))
 
 
-def read_labels_pgm(path: str | Path, num_categories: int) -> LabelMap:
+def read_labels(path: str | Path, num_categories: int) -> LabelMap:
+    """Load a label map from a binary PGM (P5) file."""
     raw = _read(path)
     if not raw.startswith(b"P5"):
         raise FormatError(f"{path}: not a binary PGM (P5) file")
@@ -221,7 +191,10 @@ def read_labels_pgm(path: str | Path, num_categories: int) -> LabelMap:
         token = raw[pos:end]
         if not token.isdigit():  # int() would also take "-2", "+2" and "1_0"
             raise FormatError(f"{path}: malformed PGM header")
-        fields.append(int(token))
+        try:
+            fields.append(int(token))
+        except ValueError:  # more digits than int() converts, 4,300 by default
+            raise FormatError(f"{path}: malformed PGM header") from None
         pos = end
     pos += 1  # single whitespace byte after maxval
     width, height, maxval = fields
@@ -230,26 +203,7 @@ def read_labels_pgm(path: str | Path, num_categories: int) -> LabelMap:
     data = np.frombuffer(raw[pos:], dtype=np.uint8)
     if data.size != height * width:
         raise FormatError(f"{path}: PGM pixel count {data.size} != {height}x{width}")
-    return _label_map(path, data.reshape(height, width).astype(np.int64), num_categories)
-
-
-def _label_map(path: str | Path, labels: np.ndarray, num_categories: int) -> LabelMap:
-    """The LabelMap of `labels`, read from `path`; a failed check names the file."""
     try:
-        return LabelMap(labels, num_categories)
+        return LabelMap(data.reshape(height, width), num_categories)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
-
-
-def read_labels(path: str | Path, num_categories: int) -> LabelMap:
-    """Load a label map from PGM P5 or from an RSGF1/JSON grid of integer floats."""
-    if _read(path, 5).startswith(b"P5"):
-        return read_labels_pgm(path, num_categories)
-    values = read_grid(path)
-    if not np.array_equal(np.rint(values), values):
-        raise FormatError(f"{path}: label grid holds non-integer values")
-    # A value past int64 (1e30, inf) lies outside every roster, and the int64
-    # cast would wrap it, so its range is reported before the cast.
-    if np.abs(values).max(initial=0.0) >= 2.0**63:
-        raise FormatError(f"{path}: {_out_of_range(num_categories, values.min(), values.max())}")
-    return _label_map(path, values.astype(np.int64), num_categories)

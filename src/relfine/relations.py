@@ -152,9 +152,6 @@ class TripletSet:
     def keys(self) -> frozenset[TripletKey]:
         return frozenset(t.key for t in self.triplets)
 
-    def with_triplets(self, triplets: Sequence[SpatialTriplet]) -> TripletSet:
-        return TripletSet(tuple(triplets), self.categories)
-
     def _derive(self, triplets: Sequence[SpatialTriplet]) -> TripletSet:
         """A set over the same roster, built without the duplicate and roster
         check. Only for triplets that keep this set's guarantees: members of
@@ -162,10 +159,6 @@ class TripletSet:
         derived = object.__new__(TripletSet)
         derived.__dict__.update(triplets=tuple(triplets), categories=self.categories)
         return derived
-
-
-def empty_triplet_set(categories: Sequence[str]) -> TripletSet:
-    return TripletSet((), tuple(categories))
 
 
 class RelationOracle(Protocol):

@@ -19,7 +19,7 @@ from relfine.evaluate import (
 )
 from relfine.grid import LabelMap
 from relfine.logic import outside_band
-from relfine.relations import Relation, SpatialTriplet, TripletSet, empty_triplet_set
+from relfine.relations import Relation, SpatialTriplet, TripletSet
 from relfine.scenes import Placement, Scene, SceneSpec, generate_scene
 
 
@@ -118,7 +118,7 @@ def tset(*triplets):
 
 def test_satisfaction_empty_set_is_one():
     pred = labels([[0, 1]], 3)
-    assert constraint_satisfaction(pred, ROSTER, empty_triplet_set(ROSTER)) == 1.0
+    assert constraint_satisfaction(pred, ROSTER, TripletSet((), ROSTER)) == 1.0
 
 
 def test_satisfaction_on_ground_truth_scene():
@@ -347,7 +347,7 @@ def test_metrics_bit_equal_to_per_class_loops():
             gt_labels=gt,
             categories=roster,
             init_probs={},
-            gt_triplets=empty_triplet_set(roster),
+            gt_triplets=TripletSet((), roster),
         )
         result = evaluate_scene(pred, scene)
         scene_ious = loop_ious(pred, gt, maps)

@@ -8,6 +8,7 @@ import pytest
 from relfine import gradcheck
 from relfine.errors import FormatError
 from relfine.gradcheck import (
+    DEFAULT_SIZES,
     DEFAULT_TOLERANCE,
     _random_instance,
     check_instance,
@@ -85,12 +86,12 @@ def test_finite_difference_probes_form_no_spatial_gradient(monkeypatch):
 
 
 def _band_instances() -> list[tuple[SegmentationState, np.ndarray, TripletSet]]:
-    """20 instances drawn as `run_gradcheck(seed=0, sizes=...)` draws them, at
-    sizes where every constraint has a nonempty band."""
+    """The 20 instances `run_gradcheck(seed=0)` draws. At its default sizes
+    every constraint has a nonempty band."""
     rng = np.random.default_rng(0)
     instances = []
     for index in range(20):
-        height, width = ((2, 3), (4, 4), (5, 7), (8, 8))[index % 4]
+        height, width = DEFAULT_SIZES[index % len(DEFAULT_SIZES)]
         n_categories, n_constraints = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         instances.append(_random_instance(rng, height, width, n_categories, n_constraints))
     return instances

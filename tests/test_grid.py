@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import re
 import struct
 
@@ -12,9 +11,7 @@ from relfine.grid import (
     LabelMap,
     ProbabilityMap,
     make_probability_map,
-    read_grid,
     read_labels,
-    read_labels_pgm,
     read_rsgf,
     write_labels_pgm,
     write_rsgf,
@@ -135,30 +132,12 @@ def test_rsgf_rejects_bad_magic_and_truncation(tmp_path):
         read_rsgf(path)
 
 
-def test_grid_json_round_trip_and_sniffing(tmp_path):
-    values = np.array([[0.125, 0.75]])
-    json_path = tmp_path / "grid.json"
-    json_path.write_text(json.dumps({"height": 1, "width": 2, "values": [0.125, 0.75]}) + "\n")
-    assert read_grid(json_path).tolist() == values.tolist()
-
-    rsgf_path = tmp_path / "grid.rsgf"
-    write_rsgf(rsgf_path, values)
-    assert read_grid(rsgf_path).tolist() == values.tolist()
-
-
-def test_grid_json_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "grid.json"
-    path.write_text('{"height": 1, "width": 1, "values": [0.5], "extra": 1}')
-    with pytest.raises(FormatError, match="unknown keys"):
-        read_grid(path)
-
-
 def test_pgm_round_trip(tmp_path):
     labels = LabelMap(np.array([[0, 1], [2, 1]]), 3)
     path = tmp_path / "labels.pgm"
     write_labels_pgm(path, labels)
     assert path.read_bytes().startswith(b"P5\n2 2\n255\n")
-    loaded = read_labels_pgm(path, 3)
+    loaded = read_labels(path, 3)
     assert loaded.labels.tolist() == labels.labels.tolist()
 
 
@@ -166,7 +145,7 @@ def test_pgm_header_comments_are_skipped(tmp_path):
     path = tmp_path / "commented.pgm"
     body = bytes([0, 1, 2, 1])
     path.write_bytes(b"P5\n# made by hand\n2 2\n# another note\n255\n" + body)
-    loaded = read_labels_pgm(path, 3)
+    loaded = read_labels(path, 3)
     assert loaded.labels.tolist() == [[0, 1], [2, 1]]
 
 
@@ -174,23 +153,6 @@ def test_pgm_unterminated_header_comment(tmp_path):
     path = tmp_path / "unterminated.pgm"
     path.write_bytes(b"P5\n# no newline")
     with pytest.raises(FormatError, match="unterminated.pgm: PGM header comment"):
-        read_labels_pgm(path, 3)
-
-
-def test_grid_json_missing_key(tmp_path):
-    path = tmp_path / "grid.json"
-    path.write_text('{"height": 1, "width": 2}')
-    with pytest.raises(FormatError, match="missing key"):
-        read_grid(path)
-
-
-def test_read_labels_accepts_integer_rsgf(tmp_path):
-    path = tmp_path / "labels.rsgf"
-    write_rsgf(path, np.array([[0.0, 2.0]]))
-    loaded = read_labels(path, 3)
-    assert loaded.labels.tolist() == [[0, 2]]
-    write_rsgf(path, np.array([[0.5]]))
-    with pytest.raises(FormatError, match="non-integer"):
         read_labels(path, 3)
 
 
@@ -200,7 +162,7 @@ def test_every_grid_reader_names_a_file_it_cannot_read(tmp_path, kind):
     if kind == "directory":
         path.mkdir()
     message = "No such file or directory" if kind == "missing" else "Is a directory"
-    readers = [read_rsgf, read_grid, lambda p: read_labels_pgm(p, 3), lambda p: read_labels(p, 3)]
+    readers = [read_rsgf, lambda p: read_labels(p, 3)]
     for reader in readers:
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: cannot read: {message}$"):
             reader(path)
@@ -214,6 +176,12 @@ def test_pgm_header_fields_must_be_decimal_digits(tmp_path, header):
     width, height = (int(field) for field in header.split())
     path.write_bytes(b"P5\n" + header + b"\n255\n" + bytes(width * height))
     with pytest.raises(FormatError, match="signed.pgm: malformed PGM header"):
-        read_labels_pgm(path, 3)
-    with pytest.raises(FormatError, match="signed.pgm: malformed PGM header"):
+        read_labels(path, 3)
+
+
+def test_pgm_header_field_past_the_int_digit_limit(tmp_path):
+    # int() refuses to convert more than 4,300 digits with a ValueError.
+    path = tmp_path / "long.pgm"
+    path.write_bytes(b"P5\n" + b"9" * 5000 + b" 1\n255\n\x00")
+    with pytest.raises(FormatError, match="long.pgm: malformed PGM header"):
         read_labels(path, 3)

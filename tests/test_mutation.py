@@ -188,6 +188,7 @@ def pgm_mutations(data: bytes) -> Iterator[tuple[str, bytes, bool]]:
     yield "extra pixel", data + b"\x00", False
     yield "label past the roster", data[:header_end] + b"\xff" + data[header_end + 1 :], False
     yield "width 10**400", b"P5\n" + str(BIG).encode() + data[data.index(b" ") :], False
+    yield "width of 5000 digits", b"P5\n" + b"9" * 5000 + data[data.index(b" ") :], False
     yield "NaN width", b"P5\nnan" + data[data.index(b" ") :], False
 
 

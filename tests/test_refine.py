@@ -21,7 +21,7 @@ from relfine.refine import (
     objective,
     refine,
 )
-from relfine.relations import empty_triplet_set
+from relfine.relations import TripletSet
 from relfine.scenes import generate_scene, random_grid_spec
 from relfine.state import SegmentationState, argmax_labels, init_state
 
@@ -203,21 +203,21 @@ def test_refine_initial_weights_are_the_initial_gate_weights():
         _, trace = refine(scene.init_probs, scene.gt_triplets, cfg)
         assert trace.initial_weights.shape == (len(scene.gt_triplets),)
         assert trace.initial_weights.tobytes() == expected.tobytes()
-    _, empty = refine(scene.init_probs, empty_triplet_set(scene.categories))
+    _, empty = refine(scene.init_probs, TripletSet((), scene.categories))
     assert empty.initial_weights.shape == (0,)
 
 
 def test_refine_alpha_zero_matches_baseline_and_ignores_triplets():
     scene = fixture_scene()
     cfg = RefineConfig(alpha=0.0)
-    with_triplets, trace = refine(scene.init_probs, scene.gt_triplets, cfg)
-    without, _ = refine(scene.init_probs, empty_triplet_set(scene.categories), cfg)
-    assert np.array_equal(with_triplets.probs, without.probs)
+    with_gt, trace = refine(scene.init_probs, scene.gt_triplets, cfg)
+    without, _ = refine(scene.init_probs, TripletSet((), scene.categories), cfg)
+    assert np.array_equal(with_gt.probs, without.probs)
     # Spatial loss is still recorded on the trace.
     assert all(trace.spatial > 0)
     # Fidelity starts at its own minimum, so the baseline never moves.
     expected = init_state(scene.init_probs)
-    assert np.array_equal(with_triplets.probs, expected.probs)
+    assert np.array_equal(with_gt.probs, expected.probs)
 
 
 def test_refine_alpha_zero_stops_at_adam_fixed_point():
@@ -243,7 +243,7 @@ def test_refine_trace_columns_and_report_layout():
     rows = trace.to_list()
     assert [list(row) for row in rows] == [["step", "fidelity", "spatial", "total"]] * steps
     assert all(type(rows[-1][name]) is float for name in ("fidelity", "spatial", "total"))
-    _, empty = refine(scene.init_probs, empty_triplet_set(scene.categories))
+    _, empty = refine(scene.init_probs, TripletSet((), scene.categories))
     assert empty.initial_weights.shape == (0,)
     assert [c.shape for c in (empty.fidelity, empty.spatial, empty.total)] == [(1,)] * 3
     _, none = refine(scene.init_probs, triplets, RefineConfig(steps=0))
@@ -275,7 +275,7 @@ def _count_adam_steps(monkeypatch) -> list[int]:
 def test_refine_empty_triplets_never_call_adam(monkeypatch):
     scene = fixture_scene()
     calls = _count_adam_steps(monkeypatch)
-    state, trace = refine(scene.init_probs, empty_triplet_set(scene.categories), RefineConfig(alpha=0.1))
+    state, trace = refine(scene.init_probs, TripletSet((), scene.categories), RefineConfig(alpha=0.1))
     assert calls == []
     assert len(trace) == 1
     assert np.array_equal(state.logits, init_state(scene.init_probs).logits)

@@ -18,7 +18,6 @@ from relfine.relations import (
     augment_bidirectional,
     calibrate,
     detect_contradictions,
-    empty_triplet_set,
     geometric_oracle,
     load_scripted_oracle,
     load_triplets,
@@ -106,7 +105,7 @@ def test_augment_adds_reverse_pair():
 
 
 def test_augment_empty_set():
-    out = augment_bidirectional(empty_triplet_set(("a", "b")))
+    out = augment_bidirectional(TripletSet((), ("a", "b")))
     assert len(out) == 0
 
 
@@ -162,7 +161,7 @@ def test_validate_drops_failed_reflection():
 
 
 def test_validate_empty_set():
-    assert len(validate_polar(empty_triplet_set(("a", "b")), PermissiveOracle())) == 0
+    assert len(validate_polar(TripletSet((), ("a", "b")), PermissiveOracle())) == 0
 
 
 def test_validate_output_is_subset_of_input():
@@ -330,7 +329,7 @@ def test_calibrate_hand_trace():
 
 
 def test_calibrate_empty():
-    result = calibrate(empty_triplet_set(("a", "b")), PermissiveOracle())
+    result = calibrate(TripletSet((), ("a", "b")), PermissiveOracle())
     assert len(result.triplets) == 0
     assert result.audit.final == 0
 
