@@ -12,12 +12,12 @@ import numpy as np
 from relfine import (
     Relation,
     SpatialTriplet,
-    compile_constraints,
     fuzzy_implication,
     init_state,
     make_probability_map,
+    spatial_loss,
 )
-from relfine.logic import GATE_BIAS, GATE_SCALE, compiled_spatial_loss, logit_gradient_from_terms
+from relfine.logic import GATE_BIAS, GATE_SCALE, logit_gradient_from_terms
 
 
 def show(title, grid, fmt="{:4.1f}"):
@@ -27,8 +27,10 @@ def show(title, grid, fmt="{:4.1f}"):
 
 
 def inside_region(compiled, i):
-    """H x W grid, 1 where constraint i lets its subject sit."""
-    return 1.0 - (compiled.rows[i][:, None] + compiled.cols[i][None, :])
+    """H x W grid, 1 where constraint i lets its subject sit: its key picks
+    its bands from the (object, relation) band tables."""
+    key = compiled.keys[i]
+    return 1.0 - (compiled.rows[key][:, None] + compiled.cols[key][None, :])
 
 
 object_values = np.array([
@@ -61,7 +63,7 @@ print(f"\nmass-weighted mean: row {(rows * state.probs[1]).sum() / mass:.3f}, "
       f"column {(cols * state.probs[1]).sum() / mass:.3f}")
 
 relations = (Relation.RIGHT, Relation.LEFT, Relation.BELOW, Relation.ABOVE)
-compiled = compile_constraints(state, [SpatialTriplet("subject", r, "object") for r in relations])
+_, compiled = spatial_loss(state, [SpatialTriplet("subject", r, "object") for r in relations])
 for i, relation in enumerate(relations):
     print(f"\n{relation.value}-of-object region:")
     for row in inside_region(compiled, i):
@@ -90,8 +92,7 @@ print("=" * 64)
 
 show("subject map (mostly right of the object, strays at columns 0-1):", state.probs[2])
 
-right = compile_constraints(state, [SpatialTriplet("subject", Relation.RIGHT, "object")])
-total, terms = compiled_spatial_loss(state, right)
+total, terms = spatial_loss(state, [SpatialTriplet("subject", Relation.RIGHT, "object")])
 print(f"\nloss for 'subject must sit right of object': {terms.losses[0]:.4f}")
 print(f"weight {terms.weights[0]:.4f}, weighted loss {total:.4f}")
 grad = logit_gradient_from_terms(state, terms)
@@ -115,7 +116,7 @@ for description, values in [
         "anchor": make_probability_map(1, 6, anchor),
         "other": make_probability_map(1, 6, 1.0 - anchor),
     })
-    weight = compile_constraints(pair, [SpatialTriplet("other", Relation.RIGHT, "anchor")]).weights[0]
+    weight = spatial_loss(pair, [SpatialTriplet("other", Relation.RIGHT, "anchor")])[1].weights[0]
     print(f"   {description:38s} weight = {weight:.4f}")
 print(f"""
 Scores pass through sigmoid(scale*(v - bias)) with bias={GATE_BIAS},

@@ -36,7 +36,7 @@ from .grid import (
     write_labels_pgm,
     write_rsgf,
 )
-from .logic import ConstraintTerms, compile_constraints, fuzzy_implication, spatial_loss
+from .logic import ConstraintTerms, compile_constraints, encode_triplets, fuzzy_implication, spatial_loss
 from .refine import (
     AdamState,
     RefineConfig,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import FormatError, SceneSetMismatchError, writing_to
 from .grid import LabelMap
-from .logic import encode_triplets, outside_bands, outside_sums
+from .logic import band_tables, encode_triplets, outside_sums
 from .relations import SpatialTriplet, TripletSet
 from .scenes import Scene
 
@@ -77,10 +77,9 @@ def satisfied_flags(
     epsilon, and the subject's outside count is the loss's outside sum over
     those maps.
     """
-    subjects, relations, objects = encode_triplets(roster, triplets)
+    subjects, keys = encode_triplets(roster, triplets)
     onehot = (pred.labels == np.arange(len(roster))[:, None, None]).astype(np.float64)
-    rows, cols = outside_bands(onehot, relations, objects, 0.0)
-    outside = outside_sums(onehot, subjects, rows, cols)
+    outside = outside_sums(onehot, *band_tables(onehot, 0.0))[subjects, keys]
     pixels = onehot.sum(axis=(1, 2))[subjects]
     share = np.divide(pixels - outside, pixels, out=np.zeros_like(pixels), where=pixels != 0.0)
     return (pixels == 0.0) | (share >= SATISFACTION_THRESHOLD)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FormatError, require_int, require_real
-from .logic import compile_constraints
+from .logic import compile_constraints, encode_triplets
 from .refine import _losses, objective
 from .relations import Relation, SpatialTriplet, TripletSet
 from .state import SegmentationState
@@ -101,7 +101,7 @@ def check_instance(
     `corrupt` perturbs one analytic component, a negative control that must
     make the check fail.
     """
-    compiled = compile_constraints(state, triplets)
+    compiled = compile_constraints(state, *encode_triplets(state.categories, triplets))
 
     def total(logits: np.ndarray) -> float:
         return _losses(state.with_logits(logits), targets, compiled, alpha)[2]

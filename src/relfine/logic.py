@@ -13,8 +13,9 @@ derivative is zero almost everywhere), so gradients flow only through the
 subject map.
 
 A half plane depends on one coordinate only, so the compiled form is a 1-D
-band along the relation's axis. The per-triplet H x W form that the tests
-compare this kernel against lives in tests/reference_kernels.py.
+band along the relation's axis, one table per axis with a row per (object,
+relation) pair, however many triplets read it. The per-triplet H x W form
+that the tests compare this kernel against lives in tests/reference_kernels.py.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .grid import DEFAULT_EPSILON
 from .relations import Relation, SpatialTriplet, TripletSet
 from .state import SegmentationState
 
-_RELATIONS = tuple(Relation)
+#: A relation's code, its index in tuple(Relation).
+_CODES = {relation: code for code, relation in enumerate(Relation)}
 
 #: Floor of 1 - P inside the penalty's log: bounds a fully violating pixel's
 #: loss at -log(1e-7), about 16.1, away from the singularity at P = 1.
@@ -48,48 +50,43 @@ def outside_band(length: int, relation: Relation, mean_coord: float) -> np.ndarr
     return (coords < mean_coord if relation.after else coords > mean_coord).astype(np.float64)
 
 
-def encode_triplets(
-    roster: Sequence[str], triplets: Iterable[SpatialTriplet]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(subjects, relations, objects) of the triplets as (T,) index arrays:
-    names index `roster` and relations index tuple(Relation), the codes
-    outside_bands reads. A name outside the roster raises UnknownCategoryError."""
+def encode_triplets(roster: Sequence[str], triplets: Iterable[SpatialTriplet]) -> tuple[np.ndarray, np.ndarray]:
+    """(subjects, keys) of the triplets as (T,) index arrays: a subject
+    indexes `roster`, and a key 4*object + code indexes the rows of
+    band_tables, with `code` indexing tuple(Relation). A name outside the
+    roster raises UnknownCategoryError."""
     index = {name: i for i, name in enumerate(roster)}
+    stride = len(_CODES)
     try:
-        codes = [(index[t.subject], _RELATIONS.index(t.relation), index[t.object]) for t in triplets]
+        codes = [(index[t.subject], stride * index[t.object] + _CODES[t.relation]) for t in triplets]
     except KeyError as exc:
         raise UnknownCategoryError(f"category {exc.args[0]!r} is not in roster {list(roster)}") from None
-    return tuple(np.array(codes, dtype=np.intp).reshape(-1, 3).T)
+    return tuple(np.array(codes, dtype=np.intp).reshape(-1, 2).T)
 
 
-def outside_bands(
-    maps: np.ndarray, relations: np.ndarray, objects: np.ndarray, epsilon: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Outside bands of T triplets against the (C, H, W) `maps`: rows (T, H)
-    and cols (T, W), all 0 on the axis a relation does not use.
-
-    `relations` index tuple(Relation) and `objects` index the maps. Each
-    object's mean is its mass-weighted coordinate (sum coord*M) / (sum M + eps)
-    along the relation's axis, 0 for a map with no mass.
-    """
-    means, bands = {}, {}
+def band_tables(maps: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Outside bands of every (object, relation) pair of the (C, H, W) `maps`:
+    rows (4C, H) and cols (4C, W), row 4*object + code for tuple(Relation)[code],
+    all 0 on the axis the relation does not use. Each object's mean is its mass-weighted
+    coordinate (sum coord*M) / (sum M + eps) along the axis, 0 for a map with no mass."""
+    tables = {}
     for axis, marginals in (("row", maps.sum(axis=2)), ("col", maps.sum(axis=1))):
         mass = marginals.sum(axis=1)
         sums = marginals @ np.arange(marginals.shape[1])
-        means[axis] = np.divide(sums, mass + epsilon, out=np.zeros_like(mass), where=mass != 0.0)
-        bands[axis] = np.zeros((len(objects), marginals.shape[1]))
-    for code, relation in enumerate(_RELATIONS):
-        picked = relations == code
-        band = bands[relation.axis]
-        band[picked] = outside_band(band.shape[1], relation, means[relation.axis][objects[picked], None])
-    return bands["row"], bands["col"]
+        means = np.divide(sums, mass + epsilon, out=np.zeros_like(mass), where=mass != 0.0)
+        table = np.zeros((len(maps), len(_CODES), marginals.shape[1]))
+        for relation, code in _CODES.items():
+            if relation.axis == axis:
+                table[:, code] = outside_band(marginals.shape[1], relation, means[:, None])
+        tables[axis] = table.reshape(-1, marginals.shape[1])
+    return tables["row"], tables["col"]
 
 
-def outside_sums(field: np.ndarray, subjects: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Each triplet's sum of the (C, H, W) `field` over its subject's map
-    outside the bands: the (T, H) `rows` and (T, W) `cols` dotted with that
-    map's row and column sums."""
-    return (rows * field.sum(axis=2)[subjects]).sum(axis=1) + (cols * field.sum(axis=1)[subjects]).sum(axis=1)
+def outside_sums(field: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Sums of the (C, H, W) `field` outside every band, as (C, 4C): entry
+    [c, key] is map c's row and column sums dotted with the band tables'
+    row `key`."""
+    return field.sum(axis=2) @ rows.T + field.sum(axis=1) @ cols.T
 
 
 def fuzzy_implication(p, q):
@@ -99,15 +96,15 @@ def fuzzy_implication(p, q):
 
 @dataclass(frozen=True, eq=False)
 class ConstraintTerms:
-    """Triplets compiled against the current maps, one row per triplet, in
-    the order they were given.
+    """Triplets compiled against the current maps, in the order given.
 
-    `rows` (T, H) and `cols` (T, W) are the outside bands, 1 where the subject
-    must not be and all 0 on the axis the relation does not use. `subjects`
-    index the state's categories; `losses` is None until the loss has run.
+    `subjects` index the state's categories and `keys` the rows of the band
+    tables `rows` (4C, H) and `cols` (4C, W), 1 where a subject must not be;
+    `weights` hold each triplet's weight. `losses` is None until the loss has run.
     """
 
     subjects: np.ndarray
+    keys: np.ndarray
     weights: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
@@ -117,17 +114,16 @@ class ConstraintTerms:
         return len(self.subjects)
 
 
-def compile_constraints(state: SegmentationState, triplets: TripletSet | Sequence[SpatialTriplet]) -> ConstraintTerms:
-    """Freeze each triplet's band and weight against the current object maps,
-    reducing every category's map at once. A weight is the object map's
+def compile_constraints(state: SegmentationState, subjects: np.ndarray, keys: np.ndarray) -> ConstraintTerms:
+    """Freeze the band tables and each encoded triplet's weight against the
+    current maps, reducing every category's map at once. A weight is the object map's
     sigmoid-gated mean sum(M*s) / (sum s + eps) with s = sigma(GATE_SCALE*(M - GATE_BIAS)),
     which leans on confidently predicted pixels and is 0 for an empty map."""
     probs = state.probs
-    subjects, relations, objects = encode_triplets(state.categories, triplets)
     gate = 1.0 / (1.0 + np.exp(-GATE_SCALE * (probs - GATE_BIAS)))
     weights = (probs * gate).sum(axis=(1, 2)) / (gate.sum(axis=(1, 2)) + DEFAULT_EPSILON)
-    rows, cols = outside_bands(probs, relations, objects, DEFAULT_EPSILON)
-    return ConstraintTerms(subjects, weights[objects], rows, cols)
+    rows, cols = band_tables(probs, DEFAULT_EPSILON)
+    return ConstraintTerms(subjects, keys, weights[keys // len(_CODES)], rows, cols)
 
 
 def compiled_spatial_loss(state: SegmentationState, compiled: ConstraintTerms) -> tuple[float, ConstraintTerms]:
@@ -138,7 +134,7 @@ def compiled_spatial_loss(state: SegmentationState, compiled: ConstraintTerms) -
     with its losses filled in.
     """
     penalty = -np.log(np.maximum(1.0 - state.probs, LOG_CLAMP))
-    losses = outside_sums(penalty, compiled.subjects, compiled.rows, compiled.cols)
+    losses = outside_sums(penalty, compiled.rows, compiled.cols)[compiled.subjects, compiled.keys]
     return float(compiled.weights @ losses), replace(compiled, losses=losses)
 
 
@@ -151,20 +147,22 @@ def spatial_loss(
     The sum is unnormalized and follows triplet order, so results are
     bit-reproducible.
     """
-    return compiled_spatial_loss(state, compile_constraints(state, triplets))
+    return compiled_spatial_loss(state, compile_constraints(state, *encode_triplets(state.categories, triplets)))
 
 
 def logit_gradient_from_terms(state: SegmentationState, terms: ConstraintTerms) -> np.ndarray:
     """Chain the weighted per-map gradients through the pixelwise softmax.
 
-    With R, K the weighted bands summed per subject along rows and columns,
-    the map gradient is g = (R + K) / (1 - P), 0 where the clamp saturates,
-    and d(total)/d(z_k) = p_k * (g_k - sum_c g_c * p_c) at every pixel.
+    W (C, 4C) adds up each triplet's weight at its [subject, key], so a
+    repeated triplet counts twice. With R = W @ rows and K = W @ cols, the
+    map gradient is g = (R + K) / (1 - P), 0 where the clamp saturates, and
+    d(total)/d(z_k) = p_k * (g_k - sum_c g_c * p_c) at every pixel.
     """
-    scatter = np.zeros((len(state.probs), len(terms)))
-    scatter[terms.subjects, np.arange(len(terms))] = terms.weights
+    pairs = len(terms.rows)
+    weights = np.bincount(terms.subjects * pairs + terms.keys, terms.weights, len(state.probs) * pairs)
+    weights = weights.reshape(-1, pairs)
     inner = np.maximum(1.0 - state.probs, LOG_CLAMP)
-    g = ((scatter @ terms.rows)[:, :, None] + (scatter @ terms.cols)[:, None, :]) / inner
+    g = ((weights @ terms.rows)[:, :, None] + (weights @ terms.cols)[:, None, :]) / inner
     g[inner == LOG_CLAMP] = 0.0
     dot = (g * state.probs).sum(axis=0, keepdims=True)
     return state.probs * (g - dot)

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import FormatError, check_fields
 from .grid import ProbabilityMap
-from .logic import ConstraintTerms, compile_constraints, compiled_spatial_loss, logit_gradient_from_terms
+from .logic import (ConstraintTerms, compile_constraints, compiled_spatial_loss, encode_triplets,
+                    logit_gradient_from_terms)
 from .relations import TripletSet
 from .state import SegmentationState, init_state
 
@@ -180,7 +181,7 @@ def refine(
 ) -> tuple[SegmentationState, RefineTrace]:
     """Run the optimization loop and return the final state plus its trace.
 
-    Masks and weights are recompiled from the current maps every step. A step
+    Triplets are encoded once; bands and weights are recompiled every step. A step
     whose gradient and Adam moments are all exactly zero is a fixed point of
     the update: its trace row is the last and the loop stops before calling
     `adam_step`. With alpha=0 that happens at step 1, since the fidelity
@@ -197,7 +198,8 @@ def refine(
     state = init_state(init_probs)
     targets = state.probs.copy()
     moments = AdamState.zeros_like(state.logits)
-    compiled = compile_constraints(state, triplets)  # step 1's, and the trace's initial weights
+    encoded = encode_triplets(state.categories, triplets)
+    compiled = compile_constraints(state, *encoded)  # step 1's, and the trace's initial weights
     initial_weights = compiled.weights
     rows: list[tuple[float, float, float]] = []
 
@@ -205,7 +207,7 @@ def refine(
         try:
             with np.errstate(over="raise", invalid="raise"):
                 if step > 1:
-                    compiled = compile_constraints(state, triplets)
+                    compiled = compile_constraints(state, *encoded)
                 fid_loss, spa_loss, total, _, grad = objective(state, targets, compiled, cfg.alpha)
                 rows.append((fid_loss, spa_loss, total))
                 if not (grad.any() or moments.m.any() or moments.v.any()):

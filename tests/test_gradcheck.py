@@ -118,10 +118,11 @@ def test_gradcheck_fails_a_spatial_gradient_off_by_a_thousandth(monkeypatch):
 def _gradient_without_the_clamp_branch(state, terms):
     """`logit_gradient_from_terms` less `g[inner == LOG_CLAMP] = 0.0`: where
     the clamp saturates, the loss is flat, yet this keeps 1/LOG_CLAMP's slope."""
-    scatter = np.zeros((len(state.probs), len(terms)))
-    scatter[terms.subjects, np.arange(len(terms))] = terms.weights
+    pairs = len(terms.rows)
+    weights = np.bincount(terms.subjects * pairs + terms.keys, terms.weights, len(state.probs) * pairs)
+    weights = weights.reshape(-1, pairs)
     inner = np.maximum(1.0 - state.probs, LOG_CLAMP)
-    g = ((scatter @ terms.rows)[:, :, None] + (scatter @ terms.cols)[:, None, :]) / inner
+    g = ((weights @ terms.rows)[:, :, None] + (weights @ terms.cols)[:, None, :]) / inner
     dot = (g * state.probs).sum(axis=0, keepdims=True)
     return state.probs * (g - dot)
 

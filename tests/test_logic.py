@@ -11,6 +11,7 @@ from relfine.logic import (
     LOG_CLAMP,
     compile_constraints,
     compiled_spatial_loss,
+    encode_triplets,
     fuzzy_implication,
     logit_gradient_from_terms,
     spatial_loss,
@@ -211,7 +212,7 @@ def test_compiled_weight_gate_neither_overflows_nor_goes_invalid_at_0_and_1():
     assert state.probs.tolist() == [[[1.0, 0.0]], [[0.0, 1.0]]]
     triplets = [SpatialTriplet("a", Relation.LEFT, "b"), SpatialTriplet("b", Relation.RIGHT, "a")]
     with np.errstate(over="raise", invalid="raise"):
-        compiled = compile_constraints(state, triplets)
+        compiled = compile_constraints(state, *encode_triplets(state.categories, triplets))
     assert compiled.weights.tolist() == [constraint_weight(prob_map(state, name)) for name in ("b", "a")]
 
 
@@ -236,9 +237,9 @@ def test_spatial_loss_zero_subject():
     # constraint term directly on the compiled mask instead.
     state = _two_category_state([[0.5, 0.5, 0.0, 0.0]], [[0.5, 0.5, 1.0, 1.0]])
     triplets = TripletSet((SpatialTriplet("cat", Relation.RIGHT, "person"),), ("cat", "person"))
-    compiled = compile_constraints(state, triplets)
+    compiled = compile_constraints(state, *encode_triplets(state.categories, triplets))
     zeros = make_probability_map(1, 4, [0.0] * 4)
-    loss, _ = constraint_loss(zeros, mask_of([1.0 - compiled.cols[0]]))
+    loss, _ = constraint_loss(zeros, mask_of([1.0 - compiled.cols[compiled.keys[0]]]))
     assert loss == 0.0
 
 
@@ -300,13 +301,26 @@ def test_logit_gradient_no_constraints_is_zero():
     assert not grad.any()
 
 
+def test_a_repeated_triplet_counts_twice():
+    # A plain list may repeat a triplet. Each copy is a term of its own, so
+    # its weight enters the gradient twice rather than once.
+    state = _random_state(np.random.default_rng(5), ("a", "b", "c"), 5, 6)
+    t = SpatialTriplet("a", Relation.RIGHT, "b")
+    once_total, once = spatial_loss(state, [t])
+    twice_total, twice = spatial_loss(state, [t, t])
+    assert once.losses[0] > 0.0
+    assert twice.losses.tolist() == [once.losses[0]] * 2
+    assert twice_total == 2 * once_total
+    assert np.array_equal(logit_gradient_from_terms(state, twice), 2 * logit_gradient_from_terms(state, once))
+
+
 def test_logit_gradient_single_pixel_matches_finite_differences():
     # One pixel, two categories: the compiled mask at a single pixel is 1
     # (coordinate 0 >= mean), which zeroes the loss; use a vertical relation
     # with a handcrafted mask instead via a 1x2 grid.
     state = _two_category_state([[0.6, 0.4]], [[0.4, 0.6]])
     triplets = TripletSet((SpatialTriplet("cat", Relation.RIGHT, "person"),), ("cat", "person"))
-    compiled = compile_constraints(state, triplets)
+    compiled = compile_constraints(state, *encode_triplets(state.categories, triplets))
     analytic = logit_gradient_from_terms(state, compiled_spatial_loss(state, compiled)[1])
 
     h = 1e-4
@@ -335,7 +349,7 @@ def test_logit_gradient_random_instances_match_finite_differences():
             s, o = rng.choice(len(categories), size=2, replace=False)
             keys.add((categories[s], relations[rng.integers(0, 4)], categories[o]))
         triplets = TripletSet(tuple(SpatialTriplet(*k) for k in sorted(keys)), categories)
-        compiled = compile_constraints(state, triplets)
+        compiled = compile_constraints(state, *encode_triplets(state.categories, triplets))
         analytic = logit_gradient_from_terms(state, compiled_spatial_loss(state, compiled)[1])
 
         h = 1e-4
@@ -416,15 +430,16 @@ def test_separable_kernel_matches_dense_reference():
         }
         triplets = [SpatialTriplet(*k) for k in sorted(keys)]
 
-        compiled = compile_constraints(state, triplets)
+        compiled = compile_constraints(state, *encode_triplets(state.categories, triplets))
         total, terms = compiled_spatial_loss(state, compiled)
         for i, t in enumerate(triplets):
             anchor = prob_map(state, t.object)
             pm = pseudo_mask(anchor, t.relation)
             rows = t.relation.axis == "row"
             band = pm.mask[:, 0] if rows else pm.mask[0, :]
-            assert np.array_equal(compiled.rows[i] if rows else compiled.cols[i], 1.0 - band)
-            assert not (compiled.cols[i] if rows else compiled.rows[i]).any()
+            key = compiled.keys[i]
+            assert np.array_equal(compiled.rows[key] if rows else compiled.cols[key], 1.0 - band)
+            assert not (compiled.cols[key] if rows else compiled.rows[key]).any()
             assert compiled.weights[i] == constraint_weight(anchor)
             ref_loss, _ = constraint_loss(prob_map(state, t.subject), pm)
             assert abs(terms.losses[i] - ref_loss) <= 1e-12 * abs(ref_loss)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from relfine.errors import FormatError
 from relfine.grid import make_probability_map
-from relfine.logic import compile_constraints
+from relfine.logic import compile_constraints, encode_triplets
 from relfine.refine import (
     ADAM_EPS,
     MAX_STEPS,
@@ -22,7 +23,7 @@ from relfine.refine import (
     refine,
 )
 from relfine.relations import TripletSet
-from relfine.scenes import generate_scene, random_grid_spec
+from relfine.scenes import Placement, SceneSpec, generate_scene, random_grid_spec
 from relfine.state import SegmentationState, argmax_labels, init_state
 
 # The regression-pinned fixture scene: everything downstream of this seed is
@@ -198,7 +199,7 @@ def test_refine_zero_steps_returns_initial_state():
 
 def test_refine_initial_weights_are_the_initial_gate_weights():
     scene = fixture_scene()
-    expected = compile_constraints(init_state(scene.init_probs), scene.gt_triplets).weights
+    expected = compile_constraints(init_state(scene.init_probs), *encode_triplets(scene.categories, scene.gt_triplets)).weights
     for cfg in (RefineConfig(steps=0), RefineConfig(alpha=0.0), RefineConfig(alpha=0.1)):
         _, trace = refine(scene.init_probs, scene.gt_triplets, cfg)
         assert trace.initial_weights.shape == (len(scene.gt_triplets),)
@@ -227,7 +228,7 @@ def test_refine_alpha_zero_stops_at_adam_fixed_point():
     # The trace holds the one step that ran: the losses of the initial state.
     assert [row["step"] for row in trace.to_list()] == [1]
     initial = init_state(scene.init_probs)
-    compiled = compile_constraints(initial, scene.gt_triplets)
+    compiled = compile_constraints(initial, *encode_triplets(scene.categories, scene.gt_triplets))
     expected = objective(initial, initial.probs.copy(), compiled, cfg.alpha)[:3]
     assert (trace.fidelity[0], trace.spatial[0], trace.total[0]) == expected
     assert np.array_equal(state.logits, initial.logits)
@@ -318,7 +319,7 @@ def test_refine_final_total_below_initial_total():
         cfg = RefineConfig()
         state, trace = refine(scene.init_probs, scene.gt_triplets, cfg)
         targets = init_state(scene.init_probs).probs
-        compiled = compile_constraints(state, scene.gt_triplets)
+        compiled = compile_constraints(state, *encode_triplets(scene.categories, scene.gt_triplets))
         final_total = objective(state, targets, compiled, cfg.alpha)[2]
         assert final_total < trace.total[0]
 
@@ -341,8 +342,26 @@ def test_refine_descends_exactly_the_objective_gradient(monkeypatch):
     targets = init_state(scene.init_probs).probs
     for params, grads in records:
         state = SegmentationState.from_logits(scene.categories, params)
-        compiled = compile_constraints(state, scene.gt_triplets)
+        compiled = compile_constraints(state, *encode_triplets(scene.categories, scene.gt_triplets))
         assert np.array_equal(objective(state, targets, compiled, cfg.alpha)[4], grads)
+
+
+def test_refine_memory_does_not_grow_with_the_triplet_count():
+    # 255 one-pixel categories on a 16x16 grid have 121,920 ground-truth
+    # triplets. A step's arrays are (C, H, W) maps and band tables of 4C rows
+    # per axis, so the peak stays far below what (C, T) and (T, H) arrays
+    # take here (about 314 MiB traced).
+    placements = tuple(Placement(f"p{i:03d}", i // 16, i % 16, i // 16 + 1, i % 16 + 1) for i in range(255))
+    scene = generate_scene(SceneSpec(16, 16, placements, noise_sigma=0.1))
+    assert len(scene.gt_triplets) == 121_920
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        refine(scene.init_probs, scene.gt_triplets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_refine_weights_recomputed_each_step(monkeypatch):
@@ -352,8 +371,8 @@ def test_refine_weights_recomputed_each_step(monkeypatch):
     scene = fixture_scene()
     first_weights: list[float] = []
 
-    def recording(state, triplets):
-        compiled = compile_constraints(state, triplets)
+    def recording(*args):
+        compiled = compile_constraints(*args)
         first_weights.append(float(compiled.weights[0]))
         return compiled
 

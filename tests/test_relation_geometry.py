@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from relfine.logic import encode_triplets, outside_bands, outside_sums
+from relfine.logic import band_tables, encode_triplets, outside_sums
 from relfine.relations import BACKGROUND, Relation, SpatialTriplet, geometric_oracle, opposite
 from relfine.scenes import generate_scene, random_grid_spec
 
@@ -33,10 +33,10 @@ def test_relation_geometry_is_stated_once():
 def all_pixels_inside(labels, roster, triplets) -> list[bool]:
     """Per triplet, whether no subject pixel lies in the loss's outside band,
     with the bands taken over the one-hot label maps with no epsilon."""
-    subjects, relations, objects = encode_triplets(roster, triplets)
+    subjects, keys = encode_triplets(roster, triplets)
     onehot = (labels.labels == np.arange(len(roster))[:, None, None]).astype(np.float64)
-    rows, cols = outside_bands(onehot, relations, objects, 0.0)
-    return (outside_sums(onehot, subjects, rows, cols) == 0.0).tolist()
+    rows, cols = band_tables(onehot, 0.0)
+    return (outside_sums(onehot, rows, cols)[subjects, keys] == 0.0).tolist()
 
 
 @pytest.mark.parametrize("size", [24, 40, 64])

@@ -1,6 +1,7 @@
 """Each fact about a triplet is stated in one function: a relation name is
-read by `parse_relation`, a compiled constraint is arrays only, and the loss
-and the discrete check sum a field outside the bands through `outside_sums`.
+read by `parse_relation`, a compiled constraint is arrays only, the bands are
+built by `band_tables` alone, and the loss and the discrete check sum a field
+outside the bands through `outside_sums`.
 
 These are source checks: a second copy of any of them would compute the same
 numbers today and drift apart later, which no output comparison can see.
@@ -38,8 +39,10 @@ def _calls(node: ast.AST) -> list[str]:
 
 
 def _sums_over_bands(node: ast.AST) -> bool:
-    """Whether `node` holds `(<x> * rows).sum(...)` or `(<x> * cols).sum(...)`
-    for any spelling of the bands (`rows`, `compiled.cols`, ...)."""
+    """Whether `node` holds `(<x> * rows).sum(...)`, `(<x> * cols).sum(...)`
+    or `<x> @ rows.T` for any spelling of the bands (`rows`, `compiled.cols`,
+    ...). The gradient's `<w> @ rows` spreads weights over the bands and is
+    no such sum."""
 
     def is_band(operand: ast.AST) -> bool:
         name = operand.id if isinstance(operand, ast.Name) else getattr(operand, "attr", None)
@@ -51,6 +54,10 @@ def _sums_over_bands(node: ast.AST) -> bool:
             if isinstance(product, ast.BinOp) and isinstance(product.op, ast.Mult):
                 if is_band(product.left) or is_band(product.right):
                     return True
+        if isinstance(call, ast.BinOp) and isinstance(call.op, ast.MatMult):
+            transposed = call.right
+            if isinstance(transposed, ast.Attribute) and transposed.attr == "T" and is_band(transposed.value):
+                return True
     return False
 
 
@@ -63,8 +70,16 @@ def test_relation_names_are_read_only_by_parse_relation():
 
 
 def test_compiled_constraints_are_arrays_only():
-    assert [f.name for f in fields(ConstraintTerms)] == ["subjects", "weights", "rows", "cols", "losses"]
+    assert [f.name for f in fields(ConstraintTerms)] == ["subjects", "keys", "weights", "rows", "cols", "losses"]
     assert "tuple" not in _calls(_package_functions()["logic.compile_constraints"])
+
+
+def test_the_bands_are_built_in_one_function():
+    functions = _package_functions()
+    builders = sorted(name for name, node in functions.items() if "outside_band" in _calls(node))
+    assert builders == ["logic.band_tables"]
+    for caller in ("logic.compile_constraints", "evaluate.satisfied_flags"):
+        assert "band_tables" in _calls(functions[caller]), caller
 
 
 def test_the_loss_and_the_check_share_one_outside_sum():
