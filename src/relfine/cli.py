@@ -381,17 +381,24 @@ def _job_count(text: str) -> int:
     return jobs
 
 
+#: Usage and help wrap at this width whatever the terminal, so that argparse
+#: errors read the same on every machine: the width an 80-column terminal gets.
+_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="relfine", description=__doc__)
+    parser = argparse.ArgumentParser(prog="relfine", description=__doc__, formatter_class=_FORMATTER)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-scenes", help="generate scene bundles from a run config")
+    p = sub.add_parser("gen-scenes", help="generate scene bundles from a run config", formatter_class=_FORMATTER)
     p.add_argument("config", help="run config JSON")
     p.add_argument("--output", help="override the config's output_dir")
     p.add_argument("--jobs", type=_job_count, default=1, help="parallel scene generation")
     p.set_defaults(handler="cmd_gen_scenes")
 
-    p = sub.add_parser("calibrate", help="augment, validate, and de-contradict a triplet set")
+    p = sub.add_parser(
+        "calibrate", help="augment, validate, and de-contradict a triplet set", formatter_class=_FORMATTER
+    )
     p.add_argument("--triplets", required=True, help="triplet JSON file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--oracle", help="scripted oracle JSON file")
@@ -401,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-audit", help="write per-stage audit counts here")
     p.set_defaults(handler="cmd_calibrate")
 
-    p = sub.add_parser("refine", help="optimize a scene's maps under spatial constraints")
+    p = sub.add_parser("refine", help="optimize a scene's maps under spatial constraints", formatter_class=_FORMATTER)
     p.add_argument("--scene", required=True, help="scene bundle or scene-set directory")
     p.add_argument("--out", required=True, help="output directory")
     group = p.add_mutually_exclusive_group()
@@ -415,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_job_count, default=1, help="parallel refinement across scenes")
     p.set_defaults(handler="cmd_refine")
 
-    p = sub.add_parser("eval", help="score predictions against scene ground truth")
+    p = sub.add_parser("eval", help="score predictions against scene ground truth", formatter_class=_FORMATTER)
     p.add_argument("--scenes", required=True, help="scene bundle or scene-set directory")
     p.add_argument("--pred", required=True, help="prediction directory (refine output)")
     p.add_argument("--baseline", help="second prediction directory for bucketed deltas")
@@ -424,7 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write the bucket CSV here (needs --baseline)")
     p.set_defaults(handler="cmd_eval")
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of the analytic gradients")
+    p = sub.add_parser(
+        "gradcheck", help="finite-difference check of the analytic gradients", formatter_class=_FORMATTER
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sizes", help="comma-separated HxW list, e.g. 4x4,8x8")
     p.add_argument("--instances", type=int, default=20)

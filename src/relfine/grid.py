@@ -109,6 +109,13 @@ def require_shape(path: str | Path, grid: Grid, shape: tuple[int, int], source: 
     return grid
 
 
+def mean_coordinates(marginals: np.ndarray, epsilon: float) -> np.ndarray:
+    """Mean coordinate (sum coord*m) / (sum m + epsilon) of each row m of `marginals`, 0 for no mass."""
+    mass = marginals.sum(axis=1)
+    sums = marginals @ np.arange(marginals.shape[1])
+    return np.divide(sums, mass + epsilon, out=np.zeros(mass.shape), where=mass != 0.0)
+
+
 def make_probability_map(height: int, width: int, values: Sequence[float]) -> ProbabilityMap:
     """Build a validated map from a flat row-major sequence of values."""
     flat = np.asarray(values, dtype=np.float64)

@@ -26,12 +26,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import UnknownCategoryError
-from .grid import DEFAULT_EPSILON
-from .relations import Relation, SpatialTriplet, TripletSet
+from .grid import DEFAULT_EPSILON, mean_coordinates
+from .relations import RELATION_CODES, Relation, SpatialTriplet, TripletSet
 from .state import SegmentationState
-
-#: A relation's code, its index in tuple(Relation).
-_CODES = {relation: code for code, relation in enumerate(Relation)}
 
 #: Floor of 1 - P inside the penalty's log: bounds a fully violating pixel's
 #: loss at -log(1e-7), about 16.1, away from the singularity at P = 1.
@@ -56,9 +53,9 @@ def encode_triplets(roster: Sequence[str], triplets: Iterable[SpatialTriplet]) -
     band_tables, with `code` indexing tuple(Relation). A name outside the
     roster raises UnknownCategoryError."""
     index = {name: i for i, name in enumerate(roster)}
-    stride = len(_CODES)
+    stride = len(RELATION_CODES)
     try:
-        codes = [(index[t.subject], stride * index[t.object] + _CODES[t.relation]) for t in triplets]
+        codes = [(index[t.subject], stride * index[t.object] + RELATION_CODES[t.relation]) for t in triplets]
     except KeyError as exc:
         raise UnknownCategoryError(f"category {exc.args[0]!r} is not in roster {list(roster)}") from None
     return tuple(np.array(codes, dtype=np.intp).reshape(-1, 2).T)
@@ -67,15 +64,13 @@ def encode_triplets(roster: Sequence[str], triplets: Iterable[SpatialTriplet]) -
 def band_tables(maps: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Outside bands of every (object, relation) pair of the (C, H, W) `maps`:
     rows (4C, H) and cols (4C, W), row 4*object + code for tuple(Relation)[code],
-    all 0 on the axis the relation does not use. Each object's mean is its mass-weighted
-    coordinate (sum coord*M) / (sum M + eps) along the axis, 0 for a map with no mass."""
+    all 0 on the axis the relation does not use. Each object's mean is the
+    `mean_coordinates` of its marginal along the axis."""
     tables = {}
     for axis, marginals in (("row", maps.sum(axis=2)), ("col", maps.sum(axis=1))):
-        mass = marginals.sum(axis=1)
-        sums = marginals @ np.arange(marginals.shape[1])
-        means = np.divide(sums, mass + epsilon, out=np.zeros_like(mass), where=mass != 0.0)
-        table = np.zeros((len(maps), len(_CODES), marginals.shape[1]))
-        for relation, code in _CODES.items():
+        means = mean_coordinates(marginals, epsilon)
+        table = np.zeros((len(maps), len(RELATION_CODES), marginals.shape[1]))
+        for relation, code in RELATION_CODES.items():
             if relation.axis == axis:
                 table[:, code] = outside_band(marginals.shape[1], relation, means[:, None])
         tables[axis] = table.reshape(-1, marginals.shape[1])
@@ -123,7 +118,7 @@ def compile_constraints(state: SegmentationState, subjects: np.ndarray, keys: np
     gate = 1.0 / (1.0 + np.exp(-GATE_SCALE * (probs - GATE_BIAS)))
     weights = (probs * gate).sum(axis=(1, 2)) / (gate.sum(axis=(1, 2)) + DEFAULT_EPSILON)
     rows, cols = band_tables(probs, DEFAULT_EPSILON)
-    return ConstraintTerms(subjects, keys, weights[keys // len(_CODES)], rows, cols)
+    return ConstraintTerms(subjects, keys, weights[keys // len(RELATION_CODES)], rows, cols)
 
 
 def compiled_spatial_loss(state: SegmentationState, compiled: ConstraintTerms) -> tuple[float, ConstraintTerms]:

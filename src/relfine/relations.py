@@ -21,7 +21,7 @@ from typing import Iterator, Literal, Mapping, Protocol, Sequence, get_args
 import numpy as np
 
 from .errors import FormatError, UnknownCategoryError, load_json_object, require_keys, writing_to
-from .grid import LabelMap
+from .grid import LabelMap, mean_coordinates
 
 Stage = Literal["initial", "bidirectional", "validated", "resolved"]
 HoldsAnswer = Literal["yes", "no", "unknown"]
@@ -48,6 +48,9 @@ class Relation(str, Enum):
         member._value_, member.axis, member.after = value, axis, after
         return member
 
+
+#: A relation's code: its index in tuple(Relation), the last axis of relation tables.
+RELATION_CODES = {relation: code for code, relation in enumerate(Relation)}
 
 _OPPOSITE = {r: q for r in Relation for q in Relation if q.axis == r.axis and q.after != r.after}
 
@@ -351,23 +354,25 @@ class GeometricOracle:
 
     holds(s, r, o) is "yes" iff both categories occupy at least one pixel and
     the centroid of s lies strictly on the r side of o's centroid (columns
-    for left/right, rows for above/below, rows growing downward).
+    for left/right, rows for above/below, rows growing downward). Answers
+    are read from `table`, (C, C, 4) over (subject, object, relation code).
     """
 
     def __init__(self, labels: LabelMap, roster: Sequence[str]):
-        self._centroids: dict[str, dict[str, float]] = {"row": {}, "col": {}}
-        for index, name in enumerate(roster):
-            rows, cols = np.nonzero(labels.labels == index)
-            if rows.size:
-                self._centroids["row"][name] = float(rows.mean())
-                self._centroids["col"][name] = float(cols.mean())
+        if labels.num_categories != len(roster):
+            raise UnknownCategoryError(
+                f"label map declares {labels.num_categories} categories, roster has {len(roster)}"
+            )
+        onehot = labels.labels == np.arange(len(roster))[:, None, None]
+        means = {"row": mean_coordinates(onehot.sum(axis=2), 0.0), "col": mean_coordinates(onehot.sum(axis=1), 0.0)}
+        sides = [(np.greater if r.after else np.less).outer(means[r.axis], means[r.axis]) for r in Relation]
+        present = onehot.any(axis=(1, 2))
+        self.table = np.stack(sides, axis=2) & (present[:, None] & present)[:, :, None]
+        self._index = {name: i for i, name in enumerate(roster)}
 
     def holds(self, subject: str, relation: Relation, object: str) -> HoldsAnswer:
-        centroids = self._centroids[relation.axis]
-        if subject not in centroids or object not in centroids:
-            return "no"
-        s, o = centroids[subject], centroids[object]
-        return "yes" if (s > o if relation.after else s < o) else "no"
+        s, o = self._index.get(subject), self._index.get(object)
+        return "no" if s is None or o is None or not self.table[s, o, RELATION_CODES[relation]] else "yes"
 
     def choose(self, subject: str, first: Relation, second: Relation, object: str) -> ChooseAnswer:
         if self.holds(subject, first, object) == "yes":
@@ -377,12 +382,7 @@ class GeometricOracle:
         return "neither"
 
 
-def geometric_oracle(labels: LabelMap, roster: Sequence[str]) -> GeometricOracle:
-    if labels.num_categories != len(roster):
-        raise UnknownCategoryError(
-            f"label map declares {labels.num_categories} categories, roster has {len(roster)}"
-        )
-    return GeometricOracle(labels, roster)
+geometric_oracle = GeometricOracle
 
 
 HoldsTable = Mapping[tuple[str, Relation, str], HoldsAnswer]

@@ -168,16 +168,13 @@ class Scene:
 
 
 def derive_gt_triplets(labels: LabelMap, roster: Sequence[str]) -> TripletSet:
-    """Every triplet the label map's centroids satisfy, excluding background."""
-    oracle = geometric_oracle(labels, roster)
-    triplets = []
-    for subject in roster:
-        for obj in roster:
-            if subject == obj or BACKGROUND in (subject, obj):
-                continue
-            for relation in Relation:
-                if oracle.holds(subject, relation, obj) == "yes":
-                    triplets.append(SpatialTriplet(subject, relation, obj, stage="initial"))
+    """Every triplet the label map's centroids satisfy, excluding background: the
+    True entries of the geometric oracle's table, in (subject, object, relation)
+    order. Its diagonal is False, as no centroid lies strictly beside itself."""
+    kept = np.array([name != BACKGROUND for name in roster])
+    found = np.nonzero(geometric_oracle(labels, roster).table & (kept[:, None] & kept)[:, :, None])
+    relations = tuple(Relation)
+    triplets = [SpatialTriplet(roster[s], relations[r], roster[o]) for s, o, r in zip(*(a.tolist() for a in found))]
     return TripletSet(tuple(triplets), tuple(roster))
 
 

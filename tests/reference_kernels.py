@@ -6,6 +6,11 @@ way, one triplet and one full H x W mask at a time, and shares no code with
 the compiled kernel: the masks come from this module's own comparisons of a
 coordinate grid against the anchor's mean, and only the loss constants are
 taken from relfine.logic. Tests compare the two implementations.
+
+`ReferenceOracle` and `reference_gt_triplets` do the same for the geometric
+oracle, which relfine reads from one (C, C, 4) table over mass-weighted means:
+here each category's centroid is the mean of its pixels' coordinates, and
+each question is one comparison.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from relfine.errors import FormatError
-from relfine.grid import DEFAULT_EPSILON, ProbabilityMap
+from relfine.grid import DEFAULT_EPSILON, LabelMap, ProbabilityMap
 from relfine.logic import GATE_BIAS, GATE_SCALE, LOG_CLAMP
-from relfine.relations import Relation
+from relfine.relations import BACKGROUND, Relation, SpatialTriplet
 from relfine.state import SegmentationState
 
 
@@ -103,3 +108,48 @@ def constraint_weight(anchor_map: ProbabilityMap) -> float:
     values = anchor_map.values
     gate = 1.0 / (1.0 + np.exp(-GATE_SCALE * (values - GATE_BIAS)))
     return float((values * gate).sum() / (gate.sum() + DEFAULT_EPSILON))
+
+
+class ReferenceOracle:
+    """Geometric oracle answers, one comparison per question.
+
+    A category's centroid is the mean row and column of its pixels. holds(s,
+    r, o) is "yes" iff both categories have a pixel and s's centroid lies
+    strictly on the r side of o's; a category without pixels, or a name
+    outside the roster, holds nothing.
+    """
+
+    def __init__(self, labels: LabelMap, roster: tuple[str, ...]):
+        self.centroids: dict[str, dict[str, float]] = {}
+        for index, name in enumerate(roster):
+            rows, cols = np.nonzero(labels.labels == index)
+            if rows.size:
+                self.centroids[name] = {"row": float(rows.mean()), "col": float(cols.mean())}
+
+    def holds(self, subject: str, relation: Relation, object: str) -> str:
+        if subject not in self.centroids or object not in self.centroids:
+            return "no"
+        s, o = self.centroids[subject][relation.axis], self.centroids[object][relation.axis]
+        after = relation in (Relation.RIGHT, Relation.BELOW)
+        return "yes" if (s > o if after else s < o) else "no"
+
+    def choose(self, subject: str, first: Relation, second: Relation, object: str) -> str:
+        if self.holds(subject, first, object) == "yes":
+            return "first"
+        if self.holds(subject, second, object) == "yes":
+            return "second"
+        return "neither"
+
+
+def reference_gt_triplets(labels: LabelMap, roster: tuple[str, ...]) -> list[SpatialTriplet]:
+    """Every triplet the centroids satisfy, background excluded, asked in
+    roster order: subject, then object, then relation."""
+    oracle = ReferenceOracle(labels, roster)
+    return [
+        SpatialTriplet(s, r, o)
+        for s in roster
+        for o in roster
+        if s != o and BACKGROUND not in (s, o)
+        for r in Relation
+        if oracle.holds(s, r, o) == "yes"
+    ]

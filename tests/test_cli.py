@@ -1131,6 +1131,17 @@ def test_subcommand_help_renders(command, capsys):
             assert f"(default {value})" in text
 
 
+def test_argparse_errors_do_not_depend_on_the_terminal_width(monkeypatch, capsys):
+    errors = set()
+    for columns in ("40", "60", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:  # argparse's own exit 2
+            main(["refine", "--scene", "x", "--out", "y", "--use-gt-triplets", "--jobs", "0"])
+        assert exc.value.code == 2
+        errors.add(capsys.readouterr().err)
+    assert len(errors) == 1, errors
+
+
 # --------------------------------------------------------------------------
 # process pool, manifest names, grid shapes and PGM headers
 

@@ -1,7 +1,9 @@
 """Each fact about a triplet is stated in one function: a relation name is
 read by `parse_relation`, a compiled constraint is arrays only, the bands are
 built by `band_tables` alone, and the loss and the discrete check sum a field
-outside the bands through `outside_sums`.
+outside the bands through `outside_sums`. One function computes a mean
+coordinate, for the bands and the geometric oracle alike, and the
+ground-truth triplets are read off the oracle's table, not asked of it.
 
 These are source checks: a second copy of any of them would compute the same
 numbers today and drift apart later, which no output comparison can see.
@@ -92,3 +94,29 @@ def test_the_loss_and_the_check_share_one_outside_sum():
 
 def test_a_triplet_key_is_stated_once():
     assert inspect.getattr_static(SpatialTriplet, "key").fget is _triplet_key
+
+
+def _forms_mean_coordinates(node: ast.AST) -> bool:
+    """Whether `node` holds `<x> @ np.arange(...)`: a weighted coordinate sum."""
+    for op in ast.walk(node):
+        if isinstance(op, ast.BinOp) and isinstance(op.op, ast.MatMult) and isinstance(op.right, ast.Call):
+            if getattr(op.right.func, "attr", None) == "arange":
+                return True
+    return False
+
+
+def test_a_mean_coordinate_is_computed_in_one_function():
+    functions = _package_functions()
+    assert sorted(name for name, node in functions.items() if _forms_mean_coordinates(node)) == [
+        "grid.mean_coordinates"
+    ]
+    assert "mean_coordinates" in _calls(functions["logic.band_tables"])
+    module = ast.parse((PACKAGE / "relations.py").read_text())
+    oracle = next(n for n in ast.walk(module) if isinstance(n, ast.ClassDef) and n.name == "GeometricOracle")
+    assert "mean_coordinates" in _calls(oracle)
+
+
+def test_the_ground_truth_triplets_ask_no_oracle_questions():
+    derive = _package_functions()["scenes.derive_gt_triplets"]
+    called = {getattr(n.func, "attr", getattr(n.func, "id", None)) for n in ast.walk(derive) if isinstance(n, ast.Call)}
+    assert not called & {"holds", "choose"}, called
