@@ -180,7 +180,10 @@ def _refine_one(task: tuple[str, str, str, TripletSet | None, RefineConfig]) -> 
     if triplets is None:
         triplets = scene.gt_triplets
 
-    final_state, trace = refine(scene.init_probs, triplets, cfg)
+    try:
+        final_state, trace = refine(scene.init_probs, triplets, cfg)
+    except RelfineError as exc:
+        raise type(exc)(f"{bundle_dir}: {exc}") from None
     labels = argmax_labels(final_state)
 
     out = Path(out_dir)
@@ -255,7 +258,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
     if args.triplets is None and not args.use_gt_triplets:
         raise FormatError("refine needs --triplets PATH or --use-gt-triplets")
 
-    cfg = RefineConfig(alpha=args.alpha, steps=args.steps, learning_rate=args.learning_rate)
+    cfg = RefineConfig(alpha=args.alpha)
 
     scene_root, out_root = Path(args.scene), Path(args.out)
     pairs, single = _scene_set(scene_root)
@@ -414,11 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--triplets", help="calibrated triplet JSON")
     group.add_argument("--use-gt-triplets", action="store_true", help="refine with the bundle's own triplets")
-    defaults = RefineConfig()
-    p.add_argument("--alpha", type=float, default=defaults.alpha, help="spatial weight (default %(default)s)")
-    p.add_argument("--steps", type=int, default=defaults.steps, help="optimization steps (default %(default)s)")
-    p.add_argument("--learning-rate", type=float, default=defaults.learning_rate,
-                   help="Adam learning rate (default %(default)s)")
+    p.add_argument("--alpha", type=float, default=RefineConfig().alpha, help="spatial weight (default %(default)s)")
     p.add_argument("--jobs", type=_job_count, default=1, help="parallel refinement across scenes")
     p.set_defaults(handler="cmd_refine")
 

@@ -3,11 +3,11 @@
 The objective is fidelity + alpha * spatial: a cross-entropy anchor to the
 initial maps plus the weighted fuzzy-logic constraint loss. `objective` is
 its one definition, with its analytic logit gradient: `refine` descends it
-and `relfine gradcheck` checks it. Adam runs a fixed number of steps over the
-logits, every quantity recomputed from the current maps at each step, until
-it reaches an exact fixed point: a step whose gradient and both moments are
-all zero leaves the logits unchanged, so every later step would repeat it,
-and the loop stops there. The trace holds the steps that ran.
+and `relfine gradcheck` checks it. Adam runs `STEPS` steps over the logits,
+every quantity recomputed from the current maps at each step, until it reaches
+an exact fixed point: a step whose gradient and both moments are all zero
+leaves the logits unchanged, so every later step would repeat it, and the
+loop stops there. The trace holds the steps that ran.
 """
 
 from __future__ import annotations
@@ -26,16 +26,13 @@ from .relations import TripletSet
 from .state import SegmentationState, init_state
 
 
-#: Most steps one refine may run. Its trace and report.json grow by one row
-#: per step that ran: 1.40 KiB of peak RSS per step at alpha 1 on 16² scenes
-#: with 84 triplets and with 2, report written (whole process, x86-64 Linux,
-#: 10,000 to 50,000 steps). So the 2 GiB a worker gets under
-#: `scenes.MAX_CELLS` holds (2048 - 33) MiB / 1.40 KiB, about 1,473,000
-#: steps, rounded down here.
-MAX_STEPS = 1_400_000
+#: Steps one refine runs, unless it reaches a fixed point first.
+STEPS = 15
 
-#: Adam's decay rates and denominator guard, the defaults of Kingma & Ba
-#: (2015). The objective's scale reaches Adam only through ADAM_EPS.
+#: Adam's step size, decay rates and denominator guard; the last three are the
+#: defaults of Kingma & Ba (2015). The objective's scale reaches Adam only
+#: through ADAM_EPS.
+ADAM_LEARNING_RATE = 0.01
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -44,17 +41,11 @@ ADAM_EPS = 1e-8
 @dataclass(frozen=True)
 class RefineConfig:
     alpha: float = 0.1
-    steps: int = 15
-    learning_rate: float = 0.01
 
     def __post_init__(self) -> None:
         check_fields(self)
         if self.alpha < 0:
             raise FormatError(f"alpha must be nonnegative, got {self.alpha}")
-        if not 0 <= self.steps <= MAX_STEPS:
-            raise FormatError(f"steps must lie in [0, {MAX_STEPS}], got {self.steps}")
-        if self.learning_rate <= 0:
-            raise FormatError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +65,6 @@ def adam_step(
     grads: np.ndarray,
     moments: AdamState,
     t: int,
-    cfg: RefineConfig,
 ) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update; t counts from 1. Pure: returns new arrays."""
     if t < 1:
@@ -93,7 +83,7 @@ def adam_step(
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
-    step *= cfg.learning_rate
+    step *= ADAM_LEARNING_RATE
     step /= denom
     return np.subtract(params, step, out=step), AdamState(m=m, v=v)
 
@@ -135,9 +125,6 @@ class RefineTrace:
             {"step": step, "fidelity": fid, "spatial": spa, "total": total}
             for step, (fid, spa, total) in enumerate(columns, start=1)
         ]
-
-
-_DIVERGED = "lower alpha or learning_rate"
 
 
 def _losses(
@@ -190,8 +177,8 @@ def refine(
     recorded but never touches the update. An empty triplet set stops at
     step 1 at any alpha. Deterministic: same inputs and config give
     bit-identical traces and states. Raises FormatError when a step's
-    arithmetic overflows or its objective is not finite, which an alpha or
-    learning_rate too large for float64 brings about.
+    arithmetic overflows or its objective is not finite, which an alpha too
+    large for float64 brings about.
     """
     cfg = cfg or RefineConfig()
 
@@ -203,7 +190,7 @@ def refine(
     initial_weights = compiled.weights
     rows: list[tuple[float, float, float]] = []
 
-    for step in range(1, cfg.steps + 1):
+    for step in range(1, STEPS + 1):
         try:
             with np.errstate(over="raise", invalid="raise"):
                 if step > 1:
@@ -212,10 +199,10 @@ def refine(
                 rows.append((fid_loss, spa_loss, total))
                 if not (grad.any() or moments.m.any() or moments.v.any()):
                     break
-                logits, moments = adam_step(state.logits, grad, moments, step, cfg)
+                logits, moments = adam_step(state.logits, grad, moments, step)
                 state = state.with_logits(logits)
         except FloatingPointError as exc:
-            raise FormatError(f"refinement diverged at step {step}: {exc}; {_DIVERGED}") from None
+            raise FormatError(f"refinement diverged at step {step}: {exc}; lower alpha") from None
 
     fidelity, spatial, total = (np.array([row[k] for row in rows], dtype=np.float64) for k in range(3))
     return state, RefineTrace(fidelity, spatial, total, initial_weights)

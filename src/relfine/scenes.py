@@ -55,12 +55,11 @@ MIN_EXTENT = 4
 MAX_PIXELS = 4096 * 4096
 
 #: Largest scene, in cells (categories x height x width), so that one worker
-#: stays under 2 GiB. `refine`, the hungriest command, peaked at 256 MiB RSS
-#: at 512² and 925 MiB at 1024² with 9 categories over 3 steps (whole
-#: process, x86-64 Linux, single-threaded BLAS): about 99 bytes per cell
-#: over a 33 MiB base. So 2 GiB holds (2048 - 33) MiB / 99 B, about 21.3
-#: million cells, rounded down here. `gen-scenes` and `eval` peak lower
-#: (210 and 213 MiB at 1024²).
+#: stays under 2 GiB. `refine`, the hungriest command, peaked at 271 MiB RSS
+#: at 512² and 922 MiB at 1024² with 9 categories (whole process, x86-64
+#: Linux, single-threaded BLAS): about 96 bytes per cell over a 54 MiB base.
+#: So 2 GiB holds (2048 - 54) MiB / 96 B, about 21.7 million cells, rounded
+#: down here. `gen-scenes` and `eval` peak lower (210 and 213 MiB at 1024²).
 MAX_CELLS = 20 * 2**20
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from relfine import cli, evaluate
 from relfine.cli import main
-from relfine.refine import MAX_STEPS, RefineConfig
+from relfine.refine import RefineConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DEMO_CONFIG = Path(__file__).parent.parent / "demos" / "fixture_config.json"
@@ -338,21 +338,18 @@ def test_refine_report_trace_rows_hold_losses_and_constraints_hold_both_weights(
 
 def test_refine_report_holds_one_row_per_step_that_ran(tmp_path):
     # The baseline stops at its fixed point after one step; the report keeps
-    # that row alone and echoes the requested count.
+    # that row alone.
     bundle = _generated_scene_set(tmp_path) / "scene_000"
     out = tmp_path / "baseline"
-    assert main(["refine", "--scene", str(bundle), "--out", str(out), "--use-gt-triplets",
-                 "--alpha", "0", "--steps", "200000"]) == 0
+    assert main(["refine", "--scene", str(bundle), "--out", str(out), "--use-gt-triplets", "--alpha", "0"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert [row["step"] for row in report["trace"]] == [1]
-    assert report["config"]["refine"]["steps"] == 200000
 
 
-@pytest.mark.parametrize("flag", [["--steps", "0"], ["--alpha", "0"]])
-def test_refine_without_a_moving_step_reports_the_initial_weight_as_final(tmp_path, flag):
+def test_refine_without_a_moving_step_reports_the_initial_weight_as_final(tmp_path):
     bundle = _generated_scene_set(tmp_path) / "scene_000"
     out = tmp_path / "refined"
-    assert main(["refine", "--scene", str(bundle), "--out", str(out), "--use-gt-triplets", *flag]) == 0
+    assert main(["refine", "--scene", str(bundle), "--out", str(out), "--use-gt-triplets", "--alpha", "0"]) == 0
     constraints = json.loads((out / "report.json").read_text())["constraints"]
     assert constraints and all(c["initial_weight"] == c["weight"] for c in constraints)
 
@@ -360,7 +357,7 @@ def test_refine_without_a_moving_step_reports_the_initial_weight_as_final(tmp_pa
 def test_bare_refine_equals_the_default_flags(tmp_path, capsys):
     scenes = _generated_scene_set(tmp_path)
     capsys.readouterr()
-    flags = ["--alpha", "0.1", "--steps", "15", "--learning-rate", "0.01"]
+    flags = ["--alpha", "0.1"]
     for out, extra in (("bare", []), ("flags", flags)):
         assert main(["refine", "--scene", str(scenes), "--out", str(tmp_path / out), "--use-gt-triplets", *extra]) == 0
     bare, flagged = _digests(tmp_path / "bare"), _digests(tmp_path / "flags")
@@ -369,12 +366,12 @@ def test_bare_refine_equals_the_default_flags(tmp_path, capsys):
     assert first == second and "[alpha=0.1]" in first
 
 
-def test_refine_report_echoes_exactly_the_three_settings(tmp_path):
+def test_refine_report_echoes_exactly_alpha(tmp_path):
     bundle = _generated_scene_set(tmp_path) / "scene_000"
     out = tmp_path / "refined"
-    assert main(["refine", "--scene", str(bundle), "--out", str(out), "--use-gt-triplets", "--steps", "3"]) == 0
+    assert main(["refine", "--scene", str(bundle), "--out", str(out), "--use-gt-triplets"]) == 0
     echo = json.loads((out / "report.json").read_text())["config"]["refine"]
-    assert echo == {"alpha": 0.1, "learning_rate": 0.01, "steps": 3}
+    assert echo == {"alpha": 0.1}
 
 
 def test_refine_report_config_holds_only_the_refine_section(tmp_path):
@@ -548,23 +545,44 @@ def test_refine_requires_a_triplet_source(tmp_path):
 
 
 def test_refine_divergence_exit_code_and_no_report(tmp_path, capsys):
-    # An alpha or a learning rate this large overflows float64: the objective
-    # or the logits stop being finite, and report.json would not be JSON.
-    # After one step at learning rate 1e308 the logits are still finite, but
-    # their softmax overflows.
+    # An alpha this large overflows float64: the objective stops being
+    # finite, and report.json would not be JSON.
     scenes = _generated_scene_set(tmp_path)
-    cases = (["--alpha", "1e308"], ["--learning-rate", "1e308"], ["--learning-rate", "1e308", "--steps", "1"])
-    for index, flags in enumerate(cases):
-        out = tmp_path / f"out_{index}"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["refine", "--scene", str(scenes / "scene_000"), "--out", str(out),
-                         "--use-gt-triplets", *flags])
-        assert code == 2, flags
-        err = capsys.readouterr().err
-        assert "diverged at step" in err and "alpha or learning_rate" in err, err
-        assert "RuntimeWarning" not in err and not caught, (err, [str(w.message) for w in caught])
-        assert not (out / "report.json").exists()
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["refine", "--scene", str(scenes / "scene_000"), "--out", str(out),
+                     "--use-gt-triplets", "--alpha", "1e308"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "diverged at step 1" in err and "lower alpha" in err, err
+    assert "RuntimeWarning" not in err and not caught, (err, [str(w.message) for w in caught])
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("case, code", [("unknown category", 3), ("divergence", 2)])
+def test_refine_failure_names_its_bundle_at_any_jobs(tmp_path, capsys, case, code):
+    # In a scene set, the error a scene's refine raises starts with that
+    # scene's bundle and keeps its exit code, whatever the job count.
+    scenes = _generated_scene_set(tmp_path)
+    if case == "unknown category":
+        triplets = tmp_path / "c.json"
+        triplets.write_text(json.dumps({
+            "categories": ["a", "c"],
+            "triplets": [{"subject": "c", "relation": "left", "object": "a"}],
+        }))
+        flags = ["--triplets", str(triplets)]
+        message = "category 'c' is not in roster ['background', 'a', 'b']"
+    else:
+        flags = ["--use-gt-triplets", "--alpha", "1e308"]
+        message = "refinement diverged at step 1: "
+    errors = []
+    for jobs in ("1", "2"):
+        argv = ["refine", "--scene", str(scenes), "--out", str(tmp_path / f"jobs_{jobs}"), *flags, "--jobs", jobs]
+        assert main(argv) == code
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith(f"error: {scenes / 'scene_000'}: {message}"), errors[0]
+    assert errors[0] == errors[1]
 
 
 # --------------------------------------------------------------------------
@@ -602,7 +620,7 @@ def test_eval_baseline_loads_each_scene_bundle_once(tmp_path, monkeypatch):
     scenes = _generated_scene_set(tmp_path)
     for out, alpha in (("base", "0"), ("refined", "0.1")):
         assert main(["refine", "--scene", str(scenes), "--out", str(tmp_path / out),
-                     "--use-gt-triplets", "--alpha", alpha, "--steps", "2"]) == 0
+                     "--use-gt-triplets", "--alpha", alpha]) == 0
     loads = []
     load = cli.load_scene_bundle
     monkeypatch.setattr(cli, "load_scene_bundle", lambda path: loads.append(path) or load(path))
@@ -835,13 +853,14 @@ def test_run_config_refine_section_is_unknown(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == [config]
 
 
-def test_refine_steps_above_max_steps_exit_code_and_no_output(tmp_path, capsys):
+@pytest.mark.parametrize("flag", [["--steps", "3"], ["--learning-rate", "0.1"]])
+def test_refine_takes_no_step_count_or_learning_rate(tmp_path, capsys, flag):
     scenes = _generated_scene_set(tmp_path)
-    steps = MAX_STEPS + 1
     out = tmp_path / "out"
-    argv = ["refine", "--scene", str(scenes), "--out", str(out), "--use-gt-triplets", "--steps", str(steps)]
-    assert main(argv) == 2
-    assert f"steps must lie in [0, {MAX_STEPS}], got {steps}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # argparse's own exit 2
+        main(["refine", "--scene", str(scenes), "--out", str(out), "--use-gt-triplets", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1047,7 +1066,7 @@ def _unwritable_output_args(tmp_path: Path, case: str) -> tuple[list[str], Path]
     if case.startswith("refine --out"):
         jobs = case.rsplit(" ", 1)[1]
         return ["refine", "--scene", str(scenes), "--out", str(blocker / "sub"), "--use-gt-triplets",
-                "--steps", "1", "--jobs", jobs], blocker / "sub"
+                "--jobs", jobs], blocker / "sub"
     pred = tmp_path / "pred"
     for name in ("scene_000", "scene_001"):
         (pred / name).mkdir(parents=True)
@@ -1123,12 +1142,12 @@ def test_subcommand_help_renders(command, capsys):
     assert exc.value.code == 0
     text = " ".join(capsys.readouterr().out.split())  # the same at any terminal width
     assert text.startswith(f"usage: relfine {command}") and "%(" not in text
-    for removed in ("--threshold", "--swap-args", "--keep-background", "--config", "--reduction"):
+    removed_flags = ("--threshold", "--swap-args", "--keep-background", "--config", "--reduction", "--steps",
+                     "--learning-rate")
+    for removed in removed_flags:
         assert removed not in text, (command, removed)
     if command == "refine":
-        defaults = RefineConfig()
-        for value in (defaults.alpha, defaults.steps, defaults.learning_rate):
-            assert f"(default {value})" in text
+        assert f"(default {RefineConfig().alpha})" in text
 
 
 def test_argparse_errors_do_not_depend_on_the_terminal_width(monkeypatch, capsys):
@@ -1170,7 +1189,7 @@ def test_jobs_start_at_most_one_worker_per_scene(tmp_path, monkeypatch, jobs, sc
                           [small_scene(f"scene_{i:03d}", seed=i + 1) for i in range(scenes)])
     assert main(["gen-scenes", str(config), "--jobs", jobs]) == 0
     assert main(["refine", "--scene", str(tmp_path / "scenes"), "--out", str(tmp_path / "out"),
-                 "--use-gt-triplets", "--steps", "2", "--jobs", jobs]) == 0
+                 "--use-gt-triplets", "--jobs", jobs]) == 0
     assert pools == started * 2
 
 
@@ -1261,7 +1280,7 @@ def test_refine_rejects_an_output_that_is_its_input(tmp_path, capsys, form):
     scene = scenes / "scene_000" if form == "bundle" else scenes
     before = _digests(tmp_path)
     out = scene / "probs" / ".." if form == "bundle" else scenes / "scene_001" / ".."
-    assert main(["refine", "--scene", str(scene), "--out", str(out), "--use-gt-triplets", "--steps", "1"]) == 2
+    assert main(["refine", "--scene", str(scene), "--out", str(out), "--use-gt-triplets"]) == 2
     err = capsys.readouterr().err
     assert str(out) in err and str(scene) in err and "overwrite" in err, err
     assert _digests(tmp_path) == before
@@ -1273,7 +1292,7 @@ def test_refine_rejects_an_output_bundle_that_is_its_input_in_a_scene_set(tmp_pa
     out.mkdir()
     (out / "scene_001").symlink_to(scenes / "scene_001", target_is_directory=True)
     before = _digests(scenes)
-    assert main(["refine", "--scene", str(scenes), "--out", str(out), "--use-gt-triplets", "--steps", "1"]) == 2
+    assert main(["refine", "--scene", str(scenes), "--out", str(out), "--use-gt-triplets"]) == 2
     err = capsys.readouterr().err
     assert f"{out / 'scene_001'} is the input bundle {scenes / 'scene_001'}" in err, err
     assert _digests(scenes) == before

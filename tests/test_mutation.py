@@ -247,12 +247,12 @@ def _commands(root: Path, out: Path) -> dict[str, list[list[str]]]:
         "config.json": [["gen-scenes", config, "--output", str(out / "scenes")]],
         "triplets.json": [[*calibrate, "--oracle", oracle], [*refine, "--triplets", triplets]],
         "oracle.json": [[*calibrate, "--oracle", oracle]],
-        "scenes/s/spec.json": [[*refine, "--use-gt-triplets", "--steps", "1"]],
-        "scenes/s/triplets.json": [[*refine, "--use-gt-triplets", "--steps", "1"]],
+        "scenes/s/spec.json": [[*refine, "--use-gt-triplets"]],
+        "scenes/s/triplets.json": [[*refine, "--use-gt-triplets"]],
         "scenes/s/gt_labels.pgm": [[*calibrate, "--geometric", "--labels", str(bundle / "gt_labels.pgm")],
                                    ["eval", "--scenes", str(bundle), "--pred", str(pred)]],
         "labels.pgm": [["eval", "--scenes", str(bundle), "--pred", str(pred)]],
-        "scenes/s/probs/a.rsgf": [[*refine, "--use-gt-triplets", "--steps", "1"]],
+        "scenes/s/probs/a.rsgf": [[*refine, "--use-gt-triplets"]],
     }
 
 

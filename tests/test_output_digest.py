@@ -60,7 +60,7 @@ COMMANDS = (
      "--out", "eval.json", "--csv", "buckets.csv"),
     ("gen-scenes", "missing.json"),
     ("refine", "--scene", "scenes", "--out", "nowhere"),
-    ("refine", "--scene", "scenes", "--out", "nowhere", "--use-gt-triplets", "--steps", "2000000"),
+    ("refine", "--scene", "scenes", "--out", "nowhere", "--use-gt-triplets", "--alpha", "-1"),
     ("eval", "--scenes", "scenes", "--pred", "refined", "--csv", "nowhere.csv"),
     ("refine", "--scene", "scenes/scene_000", "--out", "nowhere", "--triplets", "calibrated.json"),
     ("eval", "--scenes", "scenes", "--pred", "calibrated"),

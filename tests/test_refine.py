@@ -13,7 +13,8 @@ from relfine.grid import make_probability_map
 from relfine.logic import compile_constraints, encode_triplets
 from relfine.refine import (
     ADAM_EPS,
-    MAX_STEPS,
+    ADAM_LEARNING_RATE,
+    STEPS,
     AdamState,
     RefineConfig,
     RefineTrace,
@@ -141,32 +142,29 @@ def test_fidelity_hand_example():
 def test_adam_zero_gradient_keeps_params():
     params = np.array([1.0, -2.0, 3.0])
     moments = AdamState.zeros_like(params)
-    cfg = RefineConfig()
     for t in range(1, 6):
-        params, moments = adam_step(params, np.zeros(3), moments, t, cfg)
+        params, moments = adam_step(params, np.zeros(3), moments, t)
     assert params.tolist() == [1.0, -2.0, 3.0]
 
 
 def test_adam_first_step_is_learning_rate_sized():
     # Hand evaluation of the bias-corrected first step: m_hat = g,
     # v_hat = g^2, update = -lr * g / (|g| + eps) ~ -lr * sign(g).
-    cfg = RefineConfig(learning_rate=0.01)
     for g in (0.5, -3.0, 1e-3):
         params = np.array([0.0])
-        updated, _ = adam_step(params, np.array([g]), AdamState.zeros_like(params), 1, cfg)
-        expected = -cfg.learning_rate * g / (abs(g) + ADAM_EPS)
+        updated, _ = adam_step(params, np.array([g]), AdamState.zeros_like(params), 1)
+        expected = -ADAM_LEARNING_RATE * g / (abs(g) + ADAM_EPS)
         assert updated[0] == pytest.approx(expected, rel=1e-12)
-        assert updated[0] == pytest.approx(-math.copysign(cfg.learning_rate, g), rel=1e-4)
+        assert updated[0] == pytest.approx(-math.copysign(ADAM_LEARNING_RATE, g), rel=1e-4)
 
 
 def test_adam_moments_decay_after_gradients_cease():
-    cfg = RefineConfig()
     params = np.array([0.0])
     moments = AdamState.zeros_like(params)
-    params, moments = adam_step(params, np.array([1.0]), moments, 1, cfg)
+    params, moments = adam_step(params, np.array([1.0]), moments, 1)
     m1, v1 = abs(moments.m[0]), abs(moments.v[0])
     for t in range(2, 12):
-        params, moments = adam_step(params, np.array([0.0]), moments, t, cfg)
+        params, moments = adam_step(params, np.array([0.0]), moments, t)
     assert abs(moments.m[0]) < m1
     assert abs(moments.v[0]) < v1
     assert abs(moments.m[0]) == pytest.approx(m1 * 0.9**10, rel=1e-9)
@@ -175,32 +173,17 @@ def test_adam_moments_decay_after_gradients_cease():
 def test_adam_rejects_bad_step_index():
     params = np.zeros(1)
     with pytest.raises(FormatError):
-        adam_step(params, params, AdamState.zeros_like(params), 0, RefineConfig())
+        adam_step(params, params, AdamState.zeros_like(params), 0)
 
 
 # --------------------------------------------------------------------------
 # refine
 
 
-def test_steps_outside_zero_to_max_steps_are_rejected():
-    assert RefineConfig(steps=MAX_STEPS).steps == MAX_STEPS
-    for steps in (-1, MAX_STEPS + 1):
-        with pytest.raises(FormatError, match=rf"^steps must lie in \[0, {MAX_STEPS}\], got {steps}$"):
-            RefineConfig(steps=steps)
-
-
-def test_refine_zero_steps_returns_initial_state():
-    scene = fixture_scene()
-    state, trace = refine(scene.init_probs, scene.gt_triplets, RefineConfig(steps=0))
-    expected = init_state(scene.init_probs)
-    assert np.array_equal(state.probs, expected.probs)
-    assert len(trace) == 0
-
-
 def test_refine_initial_weights_are_the_initial_gate_weights():
     scene = fixture_scene()
     expected = compile_constraints(init_state(scene.init_probs), *encode_triplets(scene.categories, scene.gt_triplets)).weights
-    for cfg in (RefineConfig(steps=0), RefineConfig(alpha=0.0), RefineConfig(alpha=0.1)):
+    for cfg in (RefineConfig(alpha=0.0), RefineConfig(alpha=0.1)):
         _, trace = refine(scene.init_probs, scene.gt_triplets, cfg)
         assert trace.initial_weights.shape == (len(scene.gt_triplets),)
         assert trace.initial_weights.tobytes() == expected.tobytes()
@@ -237,19 +220,15 @@ def test_refine_alpha_zero_stops_at_adam_fixed_point():
 def test_refine_trace_columns_and_report_layout():
     scene = fixture_scene()
     triplets = scene.gt_triplets
-    steps = RefineConfig().steps
     _, trace = refine(scene.init_probs, triplets)
     assert trace.initial_weights.shape == (len(triplets),)
-    assert [c.shape for c in (trace.fidelity, trace.spatial, trace.total)] == [(steps,)] * 3
+    assert [c.shape for c in (trace.fidelity, trace.spatial, trace.total)] == [(STEPS,)] * 3
     rows = trace.to_list()
-    assert [list(row) for row in rows] == [["step", "fidelity", "spatial", "total"]] * steps
+    assert [list(row) for row in rows] == [["step", "fidelity", "spatial", "total"]] * STEPS
     assert all(type(rows[-1][name]) is float for name in ("fidelity", "spatial", "total"))
     _, empty = refine(scene.init_probs, TripletSet((), scene.categories))
     assert empty.initial_weights.shape == (0,)
     assert [c.shape for c in (empty.fidelity, empty.spatial, empty.total)] == [(1,)] * 3
-    _, none = refine(scene.init_probs, triplets, RefineConfig(steps=0))
-    assert none.initial_weights.shape == (len(triplets),)
-    assert none.to_list() == []
 
 
 def test_refine_trace_holds_no_triplet_keys():
@@ -265,9 +244,9 @@ def _count_adam_steps(monkeypatch) -> list[int]:
     module = importlib.import_module("relfine.refine")
     calls: list[int] = []
 
-    def counting(params, grads, moments, t, cfg):
+    def counting(params, grads, moments, t):
         calls.append(t)
-        return adam_step(params, grads, moments, t, cfg)
+        return adam_step(params, grads, moments, t)
 
     monkeypatch.setattr(module, "adam_step", counting)
     return calls
@@ -286,13 +265,13 @@ def test_refine_with_triplets_runs_every_adam_step(monkeypatch):
     scene = fixture_scene()
     calls = _count_adam_steps(monkeypatch)
     refine(scene.init_probs, scene.gt_triplets, RefineConfig(alpha=0.1))
-    assert calls == list(range(1, RefineConfig().steps + 1))
+    assert calls == list(range(1, STEPS + 1))
 
 
 def test_refine_trace_length_and_simplex():
     scene = fixture_scene()
     state, trace = refine(scene.init_probs, scene.gt_triplets)
-    assert len(trace) == RefineConfig().steps
+    assert len(trace) == STEPS
     sums = state.probs.sum(axis=0)
     assert np.abs(sums - 1.0).max() < 1e-6
 
@@ -328,7 +307,7 @@ def test_refine_descends_exactly_the_objective_gradient(monkeypatch):
     # Every gradient refine hands to Adam is objective's own, bit for bit,
     # at the logits Adam is about to update and freshly compiled constraints.
     scene = fixture_scene()
-    cfg = RefineConfig(alpha=0.1, steps=3)
+    cfg = RefineConfig(alpha=0.1)
     records = []
 
     def recording_adam_step(params, grads, *args):
@@ -337,7 +316,7 @@ def test_refine_descends_exactly_the_objective_gradient(monkeypatch):
 
     monkeypatch.setattr(importlib.import_module("relfine.refine"), "adam_step", recording_adam_step)
     refine(scene.init_probs, scene.gt_triplets, cfg)
-    assert len(records) == 3
+    assert len(records) == STEPS
 
     targets = init_state(scene.init_probs).probs
     for params, grads in records:
@@ -378,7 +357,7 @@ def test_refine_weights_recomputed_each_step(monkeypatch):
 
     monkeypatch.setattr(importlib.import_module("relfine.refine"), "compile_constraints", recording)
     _, trace = refine(scene.init_probs, scene.gt_triplets)
-    assert len(first_weights) == len(trace) == RefineConfig().steps
+    assert len(first_weights) == len(trace) == STEPS
     assert len(set(first_weights)) > 1
     first_weights.clear()
     _, trace = refine(scene.init_probs, scene.gt_triplets, RefineConfig(alpha=0.0))

@@ -584,7 +584,7 @@ RELATIONS = "expected one of: above, below, left, right"
         ("triplets", {"categories": [], "triplets": [{**VALID_TRIPLET, "stage": "final"}]},
          "triplets[0]: unknown stage 'final'"),
         ("triplets", {"categories": [], "triplets": [{**VALID_TRIPLET, "object": "a", "stage": "final"}]},
-         "triplets[0]: unknown stage 'final'"),
+         "triplets[0]: triplet subject and object must differ, both are 'a'"),
         ("triplets", {"categories": [], "triplets": [{**VALID_TRIPLET, "object": "a"}]},
          "triplets[0]: triplet subject and object must differ, both are 'a'"),
         ("oracle", {"holds": [], "extra": 1}, "unknown keys ['extra']"),
