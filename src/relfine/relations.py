@@ -157,8 +157,9 @@ class TripletSet:
 
     def _derive(self, triplets: Sequence[SpatialTriplet]) -> TripletSet:
         """A set over the same roster, built without the duplicate and roster
-        check. Only for triplets that keep this set's guarantees: members of
-        this set filtered, restaged or reversed, with distinct keys."""
+        check. Only for triplets known to keep its guarantees, distinct keys
+        over this roster: members of this set filtered, restaged or reversed,
+        or the true entries of a geometric oracle's table."""
         derived = object.__new__(TripletSet)
         derived.__dict__.update(triplets=tuple(triplets), categories=self.categories)
         return derived

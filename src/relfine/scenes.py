@@ -49,17 +49,14 @@ CATEGORY_POOL = ("amber", "blue", "coral", "dune", "elm", "fern", "gold", "heath
 #: Smallest rectangle side `random_grid_spec` draws, in pixels.
 MIN_EXTENT = 4
 
-#: Largest scene grid, in pixels (height x width). One float64 map of 4096²
-#: pixels is 128 MiB and refinement keeps several per category; every grid
-#: the tests, demos and benchmark use is at most 256².
-MAX_PIXELS = 4096 * 4096
-
 #: Largest scene, in cells (categories x height x width), so that one worker
 #: stays under 2 GiB. `refine`, the hungriest command, peaked at 271 MiB RSS
 #: at 512² and 922 MiB at 1024² with 9 categories (whole process, x86-64
 #: Linux, single-threaded BLAS): about 96 bytes per cell over a 54 MiB base.
 #: So 2 GiB holds (2048 - 54) MiB / 96 B, about 21.7 million cells, rounded
 #: down here. `gen-scenes` and `eval` peak lower (210 and 213 MiB at 1024²).
+#: A scene has at least two categories, so this also caps its grid at 10.5 M
+#: pixels.
 MAX_CELLS = 20 * 2**20
 
 
@@ -113,10 +110,6 @@ class SceneSpec:
             raise FormatError(f"confusion must be a Confusion object or null, got {self.confusion!r}")
         if self.height < 1 or self.width < 1:
             raise FormatError(f"scene dimensions must be positive, got {self.height}x{self.width}")
-        if self.height * self.width > MAX_PIXELS:
-            raise FormatError(
-                f"height x width must be at most {MAX_PIXELS} pixels, got {self.height}x{self.width}"
-            )
         count = len(self.categories)
         if count > MAX_LABEL_CATEGORIES:
             raise FormatError(
@@ -174,7 +167,9 @@ def derive_gt_triplets(labels: LabelMap, roster: Sequence[str]) -> TripletSet:
     found = np.nonzero(geometric_oracle(labels, roster).table & (kept[:, None] & kept)[:, :, None])
     relations = tuple(Relation)
     triplets = [SpatialTriplet(roster[s], relations[r], roster[o]) for s, o, r in zip(*(a.tolist() for a in found))]
-    return TripletSet(tuple(triplets), tuple(roster))
+    # The table yields no duplicate, no outside name and no subject equal to
+    # its object, so the set skips TripletSet's check.
+    return TripletSet((), tuple(roster))._derive(triplets)
 
 
 def generate_scene(spec: SceneSpec) -> Scene:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import os
 import shutil
@@ -643,27 +644,15 @@ def test_eval_missing_prediction_exit_code(tmp_path, capsys):
 
 
 def test_gradcheck_passes_and_prints_table(capsys):
-    assert main(["gradcheck", "--instances", "4"]) == 0
+    assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
-    assert "max_rel_error" in out
-    assert "4/4 instances" in out
+    assert "clamped  max_rel_error" in out
+    assert "20/20 instances within 0.0001" in out
 
 
 def test_gradcheck_corrupted_fails(capsys):
-    assert main(["gradcheck", "--instances", "2", "--corrupt-gradient"]) == 1
+    assert main(["gradcheck", "--corrupt-gradient"]) == 1
     assert "FAIL" in capsys.readouterr().out
-
-
-def test_gradcheck_size_parsing(capsys):
-    assert main(["gradcheck", "--instances", "2", "--sizes", "1x1,2x2"]) == 0
-    assert main(["gradcheck", "--instances", "2", "--sizes", "bogus"]) == 2
-
-
-@pytest.mark.parametrize("sizes", ["0x3", "-2x3", "3x0", "4x4,2x-1"])
-def test_gradcheck_non_positive_size_exit_code(capsys, sizes):
-    assert main(["gradcheck", "--instances", "2", f"--sizes={sizes}"]) == 2
-    err = capsys.readouterr().err
-    assert "bad size" in err and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize(
@@ -682,7 +671,13 @@ def test_gradcheck_non_positive_size_exit_code(capsys, sizes):
     ],
 )
 def test_gradcheck_rejects_bad_flags(capsys, flags, named):
-    assert main(["gradcheck", "--instances", "2", *flags]) == 2
+    # A bad --alpha is refused by run_gradcheck; --seed, --sizes, --instances
+    # and --tolerance are not gradcheck flags, so argparse exits on them.
+    try:
+        code = main(["gradcheck", *flags])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err, err
 
@@ -740,7 +735,7 @@ def test_shared_parser_is_built_once_and_build_parser_stays_fresh(tmp_path, monk
     cli._shared_parser.cache_clear()
     for _ in range(5):
         assert main(["eval", "--scenes", str(tmp_path), "--pred", str(tmp_path), "--csv", "x.csv"]) == 2
-    assert main(["gradcheck", "--instances", "1", "--sizes", "2x2"]) == 0
+    assert main(["gradcheck"]) == 0
     assert len(built) == 1
 
     # A caller's own parser is a separate object, so changing it leaves main's alone.
@@ -935,7 +930,7 @@ def test_scene_grid_over_the_pixel_cap_exit_code(tmp_path, capsys, height, width
     config = write_config(tmp_path / "config.json", [{**small_scene(), "height": height, "width": width}])
     assert main(["gen-scenes", str(config)]) == 2
     err = capsys.readouterr().err
-    assert "config.json" in err and "height x width must be at most 16777216 pixels" in err, err
+    assert "config.json" in err and "categories x height x width must be at most 20971520 cells" in err, err
     assert not (tmp_path / "scenes").exists()
 
 
@@ -1127,10 +1122,9 @@ def test_main_returns_the_exit_code_each_error_class_declares(monkeypatch, capsy
 
 
 def test_parser_defaults_are_the_library_defaults():
-    from relfine import gradcheck
-
     parser = cli.build_parser()
-    assert parser.parse_args(["gradcheck"]).tolerance == gradcheck.DEFAULT_TOLERANCE
+    alpha = inspect.signature(cli.run_gradcheck).parameters["alpha"].default
+    assert parser.parse_args(["gradcheck"]).alpha == alpha
 
 
 @pytest.mark.parametrize("command", ["gen-scenes", "calibrate", "refine", "eval", "gradcheck"])
@@ -1143,7 +1137,7 @@ def test_subcommand_help_renders(command, capsys):
     text = " ".join(capsys.readouterr().out.split())  # the same at any terminal width
     assert text.startswith(f"usage: relfine {command}") and "%(" not in text
     removed_flags = ("--threshold", "--swap-args", "--keep-background", "--config", "--reduction", "--steps",
-                     "--learning-rate")
+                     "--learning-rate", "--seed", "--sizes", "--instances", "--tolerance")
     for removed in removed_flags:
         assert removed not in text, (command, removed)
     if command == "refine":
@@ -1367,8 +1361,8 @@ def test_module_entry_point_exit_codes(tmp_path):
         return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "relfine.cli", *args],
                               capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
 
-    assert run("gradcheck", "--instances", "1").returncode == 0
-    assert run("gradcheck", "--instances", "1", "--corrupt-gradient").returncode == 1
+    assert run("gradcheck").returncode == 0
+    assert run("gradcheck", "--corrupt-gradient").returncode == 1
     missing = run("eval", "--scenes", str(tmp_path / "missing"), "--pred", str(tmp_path / "pred"))
     assert missing.returncode == 2
     assert missing.stderr.startswith("error: ") and "Traceback" not in missing.stderr, missing.stderr

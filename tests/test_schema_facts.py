@@ -26,7 +26,7 @@ from relfine.cli import main
 from relfine.errors import FormatError
 from relfine.refine import RefineConfig
 from relfine.relations import Stage
-from relfine.scenes import MAX_CELLS, MAX_PIXELS, Placement, SceneSpec
+from relfine.scenes import MAX_CELLS, Placement, SceneSpec
 
 PACKAGE = Path(relfine.__file__).parent
 DEMO = PACKAGE.parent.parent / "demos" / "bucketed_analysis.py"
@@ -154,7 +154,8 @@ def test_the_cell_cap_bounds_categories_times_pixels():
     with pytest.raises(FormatError, match=rf"^categories x height x width must be at most {MAX_CELLS} cells, "
                                           r"got 2x2561x4096$"):
         SceneSpec(height=2561, width=4096, placements=one)
-    with pytest.raises(FormatError, match=rf"^height x width must be at most {MAX_PIXELS} pixels, got 4097x4096$"):
+    with pytest.raises(FormatError, match=rf"^categories x height x width must be at most {MAX_CELLS} cells, "
+                                          r"got 9x4097x4096$"):
         SceneSpec(height=4097, width=4096, placements=[Placement(f"c{i}", i, 0, i + 1, 1) for i in range(8)])
 
 
@@ -209,8 +210,10 @@ def test_gradcheck_with_empty_sizes_exits_2(capsys, monkeypatch):
     def fail(**kwargs):
         raise AssertionError("gradcheck ran")
     monkeypatch.setattr(cli, "run_gradcheck", fail)
-    assert main(["gradcheck", "--sizes", ""]) == 2
-    assert "error: bad size ''" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # argparse's own exit 2: gradcheck has no --sizes
+        main(["gradcheck", "--sizes", ""])
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: --sizes" in capsys.readouterr().err
 
 
 def test_calibrate_labels_needs_geometric(tmp_path, capsys):
