@@ -2,8 +2,8 @@
 
 Runs a 36-scene suite at increasing category counts, scores the constrained
 run against the unconstrained baseline, and groups the mIoU deltas by
-category count and by constraint-to-category ratio. The category buckets
-go to demos/out/bucketed_analysis.csv.
+category count, the paper's "images containing multiple categories". The
+same buckets go to demos/out/bucketed_analysis.csv.
 """
 
 from pathlib import Path
@@ -39,17 +39,15 @@ mean_refined = sum(r.miou for r in refined_reports) / len(refined_reports)
 print(f"{len(baseline_reports)} scenes: mean mIoU {mean_base:.4f} -> {mean_refined:.4f} "
       f"({(mean_refined - mean_base) * 100:+.2f} points)\n")
 
-for group_by, label in (("categories", "category count"), ("constraints", "constraint count"),
-                        ("ratio", "constraint-to-category ratio")):
-    deltas = compare_runs(baseline_reports, refined_reports, group_by)
-    print(f"grouped by {label}:")
-    print("   bucket   scenes   baseline   refined    delta")
-    for d in deltas:
-        print(f"   {d.bucket:>6}   {d.scenes:>6}   {d.baseline_miou:8.4f}  {d.refined_miou:8.4f}  "
-              f"{d.delta * 100:+7.2f}")
-    print()
+deltas = compare_runs(baseline_reports, refined_reports)
+print("grouped by category count:")
+print("   bucket   scenes   baseline   refined    delta")
+for d in deltas:
+    print(f"   {d.bucket:>6}   {d.scenes:>6}   {d.baseline_miou:8.4f}  {d.refined_miou:8.4f}  "
+          f"{d.delta * 100:+7.2f}")
+print()
 
 csv_path = Path(__file__).parent / "out" / "bucketed_analysis.csv"
 csv_path.parent.mkdir(exist_ok=True)
-write_bucket_csv(csv_path, compare_runs(baseline_reports, refined_reports, "categories"))
+write_bucket_csv(csv_path, deltas)
 print(f"wrote {csv_path}")

@@ -15,7 +15,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar, get_args
+from typing import Callable, Sequence, TypeVar
 
 from .errors import (
     FormatError,
@@ -27,7 +27,7 @@ from .errors import (
     write_json_object,
     writing_to,
 )
-from .evaluate import EvalReport, GroupBy, compare_runs, evaluate_scene, satisfied_flags, write_bucket_csv
+from .evaluate import EvalReport, compare_runs, evaluate_scene, satisfied_flags, write_bucket_csv
 from .gradcheck import DEFAULT_TOLERANCE, run_gradcheck
 from .grid import read_labels, require_shape, write_labels_pgm, write_rsgf
 from .logic import spatial_loss
@@ -311,7 +311,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if args.baseline:
         baseline = runs[1]
-        deltas = compare_runs(baseline, refined, args.group_by)
+        deltas = compare_runs(baseline, refined)
         doc["baseline_aggregate"] = aggregate(baseline)
         doc["buckets"] = [{**asdict(d), "delta": d.delta} for d in deltas]
         if args.csv:
@@ -403,8 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score predictions against scene ground truth", formatter_class=_FORMATTER)
     p.add_argument("--scenes", required=True, help="scene bundle or scene-set directory")
     p.add_argument("--pred", required=True, help="prediction directory (refine output)")
-    p.add_argument("--baseline", help="second prediction directory for bucketed deltas")
-    p.add_argument("--group-by", choices=get_args(GroupBy), default="categories")
+    p.add_argument("--baseline", help="second prediction directory for deltas by category count")
     p.add_argument("--out", help="write the report JSON here")
     p.add_argument("--csv", help="write the bucket CSV here (needs --baseline)")
     p.set_defaults(handler="cmd_eval")

@@ -5,7 +5,6 @@ comparisons between a baseline run and a refined run.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Literal, Sequence
@@ -18,7 +17,7 @@ from .logic import band_tables, encode_triplets, outside_sums
 from .relations import SpatialTriplet, TripletSet
 from .scenes import Scene
 
-GroupBy = Literal["categories", "constraints", "ratio"]
+GroupBy = Literal["categories"]
 
 #: A triplet is satisfied when at least this share of its subject's
 #: predicted pixels lie on its side of the object.
@@ -110,7 +109,7 @@ def _satisfied_share(flags: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Metrics for one scene plus the grouping keys used by compare_runs."""
+    """Metrics for one scene; compare_runs groups scenes by category_count."""
 
     scene: str
     miou: float
@@ -120,12 +119,8 @@ class EvalReport:
     category_count: int
     constraint_count: int
 
-    @property
-    def constraint_ratio(self) -> float:
-        return self.constraint_count / max(self.category_count, 1)
-
     def to_dict(self) -> dict:
-        return {**asdict(self), "constraint_ratio": self.constraint_ratio}
+        return asdict(self)
 
 
 def evaluate_scene(
@@ -173,17 +168,6 @@ class BucketDelta:
         return self.refined_miou - self.baseline_miou
 
 
-def _bucket_key(report: EvalReport, group_by: GroupBy) -> tuple[float, str]:
-    if group_by == "categories":
-        return (report.category_count, str(report.category_count))
-    if group_by == "constraints":
-        return (report.constraint_count, str(report.constraint_count))
-    if group_by == "ratio":
-        k = math.floor(report.constraint_ratio)
-        return (k, f"[{k},{k + 1})")
-    raise FormatError(f"unknown grouping {group_by!r}")
-
-
 def compare_runs(
     baseline: Sequence[EvalReport],
     refined: Sequence[EvalReport],
@@ -191,9 +175,12 @@ def compare_runs(
 ) -> list[BucketDelta]:
     """Per-bucket mean mIoU of two runs over the same scene set.
 
-    Reports are aligned by scene name; buckets come from the baseline run's
-    grouping keys and buckets with no scenes simply do not appear.
+    Reports are aligned by scene name and bucketed by the baseline run's
+    category count, the one grouping; buckets with no scenes simply do not
+    appear.
     """
+    if group_by != "categories":
+        raise FormatError(f"unknown grouping {group_by!r}")
     base_by_scene = {r.scene: r for r in baseline}
     ref_by_scene = {r.scene: r for r in refined}
     if len(base_by_scene) != len(baseline) or len(ref_by_scene) != len(refined):
@@ -202,19 +189,17 @@ def compare_runs(
         missing = sorted(set(base_by_scene) ^ set(ref_by_scene))
         raise SceneSetMismatchError(f"runs cover different scenes, e.g. {missing[:5]}")
 
-    groups: dict[tuple[float, str], list[tuple[EvalReport, EvalReport]]] = {}
+    groups: dict[int, list[tuple[EvalReport, EvalReport]]] = {}
     for scene_name in sorted(base_by_scene):
         base = base_by_scene[scene_name]
-        groups.setdefault(_bucket_key(base, group_by), []).append(
-            (base, ref_by_scene[scene_name])
-        )
+        groups.setdefault(base.category_count, []).append((base, ref_by_scene[scene_name]))
 
     deltas = []
-    for key in sorted(groups):
-        pairs = groups[key]
+    for count in sorted(groups):
+        pairs = groups[count]
         deltas.append(
             BucketDelta(
-                bucket=key[1],
+                bucket=str(count),
                 scenes=len(pairs),
                 baseline_miou=sum(b.miou for b, _ in pairs) / len(pairs),
                 refined_miou=sum(r.miou for _, r in pairs) / len(pairs),

@@ -8,6 +8,9 @@ Run it only after a change that moves outputs on purpose, from the repo root:
 A float field whose new value the test would accept against the stored one
 keeps the stored value, so a rerun on unchanged code, on any machine, leaves
 the file as it is; only fields that moved beyond the test's bound change.
+Each entry it changes is printed as the test would report it: a file or
+field that is new, one that is missing (the reference drops it), or one that
+changed or moved beyond the test's bound.
 """
 
 from __future__ import annotations
@@ -30,12 +33,14 @@ def _accepted(name: str, field: str, new: dict, stored: dict) -> bool:
 
 
 with tempfile.TemporaryDirectory() as work:
-    digest, gap, _ = collect_digest(Path(work))
-stored = json.loads(REFERENCE.read_text())["fields"] if REFERENCE.exists() else {}
+    digest, gap, runs = collect_digest(Path(work))
+stored = json.loads(REFERENCE.read_text()) if REFERENCE.exists() else {"commands": [], "files": {}, "fields": {}}
 for name, entry in digest["fields"].items():
     for field, value in entry["floats"].items():
-        old = stored.get(name, {}).get("floats", {}).get(field)
+        old = stored["fields"].get(name, {}).get("floats", {}).get(field)
         if old is not None and _accepted(name, field, value, old):
             entry["floats"][field] = old
+for line in _differences(digest, stored, runs):
+    print(f"reference changed: {line}")
 REFERENCE.write_text(json.dumps(digest, indent=1, sort_keys=True) + "\n")
 print(f"wrote {REFERENCE}; smallest top-1/top-2 probability gap among refined pixels: {gap:.3e}")

@@ -808,6 +808,21 @@ def test_eval_threshold_flag_is_unknown(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_eval_group_by_flag_is_unknown(tmp_path, capsys):
+    # eval buckets by category count only; the flag that chose a grouping is gone.
+    scenes = _generated_scene_set(tmp_path)
+    pred = _gt_predictions(tmp_path, scenes)
+    out, csv_path = tmp_path / "eval.json", tmp_path / "buckets.csv"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:  # argparse's own exit 2
+        main(["eval", "--scenes", str(scenes), "--pred", str(pred), "--baseline", str(pred),
+              "--out", str(out), "--csv", str(csv_path), "--group-by", "categories"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --group-by categories" in captured.err and captured.out == ""
+    assert not out.exists() and not csv_path.exists()
+
+
 @pytest.mark.parametrize("flag", ["--swap-args", "--keep-background"])
 def test_calibrate_removed_flags_are_unknown(tmp_path, capsys, flag):
     out = tmp_path / "calibrated.json"
@@ -1137,7 +1152,7 @@ def test_subcommand_help_renders(command, capsys):
     text = " ".join(capsys.readouterr().out.split())  # the same at any terminal width
     assert text.startswith(f"usage: relfine {command}") and "%(" not in text
     removed_flags = ("--threshold", "--swap-args", "--keep-background", "--config", "--reduction", "--steps",
-                     "--learning-rate", "--seed", "--sizes", "--instances", "--tolerance")
+                     "--learning-rate", "--seed", "--sizes", "--instances", "--tolerance", "--group-by")
     for removed in removed_flags:
         assert removed not in text, (command, removed)
     if command == "refine":

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from relfine.errors import SceneSetMismatchError, UnknownCategoryError
+from relfine.errors import FormatError, SceneSetMismatchError, UnknownCategoryError
 from relfine.evaluate import (
     SATISFACTION_THRESHOLD,
     EvalReport,
@@ -260,11 +260,11 @@ def test_compare_mismatched_scene_sets():
         compare_runs(base, refined, "categories")
 
 
-def test_compare_ratio_grouping():
-    base = [report("s0", 0.5, categories=2, constraints=5)]  # ratio 2.5
-    refined = [report("s0", 0.6, categories=2, constraints=5)]
-    deltas = compare_runs(base, refined, "ratio")
-    assert deltas[0].bucket == "[2,3)"
+@pytest.mark.parametrize("group_by", ["ratio", "constraints"])
+def test_compare_groups_by_category_count_only(group_by):
+    base, refined = [report("s0", 0.5)], [report("s0", 0.6)]
+    with pytest.raises(FormatError, match=f"unknown grouping '{group_by}'"):
+        compare_runs(base, refined, group_by)
 
 
 def test_bucket_csv(tmp_path):

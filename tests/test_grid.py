@@ -8,9 +8,11 @@ import pytest
 
 from relfine.errors import FormatError
 from relfine.grid import (
+    DEFAULT_EPSILON,
     LabelMap,
     ProbabilityMap,
     make_probability_map,
+    mean_coordinates,
     read_labels,
     read_rsgf,
     write_labels_pgm,
@@ -71,6 +73,29 @@ def test_weighted_mean_symmetric_map_is_center_exactly():
         if values.sum() == 0.0:
             continue
         assert weighted_mean_coordinate(pmap, "col", 0.0) == (width - 1) / 2
+
+
+def test_default_epsilon_moves_a_mean_by_under_a_pixel_only_with_enough_mass():
+    # Too little mass: epsilon halves the mean, so the half-plane boundary moves.
+    tiny = np.zeros((1, 4096))
+    tiny[0, 3000] = 1e-6
+    assert mean_coordinates(tiny, 0.0)[0] == pytest.approx(3000.0, rel=1e-12)
+    assert mean_coordinates(tiny, DEFAULT_EPSILON)[0] == pytest.approx(1500.0, rel=1e-12)
+    # Mass of at least length·epsilon: the pull mean·eps/(mass + eps) stays
+    # under one pixel, on axes longer than 4096 px too. All mass at the far
+    # end is the worst case.
+    rng = np.random.default_rng(5)
+    for length in (2, 4096, 4097, 1 << 20):
+        far = np.zeros((1, length))
+        far[0, -1] = length * DEFAULT_EPSILON
+        spread = rng.uniform(0.0, 1.0, (1, length))
+        spread *= length * DEFAULT_EPSILON / spread.sum()
+        for marginal in (far, spread):
+            exact = mean_coordinates(marginal, 0.0)[0]
+            mass = marginal.sum()
+            pull = exact - mean_coordinates(marginal, DEFAULT_EPSILON)[0]
+            assert pull == pytest.approx(exact * DEFAULT_EPSILON / (mass + DEFAULT_EPSILON), rel=1e-6)
+            assert 0.0 < pull < 1.0
 
 
 def test_weighted_mean_shift_invariance_of_comparisons():

@@ -159,14 +159,14 @@ def _differences(got: dict, want: dict, runs: list[dict]) -> list[str]:
             found.append(f"{name}: bytes changed")
     for name in sorted(got["fields"].keys() & want["fields"].keys()):
         g, w = got["fields"][name], want["fields"][name]
-        for field in sorted(g["discrete"].keys() | w["discrete"].keys()):
-            if g["discrete"].get(field) != w["discrete"].get(field):
+        for kind in ("discrete", "floats"):
+            for field in sorted(g[kind].keys() ^ w[kind].keys()):
+                found.append(f"{name}: {field} is {'new' if field in g[kind] else 'missing'}")
+        for field in sorted(g["discrete"].keys() & w["discrete"].keys()):
+            if g["discrete"][field] != w["discrete"][field]:
                 found.append(f"{name}: {field} changed")
         slack = FLOAT32_FLIPS * 2.0**-24 if name.endswith(".rsgf") else 0.0
-        for field in sorted(g["floats"].keys() | w["floats"].keys()):
-            if field not in g["floats"] or field not in w["floats"]:
-                found.append(f"{name}: {field} is {'new' if field in g['floats'] else 'missing'}")
-                continue
+        for field in sorted(g["floats"].keys() & w["floats"].keys()):
             reference = w["floats"][field]
             bound = TOLERANCE * max(1.0, reference["scale"]) + slack
             moved = max(abs(a - b) for a, b in zip(g["floats"][field]["projections"], reference["projections"]))
