@@ -195,21 +195,13 @@ def _refine_one(task: tuple[str, str, str, TripletSet | None, RefineConfig]) -> 
 
     _, terms = spatial_loss(final_state, triplets)
     flags = satisfied_flags(labels, scene.categories, triplets)
-    constraints = [
-        {
-            "subject": t.subject,
-            "relation": t.relation.value,
-            "object": t.object,
-            "loss": loss,
-            "initial_weight": initial_weight,
-            "weight": weight,
-            "satisfied": satisfied,
-        }
-        for t, loss, initial_weight, weight, satisfied in zip(
-            triplets, terms.losses.tolist(), trace.initial_weights.tolist(), terms.weights.tolist(),
-            flags.tolist(),
-        )
-    ]
+    subjects, relations, objects, _ = triplets.columns()
+    columns = {
+        "subject": subjects, "relation": [r.value for r in relations], "object": objects,
+        "loss": terms.losses.tolist(), "initial_weight": trace.initial_weights.tolist(),
+        "weight": terms.weights.tolist(), "satisfied": flags.tolist(),
+    }
+    constraints = [dict(zip(columns, row)) for row in zip(*columns.values())]
     report = evaluate_scene(labels, scene, triplets, name=name, flags=flags)
     doc = {
         "scene": name,

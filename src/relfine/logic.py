@@ -47,13 +47,18 @@ def outside_band(length: int, relation: Relation, mean_coord: float) -> np.ndarr
     return (coords < mean_coord if relation.after else coords > mean_coord).astype(np.float64)
 
 
-def encode_triplets(roster: Sequence[str], triplets: Iterable[SpatialTriplet]) -> tuple[np.ndarray, np.ndarray]:
+def encode_triplets(roster: Sequence[str], triplets: TripletSet | Iterable[SpatialTriplet]) -> tuple[np.ndarray, ...]:
     """(subjects, keys) of the triplets as (T,) index arrays: a subject
     indexes `roster`, and a key 4*object + code indexes the rows of
-    band_tables, with `code` indexing tuple(Relation). A name outside the
-    roster raises UnknownCategoryError."""
+    band_tables, with `code` indexing tuple(Relation). A TripletSet over
+    names in `roster` has its code arrays remapped onto it. A name outside
+    `roster` raises UnknownCategoryError."""
     index = {name: i for i, name in enumerate(roster)}
     stride = len(RELATION_CODES)
+    if isinstance(triplets, TripletSet) and index.keys() >= set(triplets.categories):
+        remap = np.array([index[name] for name in triplets.categories], dtype=np.intp)
+        subjects, relations, objects, _ = triplets.codes
+        return remap[subjects], stride * remap[objects] + relations
     try:
         codes = [(index[t.subject], stride * index[t.object] + RELATION_CODES[t.relation]) for t in triplets]
     except KeyError as exc:
@@ -126,11 +131,14 @@ def compiled_spatial_loss(state: SegmentationState, compiled: ConstraintTerms) -
 
     Inside pixels cost log 1 = 0, so each loss is the outside sum of the
     penalty -log max(1 - P, LOG_CLAMP). Returns the weighted total and `compiled`
-    with its losses filled in.
+    with its losses filled in. The total sums W * outside sums over the
+    (C, 4C) cells of `weight_matrix`, in cell order, so it does not depend
+    on the order of the triplets.
     """
     penalty = -np.log(np.maximum(1.0 - state.probs, LOG_CLAMP))
-    losses = outside_sums(penalty, compiled.rows, compiled.cols)[compiled.subjects, compiled.keys]
-    return float(compiled.weights @ losses), replace(compiled, losses=losses)
+    sums = outside_sums(penalty, compiled.rows, compiled.cols)
+    total = (weight_matrix(len(state.probs), compiled) * sums).sum()
+    return float(total), replace(compiled, losses=sums[compiled.subjects, compiled.keys])
 
 
 def spatial_loss(
@@ -139,23 +147,27 @@ def spatial_loss(
     """Weighted sum of per-triplet losses: masks from each object's current
     map, loss from the subject's map, weight from the object's map.
 
-    The sum is unnormalized and follows triplet order, so results are
-    bit-reproducible.
+    The sum is unnormalized and runs over fixed cells, so results are
+    bit-reproducible and the same in any triplet order.
     """
     return compiled_spatial_loss(state, compile_constraints(state, *encode_triplets(state.categories, triplets)))
+
+
+def weight_matrix(categories: int, terms: ConstraintTerms) -> np.ndarray:
+    """W (C, 4C): each triplet's weight added up at its [subject, key], so a
+    repeated triplet counts twice."""
+    pairs = len(terms.rows)
+    return np.bincount(terms.subjects * pairs + terms.keys, terms.weights, categories * pairs).reshape(-1, pairs)
 
 
 def logit_gradient_from_terms(state: SegmentationState, terms: ConstraintTerms) -> np.ndarray:
     """Chain the weighted per-map gradients through the pixelwise softmax.
 
-    W (C, 4C) adds up each triplet's weight at its [subject, key], so a
-    repeated triplet counts twice. With R = W @ rows and K = W @ cols, the
-    map gradient is g = (R + K) / (1 - P), 0 where the clamp saturates, and
+    With W = weight_matrix, R = W @ rows and K = W @ cols, the map gradient
+    is g = (R + K) / (1 - P), 0 where the clamp saturates, and
     d(total)/d(z_k) = p_k * (g_k - sum_c g_c * p_c) at every pixel.
     """
-    pairs = len(terms.rows)
-    weights = np.bincount(terms.subjects * pairs + terms.keys, terms.weights, len(state.probs) * pairs)
-    weights = weights.reshape(-1, pairs)
+    weights = weight_matrix(len(state.probs), terms)
     inner = np.maximum(1.0 - state.probs, LOG_CLAMP)
     g = ((weights @ terms.rows)[:, :, None] + (weights @ terms.cols)[:, None, :]) / inner
     g[inner == LOG_CLAMP] = 0.0

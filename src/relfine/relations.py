@@ -14,9 +14,10 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, Literal, Mapping, Protocol, Sequence, get_args
+from typing import Iterable, Iterator, Literal, Mapping, Protocol, Sequence, get_args
 
 import numpy as np
 
@@ -77,8 +78,20 @@ TripletKey = tuple[str, Relation, str]
 #: The key of a triplet as a plain function, for `map` over many triplets.
 _triplet_key = attrgetter("subject", "relation", "object")
 
+_RELATION_LIST = tuple(Relation)
+#: _OPPOSITE_CODES[code] is the code of the opposite relation.
+_OPPOSITE_CODES = np.array([RELATION_CODES[_OPPOSITE[r]] for r in Relation])
+_STAGE_CODES = {stage: code for code, stage in enumerate(STAGES)}
 
-@dataclass(frozen=True, init=False)
+
+def _check_triplet(subject: str, object: str, stage: object) -> None:
+    if subject == object:
+        raise FormatError(f"triplet subject and object must differ, both are {subject!r}")
+    if stage not in STAGES:
+        raise FormatError(f"unknown stage {stage!r}")
+
+
+@dataclass(frozen=True)
 class SpatialTriplet:
     """One spatial statement plus the pipeline stage that last affirmed it."""
 
@@ -87,19 +100,8 @@ class SpatialTriplet:
     object: str
     stage: Stage = "initial"
 
-    def __init__(self, subject: str, relation: Relation, object: str, stage: Stage = "initial") -> None:
-        # Calibration builds hundreds of thousands of triplets, so the fields
-        # go straight into the instance dict rather than through the frozen
-        # dataclass's per-field `object.__setattr__`.
-        if subject == object:
-            raise FormatError(f"triplet subject and object must differ, both are {subject!r}")
-        if stage not in STAGES:
-            raise FormatError(f"unknown stage {stage!r}")
-        fields = self.__dict__
-        fields["subject"] = subject
-        fields["relation"] = relation
-        fields["object"] = object
-        fields["stage"] = stage
+    def __post_init__(self) -> None:
+        _check_triplet(self.subject, self.object, self.stage)
 
     key = property(_triplet_key, doc="Identity of the statement itself, ignoring provenance.")
 
@@ -111,58 +113,75 @@ class SpatialTriplet:
         return f"<{self.subject}, {self.relation.value}, {self.object}>"
 
 
-@dataclass(frozen=True)
+def _encode(categories: tuple[str, ...], keys: Sequence[TripletKey], stages: Sequence[int]) -> np.ndarray:
+    """The (4, T) codes of distinct triplet keys and their stage codes over
+    a roster. A roster with duplicates raises FormatError; a name outside it
+    raises UnknownCategoryError for the first key that has one."""
+    index = {name: i for i, name in enumerate(categories)}
+    if len(index) != len(categories):
+        raise FormatError("category roster contains duplicates")
+    try:
+        rows = [(index[s], RELATION_CODES[r], index[o], g) for (s, r, o), g in zip(keys, stages)]
+    except KeyError:
+        s, r, o = next(key for key in keys if not index.keys() >= {key[0], key[2]})
+        name = s if s not in index else o
+        raise UnknownCategoryError(f"triplet {SpatialTriplet(s, r, o)} names {name!r}, not in roster") from None
+    return np.array(rows, dtype=np.intp).reshape(-1, 4).T.copy()
+
+
 class TripletSet:
     """Ordered, duplicate-free collection of triplets over a category roster.
 
-    Construction checks both properties. The calibration stages derive their
-    sets from a checked one through `_derive`, which skips the check.
+    The set is `codes`, a (4, T) integer array in the set's order whose rows
+    are (T,) arrays: subject and object index `categories`, relation holds
+    RELATION_CODES and stage indexes STAGES. `SpatialTriplet`s are built only
+    when the set is iterated or `triplets` is read. Construction from
+    triplets checks both properties; the loader, the calibration stages and
+    derive_gt_triplets build sets through `_from_codes`, which skips it.
     """
 
-    triplets: tuple[SpatialTriplet, ...]
-    categories: tuple[str, ...]
+    def __init__(self, triplets: Iterable[SpatialTriplet], categories: Sequence[str]) -> None:
+        self.triplets, self.categories = tuple(triplets), tuple(categories)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "triplets", tuple(self.triplets))
-        object.__setattr__(self, "categories", tuple(self.categories))
-        roster = set(self.categories)
-        if len(roster) != len(self.categories):
-            raise FormatError("category roster contains duplicates")
-        items = self.triplets
-        if (
-            len(set(map(_triplet_key, items))) == len(items)
-            and roster.issuperset(map(attrgetter("subject"), items))
-            and roster.issuperset(map(attrgetter("object"), items))
-        ):
-            return
-        # Some triplet is a duplicate or names an unknown category: the
-        # first offender in order decides the error.
-        seen: set[TripletKey] = set()
-        for t in self.triplets:
-            if t.key in seen:
-                raise FormatError(f"duplicate triplet {t}")
-            seen.add(t.key)
-            for name in (t.subject, t.object):
-                if name not in roster:
-                    raise UnknownCategoryError(f"triplet {t} names {name!r}, not in roster")
+        # The first offender decides: a bad roster or name before the first repeat, else that repeat.
+        keys = list(map(_triplet_key, self.triplets))
+        seen: dict[TripletKey, int] = {}
+        repeat = next((i for i, key in enumerate(keys) if seen.setdefault(key, i) != i), len(keys))
+        self.codes = _encode(self.categories, keys[:repeat], [_STAGE_CODES[t.stage] for t in self.triplets])
+        if repeat < len(keys):
+            raise FormatError(f"duplicate triplet {self.triplets[repeat]}")
+
+    @classmethod
+    def _from_codes(cls, categories: tuple[str, ...], codes: np.ndarray) -> TripletSet:
+        """The set of `codes` over `categories`, unchecked: only for distinct
+        statements over this roster, each subject unlike its object."""
+        derived = object.__new__(cls)
+        derived.categories, derived.codes = categories, codes
+        return derived
+
+    def columns(self) -> tuple[list[str], list[Relation], list[str], list[Stage]]:
+        """Subject names, relations, object names and stages, as lists in set order."""
+        tables = (self.categories, _RELATION_LIST, self.categories, STAGES)
+        return tuple([table[code] for code in row] for table, row in zip(tables, self.codes.tolist()))
+
+    @cached_property
+    def triplets(self) -> tuple[SpatialTriplet, ...]:
+        return tuple(map(SpatialTriplet, *self.columns()))
 
     def __iter__(self) -> Iterator[SpatialTriplet]:
         return iter(self.triplets)
 
     def __len__(self) -> int:
-        return len(self.triplets)
+        return self.codes.shape[1]
+
+    def __eq__(self, other: object) -> bool:
+        same_roster = isinstance(other, TripletSet) and self.categories == other.categories
+        return same_roster and np.array_equal(self.codes, other.codes)
 
     def keys(self) -> frozenset[TripletKey]:
-        return frozenset(t.key for t in self.triplets)
-
-    def _derive(self, triplets: Sequence[SpatialTriplet]) -> TripletSet:
-        """A set over the same roster, built without the duplicate and roster
-        check. Only for triplets known to keep its guarantees, distinct keys
-        over this roster: members of this set filtered, restaged or reversed,
-        or the true entries of a geometric oracle's table."""
-        derived = object.__new__(TripletSet)
-        derived.__dict__.update(triplets=tuple(triplets), categories=self.categories)
-        return derived
+        return frozenset(zip(*self.columns()[:3]))
 
 
 class RelationOracle(Protocol):
@@ -184,20 +203,32 @@ class RelationOracle(Protocol):
 # ---------------------------------------------------------------------------
 
 
+def _positions(triplets: TripletSet) -> np.ndarray:
+    """(C, C, 4) table over (subject, object, relation code): each
+    statement's position in the set, -1 where the set does not state it."""
+    size = len(triplets.categories)
+    table = np.full((size, size, len(Relation)), -1, dtype=np.intp)
+    s, r, o, _ = triplets.codes
+    table[s, o, r] = np.arange(len(triplets))
+    return table
+
+
+def _restaged(triplets: TripletSet, keep: np.ndarray, stages: np.ndarray) -> TripletSet:
+    """The triplets that `keep` selects, with `stages` as their stage codes."""
+    return TripletSet._from_codes(triplets.categories, np.vstack([triplets.codes[:3], stages])[:, keep])
+
+
 def augment_bidirectional(triplets: TripletSet) -> TripletSet:
     """Add the reverse of every statement unless that exact triplet exists.
 
-    Originals keep their stage; additions are tagged "bidirectional". The
-    result is duplicate-free and applying this twice changes nothing.
+    Originals keep their stage; additions are tagged "bidirectional" and
+    follow the originals in their order. The result is duplicate-free and
+    applying this twice changes nothing.
     """
-    present = set(map(_triplet_key, triplets.triplets))
-    out = list(triplets.triplets)
-    for t in triplets.triplets:
-        key = (t.object, _OPPOSITE[t.relation], t.subject)
-        if key not in present:
-            present.add(key)
-            out.append(SpatialTriplet(*key, "bidirectional"))
-    return triplets._derive(out)
+    s, r, o, _ = triplets.codes
+    reverses = np.stack([o, _OPPOSITE_CODES[r], s, np.full_like(s, _STAGE_CODES["bidirectional"])])
+    add = _positions(triplets)[o, s, reverses[1]] < 0
+    return TripletSet._from_codes(triplets.categories, np.hstack([triplets.codes, reverses[:, add]]))
 
 
 def validate_polar(triplets: TripletSet, oracle: RelationOracle) -> TripletSet:
@@ -205,21 +236,31 @@ def validate_polar(triplets: TripletSet, oracle: RelationOracle) -> TripletSet:
 
     The primary question asks about the statement as written, the reflection
     asks about its reverse; anything short of a "yes" on both (including
-    "unknown") drops the triplet.
+    "unknown") drops the triplet. Each distinct statement is asked once, in
+    the order the questions first come up: a triplet whose reverse comes
+    earlier in the set asks nothing, since its statement is that reverse's
+    reflection and its reflection is that reverse's statement, so it keeps
+    what its reverse keeps. A set closed under reversal, as augmentation
+    leaves it, thus has each statement asked once, not twice.
     """
-    kept = []
-    for s, r, o in map(_triplet_key, triplets.triplets):
-        primary = oracle.holds(s, r, o)
-        reflection = oracle.holds(o, _OPPOSITE[r], s)
-        if primary == "yes" and reflection == "yes":
-            kept.append(SpatialTriplet(s, r, o, "validated"))
-    return triplets._derive(kept)
+    s, r, o, _ = triplets.codes
+    reverse = _positions(triplets)[o, s, _OPPOSITE_CODES[r]]
+    asks = (reverse < 0) | (reverse > np.arange(len(triplets)))
+    names, relations = triplets.categories, _RELATION_LIST
+    answers = [
+        (oracle.holds(names[a], relations[c], names[b]), oracle.holds(names[b], relations[d], names[a]))
+        for a, c, b, d in zip(*(codes[asks].tolist() for codes in (s, r, o, _OPPOSITE_CODES[r])))
+    ]
+    keep = np.zeros(len(triplets), dtype=bool)
+    keep[asks] = [answer == ("yes", "yes") for answer in answers]
+    keep[~asks] = keep[reverse[~asks]]
+    return _restaged(triplets, keep, np.full(len(triplets), _STAGE_CODES["validated"]))
 
 
 ContradictionKind = Literal["cyclic", "directional"]
+_KINDS: tuple[ContradictionKind, ...] = get_args(ContradictionKind)
 
 
-@dataclass(frozen=True)
 class ContradictionPair:
     """Two mutually inconsistent triplets and the pattern they match.
 
@@ -227,31 +268,43 @@ class ContradictionPair:
     Directional: one ordering claims a relation and its opposite
     (<a,r,b> and <a,opp(r),b>). The complementary pair <a,r,b> / <b,opp(r),a>
     is consistent and never reported.
+
+    A pair that detect_contradictions finds holds its members' `positions`
+    in the set it scanned and builds `first` and `second` only when read.
     """
 
-    first: SpatialTriplet
-    second: SpatialTriplet
-    kind: ContradictionKind
+    def __init__(self, first: SpatialTriplet, second: SpatialTriplet, kind: ContradictionKind) -> None:
+        self.first, self.second, self.kind = first, second, kind
+
+    @classmethod
+    def _found(cls, triplets: TripletSet, i: int, j: int, kind: ContradictionKind) -> ContradictionPair:
+        pair = object.__new__(cls)
+        pair._set, pair.positions, pair.kind = triplets, (i, j), kind
+        return pair
+
+    first = cached_property(lambda self: self._set.triplets[self.positions[0]])
+    second = cached_property(lambda self: self._set.triplets[self.positions[1]])
+
+    def __eq__(self, other: object) -> bool:
+        fields = attrgetter("first", "second", "kind")
+        return isinstance(other, ContradictionPair) and fields(self) == fields(other)
 
 
 def detect_contradictions(triplets: TripletSet) -> list[ContradictionPair]:
     """Every contradictory pair, ordered by the first then the second index.
 
     A triplet has at most one cyclic partner <o,r,s> and one directional
-    partner <s,opp(r),o>, so each is a key lookup rather than a pair scan.
+    partner <s,opp(r),o>, so each is a gather from the position table
+    rather than a pair scan.
     """
-    items = triplets.triplets
-    keys = list(map(_triplet_key, items))
-    index = {key: i for i, key in enumerate(keys)}
-    found: list[tuple[int, int, ContradictionKind]] = []
-    for i, (s, r, o) in enumerate(keys):
-        partners = (((o, r, s), "cyclic"), ((s, _OPPOSITE[r], o), "directional"))
-        for key, kind in partners:
-            j = index.get(key, -1)
-            if j > i:
-                found.append((i, j, kind))
-    found.sort()
-    return [ContradictionPair(items[i], items[j], kind) for i, j, kind in found]
+    s, r, o, _ = triplets.codes
+    positions = _positions(triplets)
+    partners = np.stack([positions[o, s, r], positions[s, o, _OPPOSITE_CODES[r]]], axis=1)  # columns index _KINDS
+    first, kinds = np.nonzero(partners > np.arange(len(triplets))[:, None])
+    second = partners[first, kinds]
+    order = np.lexsort((second, first))
+    rows = zip(*(a[order].tolist() for a in (first, second, kinds)))
+    return [ContradictionPair._found(triplets, i, j, _KINDS[k]) for i, j, k in rows]
 
 
 def resolve_contradictions(
@@ -267,33 +320,26 @@ def resolve_contradictions(
     "second" the converse, "neither" discards both. A triplet dropped while
     settling one pair stays dropped even if another pair would keep it.
 
-    Precondition: `pairs` is `detect_contradictions(triplets)`. Then the
-    result is contradiction-free: every pair loses at least one member, and
-    removing triplets cannot form a new pair.
+    Precondition: `pairs` is `detect_contradictions(triplets)`, whose pairs
+    locate their members by position. Then the result is contradiction-free:
+    every pair loses at least one member, and removing triplets cannot form
+    a new pair.
     """
-    dropped: set[TripletKey] = set()
-    chosen: set[TripletKey] = set()
+    dropped = np.zeros(len(triplets), dtype=bool)
+    chosen = np.zeros(len(triplets), dtype=bool)
+    names = triplets.categories
+    subjects, relations, objects, stages = triplets.codes
     for pair in pairs:
-        first = _triplet_key(pair.first)
-        second = _triplet_key(pair.second)
-        s, r, o = first
-        answer = oracle.choose(s, r, _OPPOSITE[r], o)
+        i, j = pair.positions
+        relation = _RELATION_LIST[relations[i]]
+        answer = oracle.choose(names[subjects[i]], relation, _OPPOSITE[relation], names[objects[i]])
         if answer == "first":
-            chosen.add(first)
-            dropped.add(second)
+            chosen[i] = dropped[j] = True
         elif answer == "second":
-            chosen.add(second)
-            dropped.add(first)
+            chosen[j] = dropped[i] = True
         else:
-            dropped.add(first)
-            dropped.add(second)
-
-    kept = []
-    for t in triplets.triplets:
-        key = _triplet_key(t)
-        if key not in dropped:
-            kept.append(SpatialTriplet(*key, "resolved") if key in chosen else t)
-    return triplets._derive(kept)
+            dropped[i] = dropped[j] = True
+    return _restaged(triplets, ~dropped, np.where(chosen, _STAGE_CODES["resolved"], stages))
 
 
 @dataclass(frozen=True)
@@ -326,7 +372,10 @@ def calibrate(initial: TripletSet, oracle: RelationOracle) -> CalibrationResult:
     input; the audit carries the per-stage counts, the background triplets
     dropped among them.
     """
-    work = initial._derive([t for t in initial if BACKGROUND not in (t.subject, t.object)])
+    roster = initial.categories
+    background = roster.index(BACKGROUND) if BACKGROUND in roster else -1
+    s, _, o, stages = initial.codes
+    work = _restaged(initial, (s != background) & (o != background), stages)
 
     augmented = augment_bidirectional(work)
     validated = validate_polar(augmented, oracle)
@@ -440,7 +489,8 @@ def _table(doc: dict, name: str, path: str | Path) -> list:
 def load_triplets(path: str | Path) -> TripletSet:
     """Load a triplet set. Each entry reads subject first: "subject" is at
     "relation" of "object". Exact duplicates (same subject, relation, object)
-    collapse to one entry keeping the earliest stage tag.
+    collapse to one entry keeping the earliest stage tag. Entries collapse
+    into the set's code arrays; no SpatialTriplet is built.
     """
     doc = load_json_object(path)
     require_keys(doc, frozenset(), _TRIPLET_FILE_KEYS, str(path))
@@ -450,7 +500,7 @@ def load_triplets(path: str | Path) -> TripletSet:
 
     # Each entry is checked once, inline; the file and index prefix the
     # message only when a check fails.
-    collapsed: dict[TripletKey, SpatialTriplet] = {}
+    collapsed: dict[TripletKey, int] = {}
     for index, entry in enumerate(_table(doc, "triplets", path)):
         try:
             if not isinstance(entry, dict):
@@ -468,16 +518,17 @@ def load_triplets(path: str | Path) -> TripletSet:
             if not isinstance(obj, str):
                 raise _not_a_name("object", obj)
             stage = entry.get("stage", "initial")
-            t = SpatialTriplet(subject, relation, obj, stage)
+            _check_triplet(subject, obj, stage)
         except FormatError as exc:
             raise FormatError(f"{path}: triplets[{index}]: {exc}") from None
         key = (subject, relation, obj)
-        kept = collapsed.get(key)
-        if kept is None or STAGES.index(stage) < STAGES.index(kept.stage):
-            collapsed[key] = t
+        stage = _STAGE_CODES[stage]
+        if stage < collapsed.get(key, len(STAGES)):
+            collapsed[key] = stage
 
     try:
-        return TripletSet(tuple(collapsed.values()), tuple(categories))
+        roster = tuple(categories)
+        return TripletSet._from_codes(roster, _encode(roster, list(collapsed), list(collapsed.values())))
     except (FormatError, UnknownCategoryError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -489,16 +540,18 @@ def _json_list(items: list[str]) -> str:
 
 def save_triplets(path: str | Path, triplets: TripletSet) -> None:
     """Write the bytes `write_json_object` writes for the same document (indent
-    2, sorted keys), building the layout here so that only the strings go
-    through json's encoder, each roster name once. Relations and stages come
-    from fixed ASCII vocabularies and need no escaping."""
-    name = {c: json.dumps(c) for c in triplets.categories}
-    categories = [f"    {name[c]}" for c in triplets.categories]
+    2, sorted keys), building the layout here from the set's code arrays so
+    that only the strings go through json's encoder, each roster name once.
+    Relations and stages come from fixed ASCII vocabularies and need no
+    escaping."""
+    names = [json.dumps(c) for c in triplets.categories]
+    relations = [r.value for r in Relation]
     rows = [
-        f'    {{\n      "object": {name[t.object]},\n      "relation": "{t.relation.value}",\n'
-        f'      "stage": "{t.stage}",\n      "subject": {name[t.subject]}\n    }}'
-        for t in triplets.triplets
+        f'    {{\n      "object": {names[o]},\n      "relation": "{relations[r]}",\n'
+        f'      "stage": "{STAGES[g]}",\n      "subject": {names[s]}\n    }}'
+        for s, r, o, g in zip(*triplets.codes.tolist())
     ]
+    categories = [f"    {name}" for name in names]
     text = f'{{\n  "categories": {_json_list(categories)},\n  "triplets": {_json_list(rows)}\n}}\n'
     with writing_to(path):
         Path(path).write_text(text, encoding="utf-8")

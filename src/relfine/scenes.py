@@ -33,15 +33,7 @@ from .grid import (
     write_labels_pgm,
     write_rsgf,
 )
-from .relations import (
-    BACKGROUND,
-    Relation,
-    SpatialTriplet,
-    TripletSet,
-    geometric_oracle,
-    load_triplets,
-    save_triplets,
-)
+from .relations import BACKGROUND, TripletSet, geometric_oracle, load_triplets, save_triplets
 
 #: Readable, filename-safe names handed out by the random spec sampler.
 CATEGORY_POOL = ("amber", "blue", "coral", "dune", "elm", "fern", "gold", "heath")
@@ -164,12 +156,11 @@ def derive_gt_triplets(labels: LabelMap, roster: Sequence[str]) -> TripletSet:
     True entries of the geometric oracle's table, in (subject, object, relation)
     order. Its diagonal is False, as no centroid lies strictly beside itself."""
     kept = np.array([name != BACKGROUND for name in roster])
-    found = np.nonzero(geometric_oracle(labels, roster).table & (kept[:, None] & kept)[:, :, None])
-    relations = tuple(Relation)
-    triplets = [SpatialTriplet(roster[s], relations[r], roster[o]) for s, o, r in zip(*(a.tolist() for a in found))]
+    table = geometric_oracle(labels, roster).table & (kept[:, None] & kept)[:, :, None]
+    subjects, objects, relations = np.nonzero(table)
     # The table yields no duplicate, no outside name and no subject equal to
     # its object, so the set skips TripletSet's check.
-    return TripletSet((), tuple(roster))._derive(triplets)
+    return TripletSet._from_codes(tuple(roster), np.stack([subjects, relations, objects, np.zeros_like(subjects)]))
 
 
 def generate_scene(spec: SceneSpec) -> Scene:

@@ -11,6 +11,11 @@ taken from relfine.logic. Tests compare the two implementations.
 oracle, which relfine reads from one (C, C, 4) table over mass-weighted means:
 here each category's centroid is the mean of its pixels' coordinates, and
 each question is one comparison.
+
+The `reference_*` calibration stages at the end are the per-object stages
+relfine ran before its sets became code arrays: they walk a list of
+`SpatialTriplet`s one at a time, look partners up by key, and ask the oracle
+both questions of every triplet.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 from relfine.errors import FormatError
 from relfine.grid import DEFAULT_EPSILON, LabelMap, ProbabilityMap
 from relfine.logic import GATE_BIAS, GATE_SCALE, LOG_CLAMP
-from relfine.relations import BACKGROUND, Relation, SpatialTriplet
+from relfine.relations import BACKGROUND, Relation, SpatialTriplet, opposite
 from relfine.state import SegmentationState
 
 
@@ -153,3 +158,83 @@ def reference_gt_triplets(labels: LabelMap, roster: tuple[str, ...]) -> list[Spa
         for r in Relation
         if oracle.holds(s, r, o) == "yes"
     ]
+
+
+def reference_augment(triplets: list[SpatialTriplet]) -> list[SpatialTriplet]:
+    """The triplets, then the reverse of each one whose reverse is new, tagged "bidirectional"."""
+    present = {t.key for t in triplets}
+    out = list(triplets)
+    for t in triplets:
+        key = (t.object, opposite(t.relation), t.subject)
+        if key not in present:
+            present.add(key)
+            out.append(SpatialTriplet(*key, "bidirectional"))
+    return out
+
+
+def reference_validate(triplets: list[SpatialTriplet], oracle) -> list[SpatialTriplet]:
+    """The triplets whose statement and reverse both hold, tagged "validated";
+    the oracle is asked both questions of every triplet, in order."""
+    kept = []
+    for t in triplets:
+        primary = oracle.holds(t.subject, t.relation, t.object)
+        reflection = oracle.holds(t.object, opposite(t.relation), t.subject)
+        if primary == "yes" and reflection == "yes":
+            kept.append(SpatialTriplet(t.subject, t.relation, t.object, "validated"))
+    return kept
+
+
+def reference_detect(triplets: list[SpatialTriplet]) -> list[tuple[int, int, str]]:
+    """(i, j, kind) of every contradictory pair i < j, sorted."""
+    index = {t.key: i for i, t in enumerate(triplets)}
+    found = []
+    for i, t in enumerate(triplets):
+        s, r, o = t.key
+        for key, kind in (((o, r, s), "cyclic"), ((s, opposite(r), o), "directional")):
+            j = index.get(key, -1)
+            if j > i:
+                found.append((i, j, kind))
+    return sorted(found)
+
+
+def reference_resolve(
+    triplets: list[SpatialTriplet], pairs: list[tuple[int, int, str]], oracle
+) -> list[SpatialTriplet]:
+    """Each pair settled by one two-option question from its first member's
+    side; a dropped triplet stays dropped, a chosen one is tagged "resolved"."""
+    dropped, chosen = set(), set()
+    for i, j, _ in pairs:
+        first, second = triplets[i], triplets[j]
+        answer = oracle.choose(first.subject, first.relation, opposite(first.relation), first.object)
+        if answer == "first":
+            chosen.add(first.key)
+            dropped.add(second.key)
+        elif answer == "second":
+            chosen.add(second.key)
+            dropped.add(first.key)
+        else:
+            dropped.update((first.key, second.key))
+    return [
+        SpatialTriplet(*t.key, "resolved") if t.key in chosen else t
+        for t in triplets
+        if t.key not in dropped
+    ]
+
+
+def reference_calibrate(triplets: list[SpatialTriplet], oracle) -> tuple[list[SpatialTriplet], dict, list]:
+    """The calibrated triplets, the audit counts and the contradiction pairs."""
+    work = [t for t in triplets if BACKGROUND not in (t.subject, t.object)]
+    augmented = reference_augment(work)
+    validated = reference_validate(augmented, oracle)
+    pairs = reference_detect(validated)
+    resolved = reference_resolve(validated, pairs, oracle)
+    audit = {
+        "initial": len(triplets),
+        "background_dropped": len(triplets) - len(work),
+        "augmented": len(augmented),
+        "validated": len(validated),
+        "contradiction_pairs": len(pairs),
+        "resolution_dropped": len(validated) - len(resolved),
+        "final": len(resolved),
+    }
+    return resolved, audit, [(validated[i], validated[j], kind) for i, j, kind in pairs]

@@ -373,3 +373,25 @@ def test_refine_fixture_scene_reproduces_golden_miou():
     state, _ = refine(scene.init_probs, scene.gt_triplets)
     value = miou(argmax_labels(state), scene.gt_labels, len(scene.categories))
     assert value == 0.7080482241772564
+
+
+@pytest.mark.parametrize("alpha", [0.1, 1.0])
+def test_refine_does_not_depend_on_the_order_of_the_triplets(alpha):
+    # The spatial total sums fixed (C, 4C) cells, so a shuffled set refines to
+    # the same bits, and its flags and initial weights follow the shuffle.
+    from relfine.evaluate import satisfied_flags
+
+    rng = np.random.default_rng(7)
+    for seed in range(1000, 1030):
+        scene = generate_scene(random_grid_spec(seed, n_categories=2 + seed % 7, height=64, width=64))
+        order = rng.permutation(len(scene.gt_triplets))
+        shuffled = TripletSet([scene.gt_triplets.triplets[k] for k in order], scene.categories)
+        state, trace = refine(scene.init_probs, scene.gt_triplets, RefineConfig(alpha=alpha))
+        state_shuffled, trace_shuffled = refine(scene.init_probs, shuffled, RefineConfig(alpha=alpha))
+        labels = argmax_labels(state)
+        assert np.array_equal(state.probs, state_shuffled.probs), seed
+        assert np.array_equal(labels.labels, argmax_labels(state_shuffled).labels), seed
+        assert trace.to_list() == trace_shuffled.to_list(), seed
+        assert np.array_equal(trace.initial_weights[order], trace_shuffled.initial_weights), seed
+        flags = satisfied_flags(labels, scene.categories, scene.gt_triplets)
+        assert np.array_equal(flags[order], satisfied_flags(labels, scene.categories, shuffled)), seed

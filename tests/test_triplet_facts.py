@@ -16,9 +16,13 @@ import inspect
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+from test_triplet_checks import random_case
+
 import relfine
 from relfine.logic import ConstraintTerms
-from relfine.relations import SpatialTriplet, _triplet_key
+from relfine.relations import SpatialTriplet, _triplet_key, calibrate
+from relfine.scenes import derive_gt_triplets, generate_scene, random_grid_spec
 
 PACKAGE = Path(relfine.__file__).parent
 
@@ -120,3 +124,27 @@ def test_the_ground_truth_triplets_ask_no_oracle_questions():
     derive = _package_functions()["scenes.derive_gt_triplets"]
     called = {getattr(n.func, "attr", getattr(n.func, "id", None)) for n in ast.walk(derive) if isinstance(n, ast.Call)}
     assert not called & {"holds", "choose"}, called
+
+
+def test_calibration_and_the_ground_truth_build_no_triplet_objects(monkeypatch):
+    # A set is code arrays: calibrating one, with every stage at work, and
+    # reading a scene's ground truth off the oracle table build no
+    # SpatialTriplet. The inputs are built before counting starts.
+    initial, oracle = random_case(np.random.default_rng(10))
+    scene = generate_scene(random_grid_spec(3, n_categories=6))
+    built = []
+    original = SpatialTriplet.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpatialTriplet, "__init__", counting)
+    result = calibrate(initial, oracle)
+    truth = derive_gt_triplets(scene.gt_labels, scene.categories)
+    assert built == []
+    audit = result.audit
+    assert audit.contradiction_pairs > 0 and audit.resolution_dropped > 0 and audit.final > 0
+    assert len(truth) > 0
+    monkeypatch.undo()
+    assert list(truth) == list(scene.gt_triplets)
