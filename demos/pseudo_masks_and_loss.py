@@ -12,6 +12,7 @@ import numpy as np
 from relfine import (
     Relation,
     SpatialTriplet,
+    TripletSet,
     fuzzy_implication,
     init_state,
     make_probability_map,
@@ -63,7 +64,8 @@ print(f"\nmass-weighted mean: row {(rows * state.probs[1]).sum() / mass:.3f}, "
       f"column {(cols * state.probs[1]).sum() / mass:.3f}")
 
 relations = (Relation.RIGHT, Relation.LEFT, Relation.BELOW, Relation.ABOVE)
-_, compiled = spatial_loss(state, [SpatialTriplet("subject", r, "object") for r in relations])
+regions = TripletSet([SpatialTriplet("subject", r, "object") for r in relations], state.categories)
+_, compiled = spatial_loss(state, regions)
 for i, relation in enumerate(relations):
     print(f"\n{relation.value}-of-object region:")
     for row in inside_region(compiled, i):
@@ -92,7 +94,8 @@ print("=" * 64)
 
 show("subject map (mostly right of the object, strays at columns 0-1):", state.probs[2])
 
-total, terms = spatial_loss(state, [SpatialTriplet("subject", Relation.RIGHT, "object")])
+right_of = TripletSet([SpatialTriplet("subject", Relation.RIGHT, "object")], state.categories)
+total, terms = spatial_loss(state, right_of)
 print(f"\nloss for 'subject must sit right of object': {terms.losses[0]:.4f}")
 print(f"weight {terms.weights[0]:.4f}, weighted loss {total:.4f}")
 grad = logit_gradient_from_terms(state, terms)
@@ -116,7 +119,8 @@ for description, values in [
         "anchor": make_probability_map(1, 6, anchor),
         "other": make_probability_map(1, 6, 1.0 - anchor),
     })
-    weight = spatial_loss(pair, [SpatialTriplet("other", Relation.RIGHT, "anchor")])[1].weights[0]
+    right_of_anchor = TripletSet([SpatialTriplet("other", Relation.RIGHT, "anchor")], pair.categories)
+    weight = spatial_loss(pair, right_of_anchor)[1].weights[0]
     print(f"   {description:38s} weight = {weight:.4f}")
 print(f"""
 Scores pass through sigmoid(scale*(v - bias)) with bias={GATE_BIAS},

@@ -401,9 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler="cmd_eval")
 
     p = sub.add_parser(
-        "gradcheck", help="finite-difference check of the analytic gradients", formatter_class=_FORMATTER
+        "gradcheck", help="finite-difference check of the analytic gradients", formatter_class=_FORMATTER,
+        description="Check refine's logit gradient against central differences of its objective, with masks"
+        " and weights held at the probe's centre.",
     )
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--alpha", type=float, default=RefineConfig().alpha, help="spatial weight (default %(default)s)")
     p.add_argument("--corrupt-gradient", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(handler="cmd_gradcheck")
 

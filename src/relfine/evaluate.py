@@ -65,11 +65,7 @@ def macc(pred: LabelMap, gt: LabelMap, num_categories: int) -> float:
     return _scores(_confusion(pred, gt, num_categories), num_categories)[2]
 
 
-def satisfied_flags(
-    pred: LabelMap,
-    roster: Sequence[str],
-    triplets: TripletSet | Sequence[SpatialTriplet],
-) -> np.ndarray:
+def satisfied_flags(pred: LabelMap, roster: Sequence[str], triplets: TripletSet) -> np.ndarray:
     """triplet_satisfied for every triplet at once, as a (T,) bool array.
 
     The bands are the loss's, taken over the one-hot label maps with no
@@ -93,7 +89,7 @@ def triplet_satisfied(pred: LabelMap, roster: Sequence[str], triplet: SpatialTri
     pixel at the exact mean counts for both opposing sides. A subject with no
     predicted pixels is vacuously satisfied.
     """
-    return bool(satisfied_flags(pred, roster, (triplet,))[0])
+    return bool(satisfied_flags(pred, roster, TripletSet((triplet,), roster))[0])
 
 
 def constraint_satisfaction(pred: LabelMap, roster: Sequence[str], triplets: TripletSet) -> float:

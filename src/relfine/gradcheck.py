@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import FormatError, require_int, require_real
 from .logic import LOG_CLAMP, compile_constraints, encode_triplets
-from .refine import _losses, objective
+from .refine import RefineConfig, _losses, objective
 from .relations import Relation, SpatialTriplet, TripletSet
 from .state import SegmentationState
 
@@ -96,7 +96,7 @@ def check_instance(
     state: SegmentationState,
     targets: np.ndarray,
     triplets: TripletSet,
-    alpha: float = 0.1,
+    alpha: float = RefineConfig().alpha,
     corrupt: bool = False,
 ) -> float:
     """Max-norm relative error between analytic and finite-difference gradients.
@@ -121,7 +121,7 @@ def check_instance(
 def run_gradcheck(
     seed: int = 0,
     instances: int = 20,
-    alpha: float = 0.1,
+    alpha: float = RefineConfig().alpha,
     tolerance: float = DEFAULT_TOLERANCE,
     corrupt: bool = False,
 ) -> list[GradCheckResult]:

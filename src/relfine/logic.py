@@ -7,10 +7,11 @@ universal quantifier to a product over pixels, so the negative log of that
 product is a sum of per-pixel penalties charged wherever subject probability
 sits outside the half-plane.
 
-The half-plane masks and the per-constraint weights are treated as constants
-of the current maps: the mask is piecewise constant in the anchor map (its
-derivative is zero almost everywhere), so gradients flow only through the
-subject map.
+The half-plane masks and the per-constraint weights are held constant by the
+gradient, for two different reasons. A mask is piecewise constant in the
+anchor map, so its derivative is zero almost everywhere. A weight is smooth
+in its object's map, so holding it is a choice: a stop-gradient. Gradients
+thus flow only through the subject map.
 
 A half plane depends on one coordinate only, so the compiled form is a 1-D
 band along the relation's axis, one table per axis with a row per (object,
@@ -21,13 +22,13 @@ that the tests compare this kernel against lives in tests/reference_kernels.py.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import UnknownCategoryError
 from .grid import DEFAULT_EPSILON, mean_coordinates
-from .relations import RELATION_CODES, Relation, SpatialTriplet, TripletSet
+from .relations import RELATION_CODES, Relation, TripletSet
 from .state import SegmentationState
 
 #: Floor of 1 - P inside the penalty's log: bounds a fully violating pixel's
@@ -47,23 +48,24 @@ def outside_band(length: int, relation: Relation, mean_coord: float) -> np.ndarr
     return (coords < mean_coord if relation.after else coords > mean_coord).astype(np.float64)
 
 
-def encode_triplets(roster: Sequence[str], triplets: TripletSet | Iterable[SpatialTriplet]) -> tuple[np.ndarray, ...]:
-    """(subjects, keys) of the triplets as (T,) index arrays: a subject
-    indexes `roster`, and a key 4*object + code indexes the rows of
-    band_tables, with `code` indexing tuple(Relation). A TripletSet over
-    names in `roster` has its code arrays remapped onto it. A name outside
-    `roster` raises UnknownCategoryError."""
+def encode_triplets(roster: Sequence[str], triplets: TripletSet) -> tuple[np.ndarray, np.ndarray]:
+    """(subjects, keys) of the triplets as (T,) index arrays: the set's code
+    arrays remapped onto `roster`. A subject indexes `roster`, and a key
+    4*object + code indexes the rows of band_tables, with `code` indexing
+    tuple(Relation). The first name outside `roster` that a triplet reads,
+    in set order and subject before object, raises UnknownCategoryError; the
+    set's roster may hold other names that no triplet reads."""
     index = {name: i for i, name in enumerate(roster)}
-    stride = len(RELATION_CODES)
-    if isinstance(triplets, TripletSet) and index.keys() >= set(triplets.categories):
-        remap = np.array([index[name] for name in triplets.categories], dtype=np.intp)
-        subjects, relations, objects, _ = triplets.codes
-        return remap[subjects], stride * remap[objects] + relations
-    try:
-        codes = [(index[t.subject], stride * index[t.object] + RELATION_CODES[t.relation]) for t in triplets]
-    except KeyError as exc:
-        raise UnknownCategoryError(f"category {exc.args[0]!r} is not in roster {list(roster)}") from None
-    return tuple(np.array(codes, dtype=np.intp).reshape(-1, 2).T)
+    positions = [index.get(name, -1) for name in triplets.categories]
+    remap = np.array(positions, dtype=np.intp)
+    subjects, relations, objects, _ = triplets.codes
+    if -1 in positions:
+        read = np.stack((subjects, objects), axis=1).ravel()
+        unknown = read[remap[read] < 0]
+        if len(unknown):
+            name = triplets.categories[unknown[0]]
+            raise UnknownCategoryError(f"category {name!r} is not in roster {list(roster)}")
+    return remap[subjects], len(RELATION_CODES) * remap[objects] + relations
 
 
 def band_tables(maps: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +120,10 @@ def compile_constraints(state: SegmentationState, subjects: np.ndarray, keys: np
     """Freeze the band tables and each encoded triplet's weight against the
     current maps, reducing every category's map at once. A weight is the object map's
     sigmoid-gated mean sum(M*s) / (sum s + eps) with s = sigma(GATE_SCALE*(M - GATE_BIAS)),
-    which leans on confidently predicted pixels and is 0 for an empty map."""
+    which leans on confidently predicted pixels and is 0 for an empty map.
+    The gradient holds both constant: a band because its threshold is piecewise
+    constant, a weight by choice, as a stop-gradient, though it is smooth in its
+    object's map."""
     probs = state.probs
     gate = 1.0 / (1.0 + np.exp(-GATE_SCALE * (probs - GATE_BIAS)))
     weights = (probs * gate).sum(axis=(1, 2)) / (gate.sum(axis=(1, 2)) + DEFAULT_EPSILON)
@@ -141,9 +146,7 @@ def compiled_spatial_loss(state: SegmentationState, compiled: ConstraintTerms) -
     return float(total), replace(compiled, losses=sums[compiled.subjects, compiled.keys])
 
 
-def spatial_loss(
-    state: SegmentationState, triplets: TripletSet | Sequence[SpatialTriplet]
-) -> tuple[float, ConstraintTerms]:
+def spatial_loss(state: SegmentationState, triplets: TripletSet) -> tuple[float, ConstraintTerms]:
     """Weighted sum of per-triplet losses: masks from each object's current
     map, loss from the subject's map, weight from the object's map.
 
@@ -154,8 +157,8 @@ def spatial_loss(
 
 
 def weight_matrix(categories: int, terms: ConstraintTerms) -> np.ndarray:
-    """W (C, 4C): each triplet's weight added up at its [subject, key], so a
-    repeated triplet counts twice."""
+    """W (C, 4C): each triplet's weight at its [subject, key]. A set holds
+    each triplet once, so each cell holds at most one weight."""
     pairs = len(terms.rows)
     return np.bincount(terms.subjects * pairs + terms.keys, terms.weights, categories * pairs).reshape(-1, pairs)
 

@@ -151,9 +151,11 @@ def objective(
     """The objective fidelity + alpha * spatial and its logit gradient.
 
     Returns (fidelity, spatial, total, terms, grad). `compiled` holds the
-    masks and weights, constants of the gradient, so the caller compiles
-    them. Raises FloatingPointError when the total is not finite, before any
-    gradient is formed; at alpha=0 the spatial gradient is never formed.
+    masks and weights, constants of the gradient (a mask is piecewise
+    constant; a weight, smooth in its object's map, is a stop-gradient), so
+    the caller compiles them. Raises FloatingPointError when the total is
+    not finite, before any gradient is formed; at alpha=0 the spatial
+    gradient is never formed.
     """
     fid, spa, total, terms, grad = _losses(state, targets, compiled, alpha)
     if alpha != 0.0:

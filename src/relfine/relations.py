@@ -101,13 +101,11 @@ class SpatialTriplet:
     stage: Stage = "initial"
 
     def __post_init__(self) -> None:
+        # A relation name becomes its Relation; anything else raises FormatError.
+        object.__setattr__(self, "relation", parse_relation(self.relation))
         _check_triplet(self.subject, self.object, self.stage)
 
     key = property(_triplet_key, doc="Identity of the statement itself, ignoring provenance.")
-
-    def reversed(self) -> SpatialTriplet:
-        """The equivalent statement seen from the object's side."""
-        return SpatialTriplet(self.object, opposite(self.relation), self.subject, stage=self.stage)
 
     def __str__(self) -> str:
         return f"<{self.subject}, {self.relation.value}, {self.object}>"
@@ -269,18 +267,12 @@ class ContradictionPair:
     (<a,r,b> and <a,opp(r),b>). The complementary pair <a,r,b> / <b,opp(r),a>
     is consistent and never reported.
 
-    A pair that detect_contradictions finds holds its members' `positions`
-    in the set it scanned and builds `first` and `second` only when read.
+    A pair holds its members' `positions` (i, j) in `triplets` and builds
+    `first` and `second` only when read.
     """
 
-    def __init__(self, first: SpatialTriplet, second: SpatialTriplet, kind: ContradictionKind) -> None:
-        self.first, self.second, self.kind = first, second, kind
-
-    @classmethod
-    def _found(cls, triplets: TripletSet, i: int, j: int, kind: ContradictionKind) -> ContradictionPair:
-        pair = object.__new__(cls)
-        pair._set, pair.positions, pair.kind = triplets, (i, j), kind
-        return pair
+    def __init__(self, triplets: TripletSet, i: int, j: int, kind: ContradictionKind) -> None:
+        self._set, self.positions, self.kind = triplets, (i, j), kind
 
     first = cached_property(lambda self: self._set.triplets[self.positions[0]])
     second = cached_property(lambda self: self._set.triplets[self.positions[1]])
@@ -304,7 +296,7 @@ def detect_contradictions(triplets: TripletSet) -> list[ContradictionPair]:
     second = partners[first, kinds]
     order = np.lexsort((second, first))
     rows = zip(*(a[order].tolist() for a in (first, second, kinds)))
-    return [ContradictionPair._found(triplets, i, j, _KINDS[k]) for i, j, k in rows]
+    return [ContradictionPair(triplets, i, j, _KINDS[k]) for i, j, k in rows]
 
 
 def resolve_contradictions(
@@ -320,10 +312,9 @@ def resolve_contradictions(
     "second" the converse, "neither" discards both. A triplet dropped while
     settling one pair stays dropped even if another pair would keep it.
 
-    Precondition: `pairs` is `detect_contradictions(triplets)`, whose pairs
-    locate their members by position. Then the result is contradiction-free:
-    every pair loses at least one member, and removing triplets cannot form
-    a new pair.
+    With `pairs` = `detect_contradictions(triplets)` the result is
+    contradiction-free: every pair loses at least one member, and removing
+    triplets cannot form a new pair.
     """
     dropped = np.zeros(len(triplets), dtype=bool)
     chosen = np.zeros(len(triplets), dtype=bool)

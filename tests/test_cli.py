@@ -586,6 +586,24 @@ def test_refine_failure_names_its_bundle_at_any_jobs(tmp_path, capsys, case, cod
     assert errors[0] == errors[1]
 
 
+def test_refine_triplets_may_name_a_category_no_triplet_reads(tmp_path):
+    # A triplet file's roster may hold a name the scene lacks, as long as no
+    # triplet reads it: the refined labels are those of the scene's own roster.
+    scenes = _generated_scene_set(tmp_path)
+    labels = []
+    for roster in (["background", "a", "b"], ["background", "a", "b", "zzz"]):
+        triplets = tmp_path / f"{len(roster)}.json"
+        triplets.write_text(json.dumps({
+            "categories": roster,
+            "triplets": [{"subject": "a", "relation": "left", "object": "b"}],
+        }))
+        out = tmp_path / f"out_{len(roster)}"
+        assert main(["refine", "--scene", str(scenes / "scene_000"), "--out", str(out),
+                     "--triplets", str(triplets), "--alpha", "1"]) == 0
+        labels.append((out / "labels.pgm").read_bytes())
+    assert labels[0] == labels[1]
+
+
 # --------------------------------------------------------------------------
 # eval
 
@@ -1140,6 +1158,18 @@ def test_parser_defaults_are_the_library_defaults():
     parser = cli.build_parser()
     alpha = inspect.signature(cli.run_gradcheck).parameters["alpha"].default
     assert parser.parse_args(["gradcheck"]).alpha == alpha
+
+
+def test_gradcheck_help_gives_refines_alpha_and_what_it_holds(capsys):
+    with pytest.raises(SystemExit):
+        main(["gradcheck", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"(default {RefineConfig().alpha})" in text
+    assert "masks and weights held at the probe's centre" in text
+    from relfine.gradcheck import check_instance, run_gradcheck
+
+    for function in (check_instance, run_gradcheck):
+        assert inspect.signature(function).parameters["alpha"].default == RefineConfig().alpha
 
 
 @pytest.mark.parametrize("command", ["gen-scenes", "calibrate", "refine", "eval", "gradcheck"])

@@ -176,7 +176,7 @@ def test_satisfied_flags_equal_per_triplet_loop():
         arr = np.array([[1, 1, 1, 1, 2, 0]] * 5)
         arr[:moved, 0], arr[:moved, 5] = 0, 1
         pred = labels(arr, 3)
-        assert satisfied_flags(pred, ROSTER, [triplet]).tolist() == [expected]
+        assert satisfied_flags(pred, ROSTER, TripletSet((triplet,), ROSTER)).tolist() == [expected]
         assert loop_satisfied(pred, ROSTER, triplet) is expected
 
     rng = np.random.default_rng(31)
@@ -195,20 +195,20 @@ def test_satisfied_flags_equal_per_triplet_loop():
         # A roster may name more categories than the label map holds.
         roster = tuple(f"k{c}" for c in range(maps + int(rng.integers(0, 2))))
         keep = 0.0 if rng.random() < 0.1 else 0.5  # an empty triplet list now and then
-        triplets = [
+        triplets = TripletSet([
             SpatialTriplet(s, relation, o)
             for s in roster
             for o in roster
             if s != o
             for relation in Relation
             if rng.random() < keep
-        ]
+        ], roster)
         flags = satisfied_flags(pred, roster, triplets)
         assert flags.dtype == bool and flags.shape == (len(triplets),)
         expected = [loop_satisfied(pred, roster, t) for t in triplets]
         assert flags.tolist() == expected
         assert [triplet_satisfied(pred, roster, t) for t in triplets] == expected
-        satisfaction = constraint_satisfaction(pred, roster, TripletSet(tuple(triplets), roster))
+        satisfaction = constraint_satisfaction(pred, roster, triplets)
         assert satisfaction == (sum(expected) / len(expected) if expected else 1.0)
 
 

@@ -210,7 +210,8 @@ def test_compiled_weight_gate_neither_overflows_nor_goes_invalid_at_0_and_1():
     logits = np.array([[[0.0, -1e3]], [[-1e3, 0.0]]])
     state = SegmentationState.from_logits(("a", "b"), logits)
     assert state.probs.tolist() == [[[1.0, 0.0]], [[0.0, 1.0]]]
-    triplets = [SpatialTriplet("a", Relation.LEFT, "b"), SpatialTriplet("b", Relation.RIGHT, "a")]
+    pair = [SpatialTriplet("a", Relation.LEFT, "b"), SpatialTriplet("b", Relation.RIGHT, "a")]
+    triplets = TripletSet(pair, state.categories)
     with np.errstate(over="raise", invalid="raise"):
         compiled = compile_constraints(state, *encode_triplets(state.categories, triplets))
     assert compiled.weights.tolist() == [constraint_weight(prob_map(state, name)) for name in ("b", "a")]
@@ -261,9 +262,28 @@ def test_spatial_loss_composition_hand_example():
 
 def test_spatial_loss_unknown_category():
     state = _two_category_state([[1.0]], [[0.0]])
-    triplets = [SpatialTriplet("dog", Relation.LEFT, "cat")]
+    triplets = TripletSet((SpatialTriplet("dog", Relation.LEFT, "cat"),), ("cat", "dog"))
     with pytest.raises(UnknownCategoryError):
         spatial_loss(state, triplets)
+
+
+def test_encode_triplets_reads_only_the_names_its_triplets_use():
+    # The set's roster may name more than the state's. Only the names a
+    # triplet reads must be in it, and the first one missing, in set order
+    # and subject before object, is the one named: on either side.
+    spare = TripletSet((SpatialTriplet("a", Relation.LEFT, "b"),), ("a", "b", "zzz"))
+    subjects, keys = encode_triplets(("b", "a"), spare)
+    assert subjects.tolist() == [1] and keys.tolist() == [4 * 0 + tuple(Relation).index(Relation.LEFT)]
+    cases = [
+        ([("a", "y"), ("x", "b")], "y"),
+        ([("x", "b"), ("a", "y")], "x"),
+        ([("y", "x")], "y"),
+        ([("a", "b"), ("b", "x")], "x"),
+    ]
+    for pairs, name in cases:
+        triplets = TripletSet([SpatialTriplet(s, Relation.LEFT, o) for s, o in pairs], ("a", "b", "x", "y"))
+        with pytest.raises(UnknownCategoryError, match=rf"^category '{name}' is not in roster \['a', 'b'\]$"):
+            encode_triplets(("a", "b"), triplets)
 
 
 def test_detachment_small_anchor_perturbation_leaves_loss_unchanged():
@@ -299,19 +319,6 @@ def test_logit_gradient_no_constraints_is_zero():
     _, terms = spatial_loss(state, TripletSet((), ("cat", "person")))
     grad = logit_gradient_from_terms(state, terms)
     assert not grad.any()
-
-
-def test_a_repeated_triplet_counts_twice():
-    # A plain list may repeat a triplet. Each copy is a term of its own, so
-    # its weight enters the gradient twice rather than once.
-    state = _random_state(np.random.default_rng(5), ("a", "b", "c"), 5, 6)
-    t = SpatialTriplet("a", Relation.RIGHT, "b")
-    once_total, once = spatial_loss(state, [t])
-    twice_total, twice = spatial_loss(state, [t, t])
-    assert once.losses[0] > 0.0
-    assert twice.losses.tolist() == [once.losses[0]] * 2
-    assert twice_total == 2 * once_total
-    assert np.array_equal(logit_gradient_from_terms(state, twice), 2 * logit_gradient_from_terms(state, once))
 
 
 def test_logit_gradient_single_pixel_matches_finite_differences():
@@ -428,7 +435,7 @@ def test_separable_kernel_matches_dense_reference():
             for s, r, o in zip(rng.integers(0, n, 8), rng.integers(0, 4, 8), rng.integers(0, n, 8))
             if s != o
         }
-        triplets = [SpatialTriplet(*k) for k in sorted(keys)]
+        triplets = TripletSet([SpatialTriplet(*k) for k in sorted(keys)], categories)
 
         compiled = compile_constraints(state, *encode_triplets(state.categories, triplets))
         total, terms = compiled_spatial_loss(state, compiled)

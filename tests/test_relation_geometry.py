@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from relfine.logic import band_tables, encode_triplets, outside_sums
-from relfine.relations import BACKGROUND, Relation, SpatialTriplet, geometric_oracle, opposite
+from relfine.relations import BACKGROUND, Relation, SpatialTriplet, TripletSet, geometric_oracle, opposite
 from relfine.scenes import generate_scene, random_grid_spec
 
 
@@ -46,7 +46,8 @@ def test_geometric_oracle_agrees_with_the_all_pixels_check(size):
         scene = generate_scene(random_grid_spec(seed, n_categories=2 + seed % 7, height=size, width=size))
         roster = scene.categories
         names = [name for name in roster if name != BACKGROUND]
-        triplets = [SpatialTriplet(s, r, o) for s in names for o in names if s != o for r in Relation]
+        listed = [SpatialTriplet(s, r, o) for s in names for o in names if s != o for r in Relation]
+        triplets = TripletSet(listed, roster)
         oracle = geometric_oracle(scene.gt_labels, roster)
         answers = [oracle.holds(*t.key) == "yes" for t in triplets]
         flags = all_pixels_inside(scene.gt_labels, roster, triplets)

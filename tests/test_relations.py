@@ -72,6 +72,18 @@ def test_triplet_rejects_self_relation():
         triplet("cat", Relation.LEFT, "cat")
 
 
+def test_triplet_reads_its_relation():
+    # A name becomes its Relation, so the triplet prints, in a set's message
+    # too; anything else is refused at construction, not by the set's encoder.
+    t = SpatialTriplet("a", "left", "b")
+    assert t.relation is Relation.LEFT and str(t) == "<a, left, b>"
+    with pytest.raises(FormatError, match=r"^duplicate triplet <a, left, b>$"):
+        TripletSet((t, t), ("a", "b"))
+    for relation in ("diagonal", 3):
+        with pytest.raises(FormatError, match=rf"^unknown relation {relation!r}, expected one of: "):
+            SpatialTriplet("a", relation, "b")
+
+
 def test_set_rejects_duplicates_and_unknown_names():
     t = triplet("cat", Relation.RIGHT, "person")
     with pytest.raises(FormatError, match="duplicate"):
@@ -178,8 +190,7 @@ def test_validate_output_is_subset_of_input():
         holds = {}
         for t in triplets:
             holds[t.key] = answers[rng.integers(0, 3)]
-            rev = t.reversed()
-            holds[rev.key] = answers[rng.integers(0, 3)]
+            holds[t.object, opposite(t.relation), t.subject] = answers[rng.integers(0, 3)]
         out = validate_polar(triplets, ScriptedOracle(holds, {}))
         assert out.keys() <= triplets.keys()
 
@@ -219,9 +230,9 @@ def all_pairs_scan(triplets):
         for j in range(i + 1, len(items)):
             a, b = items[i], items[j]
             if (a.subject, a.relation, a.object) == (b.object, b.relation, b.subject):
-                pairs.append(ContradictionPair(a, b, "cyclic"))
+                pairs.append(ContradictionPair(triplets, i, j, "cyclic"))
             elif (a.subject, a.relation, a.object) == (b.subject, opposite(b.relation), b.object):
-                pairs.append(ContradictionPair(a, b, "directional"))
+                pairs.append(ContradictionPair(triplets, i, j, "directional"))
     return pairs
 
 
