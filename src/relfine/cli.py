@@ -30,7 +30,6 @@ from .errors import (
 from .evaluate import EvalReport, compare_runs, evaluate_scene, satisfied_flags, write_bucket_csv
 from .gradcheck import DEFAULT_TOLERANCE, run_gradcheck
 from .grid import read_labels, require_shape, write_labels_pgm, write_rsgf
-from .logic import spatial_loss
 from .refine import RefineConfig, refine
 from .relations import (
     TripletSet,
@@ -193,13 +192,12 @@ def _refine_one(task: tuple[str, str, str, TripletSet | None, RefineConfig]) -> 
     for index, category in enumerate(final_state.categories):
         write_rsgf(out / "probs" / f"{category}.rsgf", final_state.probs[index])
 
-    _, terms = spatial_loss(final_state, triplets)
     flags = satisfied_flags(labels, scene.categories, triplets)
     subjects, relations, objects, _ = triplets.columns()
     columns = {
         "subject": subjects, "relation": [r.value for r in relations], "object": objects,
-        "loss": terms.losses.tolist(), "initial_weight": trace.initial_weights.tolist(),
-        "weight": terms.weights.tolist(), "satisfied": flags.tolist(),
+        "loss": trace.final_losses.tolist(), "initial_weight": trace.initial_weights.tolist(),
+        "weight": trace.final_weights.tolist(), "satisfied": flags.tolist(),
     }
     constraints = [dict(zip(columns, row)) for row in zip(*columns.values())]
     report = evaluate_scene(labels, scene, triplets, name=name, flags=flags)

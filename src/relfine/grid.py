@@ -53,14 +53,6 @@ class ProbabilityMap:
         object.__setattr__(self, "values", _as_readonly(values))
 
     @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 

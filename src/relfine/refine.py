@@ -7,7 +7,8 @@ and `relfine gradcheck` checks it. Adam runs `STEPS` steps over the logits,
 every quantity recomputed from the current maps at each step, until it reaches
 an exact fixed point: a step whose gradient and both moments are all zero
 leaves the logits unchanged, so every later step would repeat it, and the
-loop stops there. The trace holds the steps that ran.
+loop stops there. The trace holds the steps that ran and the per-constraint
+weights and losses of the state `refine` returns, so no caller compiles it again.
 """
 
 from __future__ import annotations
@@ -108,12 +109,15 @@ def fidelity_loss(
 @dataclass(frozen=True, eq=False)
 class RefineTrace:
     """Losses at the start of each step that ran, before its update, as (n,)
-    columns, and the initial state's (T,) gate weights in the set's order."""
+    columns, and in the set's order the (T,) gate weights of the initial and
+    the returned state and the returned state's (T,) constraint losses."""
 
     fidelity: np.ndarray
     spatial: np.ndarray
     total: np.ndarray
     initial_weights: np.ndarray
+    final_weights: np.ndarray
+    final_losses: np.ndarray
 
     def __len__(self) -> int:
         return len(self.total)
@@ -170,14 +174,15 @@ def refine(
 ) -> tuple[SegmentationState, RefineTrace]:
     """Run the optimization loop and return the final state plus its trace.
 
-    Triplets are encoded once; bands and weights are recompiled every step. A step
+    Triplets are encoded once; each step ends by compiling bands and weights
+    against the state it produced, which gives the trace's final terms. A step
     whose gradient and Adam moments are all exactly zero is a fixed point of
-    the update: its trace row is the last and the loop stops before calling
-    `adam_step`. With alpha=0 that happens at step 1, since the fidelity
-    gradient p - q starts at exactly zero, so the run reproduces the
-    unconstrained baseline for the cost of one row; its spatial loss is
-    recorded but never touches the update. An empty triplet set stops at
-    step 1 at any alpha. Deterministic: same inputs and config give
+    the update: its trace row is the last, its terms are the final ones, and
+    the loop stops before calling `adam_step`. With alpha=0 that happens at
+    step 1, since the fidelity gradient p - q starts at exactly zero, so the
+    run reproduces the unconstrained baseline for the cost of one row; its
+    spatial loss is recorded but never touches the update. An empty triplet set
+    stops at step 1 at any alpha. Deterministic: same inputs and config give
     bit-identical traces and states. Raises FormatError when a step's
     arithmetic overflows or its objective is not finite, which an alpha too
     large for float64 brings about.
@@ -192,19 +197,20 @@ def refine(
     initial_weights = compiled.weights
     rows: list[tuple[float, float, float]] = []
 
-    for step in range(1, STEPS + 1):
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                if step > 1:
-                    compiled = compile_constraints(state, *encoded)
-                fid_loss, spa_loss, total, _, grad = objective(state, targets, compiled, cfg.alpha)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for step in range(1, STEPS + 1):
+                fid_loss, spa_loss, total, terms, grad = objective(state, targets, compiled, cfg.alpha)
                 rows.append((fid_loss, spa_loss, total))
                 if not (grad.any() or moments.m.any() or moments.v.any()):
                     break
                 logits, moments = adam_step(state.logits, grad, moments, step)
                 state = state.with_logits(logits)
-        except FloatingPointError as exc:
-            raise FormatError(f"refinement diverged at step {step}: {exc}; lower alpha") from None
+                compiled = compile_constraints(state, *encoded)
+            else:  # no fixed point: the last step's terms describe the state before it
+                _, terms = compiled_spatial_loss(state, compiled)
+    except FloatingPointError as exc:
+        raise FormatError(f"refinement diverged at step {step}: {exc}; lower alpha") from None
 
     fidelity, spatial, total = (np.array([row[k] for row in rows], dtype=np.float64) for k in range(3))
-    return state, RefineTrace(fidelity, spatial, total, initial_weights)
+    return state, RefineTrace(fidelity, spatial, total, initial_weights, terms.weights, terms.losses)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import functools
+import importlib
 import inspect
 import json
 import os
@@ -17,7 +19,7 @@ import pytest
 
 from relfine import cli, evaluate
 from relfine.cli import main
-from relfine.refine import RefineConfig
+from relfine.refine import STEPS, RefineConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DEMO_CONFIG = Path(__file__).parent.parent / "demos" / "fixture_config.json"
@@ -427,6 +429,41 @@ def test_refine_checks_each_scene_once_and_satisfaction_is_the_flags_mean(tmp_pa
     assert report["constraints"] == []
     assert report["metrics"]["constraint_satisfaction"] == 1.0
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("alpha, compiles", [(["--alpha", "0"], 1), ([], STEPS + 1)],
+                         ids=["baseline", "default_alpha"])
+def test_refine_compiles_only_inside_refine(tmp_path, monkeypatch, alpha, compiles):
+    # The report's final losses and weights come from the trace: one refine
+    # compiles its initial state and each state a step produced, and the
+    # triplets are encoded once by refine and once for the flags. `relfine.refine`
+    # is the re-exported function, so each module is taken from the import system.
+    from relfine import generate_scene, logic, random_grid_spec, save_scene_bundle
+
+    calls = {"compile_constraints": 0, "encode_triplets": 0}
+    originals = {name: getattr(logic, name) for name in calls}
+
+    def counting(name):
+        def counted(*args):
+            calls[name] += 1
+            return originals[name](*args)
+        return counted
+
+    for module in ("relfine.logic", "relfine.refine", "relfine.evaluate"):
+        module = importlib.import_module(module)
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name))
+    scene = generate_scene(random_grid_spec(42, n_categories=2, noise_sigma=0.15, confusion_strength=0.5))
+    save_scene_bundle(tmp_path / "bundle", scene)
+    assert main(["refine", "--scene", str(tmp_path / "bundle"), "--out", str(tmp_path / "out"),
+                 "--use-gt-triplets", *alpha]) == 0
+    assert calls == {"compile_constraints": compiles, "encode_triplets": 2}
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    assert not [name for name in imported if name and name.split(".")[-1] == "logic"], imported
 
 
 @pytest.mark.parametrize("alpha", [["--alpha", "0"], []], ids=["baseline", "default_alpha"])

@@ -10,7 +10,7 @@ import pytest
 
 from relfine.errors import FormatError
 from relfine.grid import make_probability_map
-from relfine.logic import compile_constraints, encode_triplets
+from relfine.logic import compile_constraints, encode_triplets, spatial_loss
 from relfine.refine import (
     ADAM_EPS,
     ADAM_LEARNING_RATE,
@@ -234,7 +234,9 @@ def test_refine_trace_columns_and_report_layout():
 def test_refine_trace_holds_no_triplet_keys():
     scene = fixture_scene()
     _, trace = refine(scene.init_probs, scene.gt_triplets)
-    assert [f.name for f in fields(RefineTrace)] == ["fidelity", "spatial", "total", "initial_weights"]
+    assert [f.name for f in fields(RefineTrace)] == [
+        "fidelity", "spatial", "total", "initial_weights", "final_weights", "final_losses",
+    ]
     assert not hasattr(trace, "keys")
 
 
@@ -344,9 +346,9 @@ def test_refine_memory_does_not_grow_with_the_triplet_count():
 
 
 def test_refine_weights_recomputed_each_step(monkeypatch):
-    # One compile per step that ran, each from the current maps. relfine
-    # rebinds the attribute `relfine.refine` to the function, so the module
-    # is taken from the import system.
+    # One compile of the initial maps and one of each state a step produced.
+    # relfine rebinds the attribute `relfine.refine` to the function, so the
+    # module is taken from the import system.
     scene = fixture_scene()
     first_weights: list[float] = []
 
@@ -357,11 +359,24 @@ def test_refine_weights_recomputed_each_step(monkeypatch):
 
     monkeypatch.setattr(importlib.import_module("relfine.refine"), "compile_constraints", recording)
     _, trace = refine(scene.init_probs, scene.gt_triplets)
-    assert len(first_weights) == len(trace) == STEPS
+    assert len(first_weights) == len(trace) + 1 == STEPS + 1
     assert len(set(first_weights)) > 1
     first_weights.clear()
     _, trace = refine(scene.init_probs, scene.gt_triplets, RefineConfig(alpha=0.0))
     assert len(first_weights) == len(trace) == 1
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
+def test_refine_trace_final_terms_are_the_final_states(alpha):
+    scene = fixture_scene()
+    state, trace = refine(scene.init_probs, scene.gt_triplets, RefineConfig(alpha=alpha))
+    _, terms = spatial_loss(state, scene.gt_triplets)
+    assert len(trace.final_weights) == len(scene.gt_triplets) > 0
+    assert np.array_equal(trace.final_weights, terms.weights)
+    assert np.array_equal(trace.final_losses, terms.losses)
+
+    _, trace = refine(scene.init_probs, TripletSet((), scene.categories), RefineConfig(alpha=alpha))
+    assert trace.final_weights.shape == trace.final_losses.shape == (0,)
 
 
 def test_refine_fixture_scene_reproduces_golden_miou():
@@ -393,5 +408,7 @@ def test_refine_does_not_depend_on_the_order_of_the_triplets(alpha):
         assert np.array_equal(labels.labels, argmax_labels(state_shuffled).labels), seed
         assert trace.to_list() == trace_shuffled.to_list(), seed
         assert np.array_equal(trace.initial_weights[order], trace_shuffled.initial_weights), seed
+        assert np.array_equal(trace.final_weights[order], trace_shuffled.final_weights), seed
+        assert np.array_equal(trace.final_losses[order], trace_shuffled.final_losses), seed
         flags = satisfied_flags(labels, scene.categories, scene.gt_triplets)
         assert np.array_equal(flags[order], satisfied_flags(labels, scene.categories, shuffled)), seed
