@@ -459,8 +459,6 @@ class ScriptedOracle:
 _TRIPLET_FILE_KEYS = frozenset({"categories", "triplets"})
 _TRIPLET_KEYS = frozenset({"subject", "relation", "object", "stage"})
 _ORACLE_FILE_KEYS = frozenset({"holds", "choose"})
-_HOLDS_KEYS = frozenset({"s", "r", "o", "a"})
-_CHOOSE_KEYS = frozenset({"s", "r1", "r2", "o", "a"})
 _HOLDS_ANSWERS: tuple[HoldsAnswer, ...] = get_args(HoldsAnswer)
 _CHOOSE_ANSWERS: tuple[ChooseAnswer, ...] = get_args(ChooseAnswer)
 
@@ -477,51 +475,71 @@ def _table(doc: dict, name: str, path: str | Path) -> list:
     return entries
 
 
+def _triplet_entry(entry: object) -> tuple[str, Relation, str, Stage]:
+    """A triplet entry's fields through the ordered checks; the first that fails raises FormatError."""
+    if not isinstance(entry, dict):
+        raise FormatError("expected an object")
+    if not entry.keys() <= _TRIPLET_KEYS:
+        raise FormatError(f"unknown keys {sorted(entry.keys() - _TRIPLET_KEYS)}")
+    try:
+        subject = entry["subject"]
+        relation = parse_relation(entry["relation"])
+        obj = entry["object"]
+    except KeyError as exc:
+        raise FormatError(f"missing key {exc.args[0]!r}") from None
+    if not isinstance(subject, str):
+        raise _not_a_name("subject", subject)
+    if not isinstance(obj, str):
+        raise _not_a_name("object", obj)
+    stage = entry.get("stage", "initial")
+    _check_triplet(subject, obj, stage)
+    return subject, relation, obj, stage
+
+
 def load_triplets(path: str | Path) -> TripletSet:
     """Load a triplet set. Each entry reads subject first: "subject" is at
-    "relation" of "object". Exact duplicates (same subject, relation, object)
-    collapse to one entry keeping the earliest stage tag. Entries collapse
-    into the set's code arrays; no SpatialTriplet is built.
-    """
+    "relation" of "object". Each entry takes one cheap test, and only one
+    that fails it goes through the ordered checks that word the message.
+    Names become roster indices as they are read. A repeated statement
+    keeps its first position and its earliest stage tag. Errors come in
+    this order: the first malformed entry, a roster with duplicates, the
+    first entry naming a category outside the roster."""
     doc = load_json_object(path)
     require_keys(doc, frozenset(), _TRIPLET_FILE_KEYS, str(path))
     categories = doc.get("categories")
     if not isinstance(categories, list) or not all(isinstance(c, str) for c in categories):
         raise FormatError(f"{path}: 'categories' must be a list of strings")
 
-    # Each entry is checked once, inline; the file and index prefix the
-    # message only when a check fails.
-    collapsed: dict[TripletKey, int] = {}
-    for index, entry in enumerate(_table(doc, "triplets", path)):
+    roster = tuple(categories)
+    index, size = {name: i for i, name in enumerate(roster)}, len(roster)
+    parse = parse_relation
+    collapsed: dict[int, int] = {}  # (s·4 + relation code)·C + o -> earliest stage code, in first-seen order
+    unknown: list[TripletKey] = []  # the first key naming a category outside the roster
+    for position, entry in enumerate(_table(doc, "triplets", path)):
         try:
-            if not isinstance(entry, dict):
-                raise FormatError("expected an object")
-            if not entry.keys() <= _TRIPLET_KEYS:
-                raise FormatError(f"unknown keys {sorted(entry.keys() - _TRIPLET_KEYS)}")
-            try:
-                subject = entry["subject"]
-                relation = parse_relation(entry["relation"])
-                obj = entry["object"]
-            except KeyError as exc:
-                raise FormatError(f"missing key {exc.args[0]!r}") from None
-            if not isinstance(subject, str):
-                raise _not_a_name("subject", subject)
-            if not isinstance(obj, str):
-                raise _not_a_name("object", obj)
-            stage = entry.get("stage", "initial")
-            _check_triplet(subject, obj, stage)
+            if (type(entry) is dict and len(entry) == 3 + ("stage" in entry)
+                    and type(s := entry.get("subject")) is str and type(o := entry.get("object")) is str and s != o
+                    and (g := entry.get("stage", "initial")) in STAGES and "relation" in entry):
+                r = parse(entry["relation"])
+            else:
+                s, r, o, g = _triplet_entry(entry)
         except FormatError as exc:
-            raise FormatError(f"{path}: triplets[{index}]: {exc}") from None
-        key = (subject, relation, obj)
-        stage = _STAGE_CODES[stage]
-        if stage < collapsed.get(key, len(STAGES)):
-            collapsed[key] = stage
+            raise FormatError(f"{path}: triplets[{position}]: {exc}") from None
+        try:
+            key = (index[s] * 4 + RELATION_CODES[r]) * size + index[o]
+        except KeyError:
+            unknown = unknown or [(s, r, o)]
+            continue
+        if _STAGE_CODES[g] < collapsed.get(key, len(STAGES)):
+            collapsed[key] = _STAGE_CODES[g]
 
     try:
-        roster = tuple(categories)
-        return TripletSet._from_codes(roster, _encode(roster, list(collapsed), list(collapsed.values())))
+        _encode(roster, unknown, (0,))  # raises for a roster with duplicates, then for the unknown name
     except (FormatError, UnknownCategoryError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
+    subjects_relations, objects = np.divmod(np.fromiter(collapsed, np.intp, len(collapsed)), size)
+    stages = np.fromiter(collapsed.values(), np.intp, len(collapsed))
+    return TripletSet._from_codes(roster, np.stack([*np.divmod(subjects_relations, 4), objects, stages]))
 
 
 def _json_list(items: list[str]) -> str:
@@ -548,41 +566,48 @@ def save_triplets(path: str | Path, triplets: TripletSet) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _oracle_entry(entry: object, relations: tuple[str, ...], answers: tuple[str, ...]) -> tuple[tuple, str]:
+    """An oracle entry's question and answer through the ordered checks; the first that fails raises FormatError."""
+    keys = ("s", *relations, "o", "a")
+    if not isinstance(entry, dict) or entry.keys() != set(keys):
+        raise FormatError(f"expected keys {', '.join(keys)}")
+    s, o, answer = entry["s"], entry["o"], entry["a"]
+    if not isinstance(s, str):
+        raise _not_a_name("s", s)
+    if not isinstance(o, str):
+        raise _not_a_name("o", o)
+    if answer not in answers:
+        raise FormatError(f"answer must be {'/'.join(answers)}, got {answer!r}")
+    return (s, *(parse_relation(entry[r]) for r in relations), o), answer
+
+
 def load_scripted_oracle(path: str | Path) -> ScriptedOracle:
+    """Load a recorded answer table. Each entry takes one cheap test, and only
+    one that fails it goes through the ordered checks that word the message.
+    A repeated question keeps its first position and its last answer."""
     doc = load_json_object(path)
     require_keys(doc, frozenset(), _ORACLE_FILE_KEYS, str(path))
-
-    # Each entry is checked once, inline, in the order keys, names, answer,
-    # relations.
+    parse = parse_relation
     holds: dict[tuple[str, Relation, str], HoldsAnswer] = {}
     for index, entry in enumerate(_table(doc, "holds", path)):
         try:
-            if not isinstance(entry, dict) or entry.keys() != _HOLDS_KEYS:
-                raise FormatError("expected keys s, r, o, a")
-            s, o, answer = entry["s"], entry["o"], entry["a"]
-            if not isinstance(s, str):
-                raise _not_a_name("s", s)
-            if not isinstance(o, str):
-                raise _not_a_name("o", o)
-            if answer not in _HOLDS_ANSWERS:
-                raise FormatError(f"answer must be {'/'.join(_HOLDS_ANSWERS)}, got {answer!r}")
-            holds[s, parse_relation(entry["r"]), o] = answer
+            if (type(entry) is dict and len(entry) == 4 and type(s := entry.get("s")) is str
+                    and type(o := entry.get("o")) is str and (a := entry.get("a")) in _HOLDS_ANSWERS and "r" in entry):
+                holds[s, parse(entry["r"]), o] = a
+            else:
+                holds.update([_oracle_entry(entry, ("r",), _HOLDS_ANSWERS)])
         except FormatError as exc:
             raise FormatError(f"{path}: holds[{index}]: {exc}") from None
 
     choose: dict[tuple[str, Relation, Relation, str], ChooseAnswer] = {}
     for index, entry in enumerate(_table(doc, "choose", path)):
         try:
-            if not isinstance(entry, dict) or entry.keys() != _CHOOSE_KEYS:
-                raise FormatError("expected keys s, r1, r2, o, a")
-            s, o, answer = entry["s"], entry["o"], entry["a"]
-            if not isinstance(s, str):
-                raise _not_a_name("s", s)
-            if not isinstance(o, str):
-                raise _not_a_name("o", o)
-            if answer not in _CHOOSE_ANSWERS:
-                raise FormatError(f"answer must be {'/'.join(_CHOOSE_ANSWERS)}, got {answer!r}")
-            choose[s, parse_relation(entry["r1"]), parse_relation(entry["r2"]), o] = answer
+            if (type(entry) is dict and len(entry) == 5 and type(s := entry.get("s")) is str
+                    and type(o := entry.get("o")) is str and (a := entry.get("a")) in _CHOOSE_ANSWERS
+                    and "r1" in entry and "r2" in entry):
+                choose[s, parse(entry["r1"]), parse(entry["r2"]), o] = a
+            else:
+                choose.update([_oracle_entry(entry, ("r1", "r2"), _CHOOSE_ANSWERS)])
         except FormatError as exc:
             raise FormatError(f"{path}: choose[{index}]: {exc}") from None
 

@@ -16,18 +16,32 @@ The `reference_*` calibration stages at the end are the per-object stages
 relfine ran before its sets became code arrays: they walk a list of
 `SpatialTriplet`s one at a time, look partners up by key, and ask the oracle
 both questions of every triplet.
+
+`reference_load_triplets` and `reference_load_scripted_oracle` are the file
+loaders relfine had before they tested each entry with one cheap check:
+every entry goes through the ordered checks, statements collapse under
+tuple keys, and the names map to roster indices in a second pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from relfine.errors import FormatError
+from relfine.errors import FormatError, UnknownCategoryError, load_json_object, require_keys
 from relfine.grid import DEFAULT_EPSILON, LabelMap, ProbabilityMap
 from relfine.logic import GATE_BIAS, GATE_SCALE, LOG_CLAMP
-from relfine.relations import BACKGROUND, Relation, SpatialTriplet, opposite
+from relfine.relations import (
+    BACKGROUND,
+    RELATION_CODES,
+    STAGES,
+    Relation,
+    SpatialTriplet,
+    opposite,
+    parse_relation,
+)
 from relfine.state import SegmentationState
 
 
@@ -238,3 +252,110 @@ def reference_calibrate(triplets: list[SpatialTriplet], oracle) -> tuple[list[Sp
         "final": len(resolved),
     }
     return resolved, audit, [(validated[i], validated[j], kind) for i, j, kind in pairs]
+
+
+def _reference_table(doc: dict, name: str, path: str | Path) -> list:
+    entries = doc.get(name, [])
+    if not isinstance(entries, list):
+        raise FormatError(f"{path}: {name!r} must be a list")
+    return entries
+
+
+def _not_a_name(key: str, value: object) -> FormatError:
+    return FormatError(f"{key!r} must be a string, got {value!r}")
+
+
+def reference_load_triplets(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
+    """The roster and (4, T) codes of a triplet file, or the error, as the
+    loader gave them when it checked every entry in order: duplicates
+    collapse under (subject, relation, object) keys keeping the earliest
+    stage, and a second pass checks the roster and maps the names."""
+    doc = load_json_object(path)
+    require_keys(doc, frozenset(), frozenset({"categories", "triplets"}), str(path))
+    categories = doc.get("categories")
+    if not isinstance(categories, list) or not all(isinstance(c, str) for c in categories):
+        raise FormatError(f"{path}: 'categories' must be a list of strings")
+
+    allowed = frozenset({"subject", "relation", "object", "stage"})
+    collapsed: dict[tuple[str, Relation, str], int] = {}
+    for index, entry in enumerate(_reference_table(doc, "triplets", path)):
+        try:
+            if not isinstance(entry, dict):
+                raise FormatError("expected an object")
+            if not entry.keys() <= allowed:
+                raise FormatError(f"unknown keys {sorted(entry.keys() - allowed)}")
+            try:
+                subject = entry["subject"]
+                relation = parse_relation(entry["relation"])
+                obj = entry["object"]
+            except KeyError as exc:
+                raise FormatError(f"missing key {exc.args[0]!r}") from None
+            if not isinstance(subject, str):
+                raise _not_a_name("subject", subject)
+            if not isinstance(obj, str):
+                raise _not_a_name("object", obj)
+            stage = entry.get("stage", "initial")
+            if subject == obj:
+                raise FormatError(f"triplet subject and object must differ, both are {subject!r}")
+            if stage not in STAGES:
+                raise FormatError(f"unknown stage {stage!r}")
+        except FormatError as exc:
+            raise FormatError(f"{path}: triplets[{index}]: {exc}") from None
+        key = (subject, relation, obj)
+        stage = STAGES.index(stage)
+        if stage < collapsed.get(key, len(STAGES)):
+            collapsed[key] = stage
+
+    roster = tuple(categories)
+    index = {name: i for i, name in enumerate(roster)}
+    if len(index) != len(roster):
+        raise FormatError(f"{path}: category roster contains duplicates")
+    rows = []
+    for (s, r, o), stage in collapsed.items():
+        if s not in index or o not in index:
+            name = s if s not in index else o
+            raise UnknownCategoryError(f"{path}: triplet {SpatialTriplet(s, r, o)} names {name!r}, not in roster")
+        rows.append((index[s], RELATION_CODES[r], index[o], stage))
+    return roster, np.array(rows, dtype=np.intp).reshape(-1, 4).T.copy()
+
+
+def reference_load_scripted_oracle(path: str | Path) -> tuple[dict, dict]:
+    """The holds and choose tables of an oracle file, or the error, as the
+    loader gave them when it checked every entry in order: keys, names,
+    answer, relations."""
+    doc = load_json_object(path)
+    require_keys(doc, frozenset(), frozenset({"holds", "choose"}), str(path))
+
+    holds = {}
+    for index, entry in enumerate(_reference_table(doc, "holds", path)):
+        try:
+            if not isinstance(entry, dict) or entry.keys() != {"s", "r", "o", "a"}:
+                raise FormatError("expected keys s, r, o, a")
+            s, o, answer = entry["s"], entry["o"], entry["a"]
+            if not isinstance(s, str):
+                raise _not_a_name("s", s)
+            if not isinstance(o, str):
+                raise _not_a_name("o", o)
+            if answer not in ("yes", "no", "unknown"):
+                raise FormatError(f"answer must be yes/no/unknown, got {answer!r}")
+            holds[s, parse_relation(entry["r"]), o] = answer
+        except FormatError as exc:
+            raise FormatError(f"{path}: holds[{index}]: {exc}") from None
+
+    choose = {}
+    for index, entry in enumerate(_reference_table(doc, "choose", path)):
+        try:
+            if not isinstance(entry, dict) or entry.keys() != {"s", "r1", "r2", "o", "a"}:
+                raise FormatError("expected keys s, r1, r2, o, a")
+            s, o, answer = entry["s"], entry["o"], entry["a"]
+            if not isinstance(s, str):
+                raise _not_a_name("s", s)
+            if not isinstance(o, str):
+                raise _not_a_name("o", o)
+            if answer not in ("first", "second", "neither"):
+                raise FormatError(f"answer must be first/second/neither, got {answer!r}")
+            choose[s, parse_relation(entry["r1"]), parse_relation(entry["r2"]), o] = answer
+        except FormatError as exc:
+            raise FormatError(f"{path}: choose[{index}]: {exc}") from None
+
+    return holds, choose

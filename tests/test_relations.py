@@ -624,6 +624,68 @@ def test_loaders_report_each_malformed_entry_exactly(tmp_path, loader, doc, mess
     assert str(caught.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize(
+    "doc, error, message",
+    [
+        # A later entry's format error beats an earlier entry's unknown name.
+        ({"categories": ["a", "b"],
+          "triplets": [{**VALID_TRIPLET, "object": "zz"}, {**VALID_TRIPLET, "relation": "up"}]},
+         FormatError, f"triplets[1]: unknown relation 'up', {RELATIONS}"),
+        # An entry error beats a duplicate roster.
+        ({"categories": ["a", "b", "a"], "triplets": [VALID_TRIPLET, {**VALID_TRIPLET, "stage": "final"}]},
+         FormatError, "triplets[1]: unknown stage 'final'"),
+        # A duplicate roster beats an unknown name.
+        ({"categories": ["a", "a", "b"], "triplets": [{**VALID_TRIPLET, "subject": "zz"}]},
+         FormatError, "category roster contains duplicates"),
+        # The first unknown name in entry order decides, the subject's before the object's.
+        ({"categories": ["a", "b"], "triplets": [VALID_TRIPLET, {**VALID_TRIPLET, "object": "y"},
+                                                 {**VALID_TRIPLET, "subject": "x", "object": "w"}]},
+         UnknownCategoryError, "triplet <a, left, y> names 'y', not in roster"),
+    ],
+)
+def test_load_triplets_reports_errors_in_order(tmp_path, doc, error, message):
+    path = tmp_path / "triplets.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error) as caught:
+        load_triplets(path)
+    assert type(caught.value) is error and str(caught.value) == f"{path}: {message}"
+
+
+def test_load_triplets_keeps_a_repeat_at_its_first_position_with_its_earliest_stage(tmp_path):
+    first = {"subject": "a", "relation": "left", "object": "b"}
+    path = tmp_path / "triplets.json"
+    path.write_text(json.dumps({"categories": ["a", "b", "c"], "triplets": [
+        {**first, "stage": "resolved"},
+        {"subject": "c", "relation": "above", "object": "a"},
+        {**first, "stage": "bidirectional"},
+        {"subject": "b", "relation": "right", "object": "c", "stage": "validated"},
+        {**first, "stage": "validated"},
+    ]}))
+    assert [(t.key, t.stage) for t in load_triplets(path)] == [
+        (("a", Relation.LEFT, "b"), "bidirectional"),
+        (("c", Relation.ABOVE, "a"), "initial"),
+        (("b", Relation.RIGHT, "c"), "validated"),
+    ]
+
+
+def test_load_scripted_oracle_keeps_a_repeat_at_its_first_position_with_its_last_answer(tmp_path):
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps({
+        "holds": [VALID_HOLDS, {**VALID_HOLDS, "s": "c"}, {**VALID_HOLDS, "a": "unknown"},
+                  {**VALID_HOLDS, "a": "no"}],
+        "choose": [VALID_CHOOSE, {**VALID_CHOOSE, "o": "c"}, {**VALID_CHOOSE, "a": "neither"}],
+    }))
+    oracle = load_scripted_oracle(path)
+    assert list(oracle._holds.items()) == [
+        (("a", Relation.LEFT, "b"), "no"),
+        (("c", Relation.LEFT, "b"), "yes"),
+    ]
+    assert list(oracle._choose.items()) == [
+        (("a", Relation.LEFT, Relation.RIGHT, "b"), "neither"),
+        (("a", Relation.LEFT, Relation.RIGHT, "c"), "first"),
+    ]
+
+
 # --------------------------------------------------------------------------
 # recorded lighthouse log: full pipeline replay
 
